@@ -32,9 +32,7 @@ from .resampling import (
     FpcFactors,
     Method,
     MirrorMatchPlan,
-    PseudoPopulation,
     bootstrap_variance,
-    build_pseudo_population,
     corrected_variance,
     fpc,
     mirror_match_bootstrap,
@@ -81,7 +79,6 @@ __all__ = [
     "MirrorMatchPlan",
     "Population",
     "PopulationParseError",
-    "PseudoPopulation",
     "PublicationRecord",
     "RngStream",
     "Sample",
@@ -90,7 +87,6 @@ __all__ = [
     "SynthSpec",
     "bias_correction",
     "bootstrap_variance",
-    "build_pseudo_population",
     "ci_bca",
     "ci_bootstrap_t",
     "ci_normal",

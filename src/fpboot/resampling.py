@@ -14,6 +14,16 @@ finite population:
 All engines evaluate the statistic through ``unit_values`` so both
 indicators ride the same mean-of-values path, and consume their stream in
 fixed-size blocks so results never depend on caller memory or threading.
+
+Every statistic is a mean of unit values, so a pseudo-population or
+mirror-match replicate is fully described by how often it draws each of
+the n sample units. Those two engines sample a block of such count vectors
+at once with ``Generator.multivariate_hypergeometric(method="count")``, a
+partial shuffle in C that costs O(draws) per replicate, and reduce them
+against the centred unit values with einsum. The reduction deliberately
+avoids BLAS (``@``, ``np.dot``): BLAS threads started in every worker of a
+study's process pool oversubscribe the cores and cancel the pool's
+speed-up.
 """
 
 import enum
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, sample_variance, unit_values
-from .sampling import RngStream, Sample, _partial_permutation
+from .sampling import RngStream, Sample
 
 # Engines draw in blocks of this many replicates. Fixed: the stream
 # consumption pattern is part of the reproducibility contract.
@@ -100,26 +110,58 @@ def bootstrap_variance(reps: BootstrapReplicates) -> float:
     return sample_variance(reps.estimates)
 
 
-def _srswor_rows(gen: np.random.Generator, rows: int, n_take: int, pool_size: int) -> np.ndarray:
-    """One SRSWOR index set of size n_take from range(pool_size) per row.
-
-    Partial Fisher-Yates vectorized across rows; exact uniformity over
-    subsets, one batched integer draw per block.
-    """
-    idx = np.tile(np.arange(pool_size, dtype=np.int64), (rows, 1))
-    draws = gen.integers(np.arange(n_take, dtype=np.int64)[:, None], pool_size, size=(n_take, rows))
-    rr = np.arange(rows)
-    for i in range(n_take):
-        j = draws[i]
-        vi = idx[:, i].copy()
-        idx[:, i] = idx[rr, j]
-        idx[rr, j] = vi
-    return idx[:, :n_take]
-
-
 def _blocks(B: int):
     for lo in range(0, B, _BLOCK):
         yield lo, min(lo + _BLOCK, B)
+
+
+def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_variances: bool):
+    """Replicate means and t-variances from blocks of unit counts.
+
+    ``draw(rows)`` returns a rows x n count matrix and its row sums m. The
+    values are centred on their mean, which keeps the one-pass variance
+    clear of cancellation and makes a constant sample's replicates exact.
+    The reductions use einsum, not ``@``, to stay out of BLAS threads (see
+    the module docstring).
+    """
+    vbar = float(vals.mean())
+    d = vals - vbar
+    d2 = d * d
+    est = np.empty(B)
+    tvar = np.empty(B) if with_t_variances else None
+    for lo, hi in _blocks(B):
+        counts, m = draw(hi - lo)
+        s1 = np.einsum("rn,n->r", counts, d)
+        est[lo:hi] = vbar + s1 / m
+        if tvar is not None:
+            ss = np.einsum("rn,n->r", counts, d2) - s1 * s1 / m
+            s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
+            tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
+    return est, tvar
+
+
+def _ppb_counts(
+    gen: np.random.Generator, rows: int, n: int, N: int, completion: np.ndarray | None = None
+) -> np.ndarray:
+    """Unit counts of ``rows`` SRSWOR draws of size n from a size-N pseudo-population.
+
+    The pseudo-population holds k + 1 copies of the r = N - k*n units
+    marked 1 in ``completion`` and k copies of the others. Without a
+    completion each row marks a fresh uniform r-subset: the draw takes
+    colours for k copies of every unit plus r single extra copies, and the
+    row's extra copies are added to its marked units. Extra copies are
+    exchangeable, so their order does not matter.
+    """
+    k, r = divmod(N, n)
+    if completion is not None or r == 0:
+        colours = np.full(n, k, dtype=np.int64) if completion is None else k + completion
+        return gen.multivariate_hypergeometric(colours, n, size=rows, method="count")
+    colours = np.concatenate([np.full(n, k, dtype=np.int64), np.ones(r, dtype=np.int64)])
+    drawn = gen.multivariate_hypergeometric(colours, n, size=rows, method="count")
+    marked = gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, size=rows, method="count")
+    counts = drawn[:, :n]
+    counts[np.arange(rows)[:, None], np.nonzero(marked)[1].reshape(rows, r)] += drawn[:, n:]
+    return counts
 
 
 def standard_bootstrap(
@@ -153,46 +195,6 @@ def standard_bootstrap(
     return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.STANDARD)
 
 
-@dataclass(frozen=True)
-class PseudoPopulation:
-    """An N-sized stand-in population assembled from whole copies of a sample.
-
-    k whole copies of the sample plus a without-replacement remainder of
-    r = N - k*n of its records, laid out copies-first.
-    """
-
-    k: int
-    remainder: int
-    ncs: np.ndarray
-    top10: np.ndarray
-
-    def __post_init__(self):
-        if self.k < 1 or self.remainder < 0:
-            raise ValueError("invalid pseudo-population shape")
-        if self.ncs.size != self.top10.size:
-            raise ValueError("ncs and top10 must have equal length")
-
-    @property
-    def size(self) -> int:
-        return int(self.ncs.size)
-
-
-def build_pseudo_population(sample: Sample, N: int, rng: RngStream) -> PseudoPopulation:
-    """Materialize one pseudo-population of size N from the sample."""
-    n = sample.n
-    if N < n:
-        raise ValueError(f"population size {N} smaller than sample size {n}")
-    k, r = divmod(N, n)
-    if r > 0:
-        rem = np.sort(_partial_permutation(rng.generator, r, n))
-        ncs = np.concatenate([np.tile(sample.ncs, k), sample.ncs[rem]])
-        top10 = np.concatenate([np.tile(sample.top10, k), sample.top10[rem]])
-    else:
-        ncs = np.tile(sample.ncs, k)
-        top10 = np.tile(sample.top10, k)
-    return PseudoPopulation(k=k, remainder=r, ncs=ncs, top10=top10)
-
-
 def ppb_bootstrap(
     sample: Sample,
     N: int,
@@ -207,8 +209,9 @@ def ppb_bootstrap(
     Each replicate completes the pseudo-population (k whole copies of the
     sample plus r = N - k*n records redrawn without replacement from the
     sample; redrawn per replicate unless ``fixed_completion``), draws an
-    SRSWOR sample of size n from it, and re-evaluates the statistic.
-    Per-replicate variance estimates carry the 1 - f correction.
+    SRSWOR sample of size n from it, and re-evaluates the statistic. The
+    draw is sampled as the count of each sample unit in it. Per-replicate
+    variance estimates carry the 1 - f correction.
     """
     n = sample.n
     if N < n:
@@ -229,30 +232,13 @@ def ppb_bootstrap(
         tvar = np.zeros(B) if with_t_variances else None
         return BootstrapReplicates(B=B, estimates=np.full(B, c), t_variances=tvar, method=Method.PPB)
 
-    k, r = divmod(N, n)
-    kn = k * n
-    base = np.tile(vals, k)
-    est = np.empty(B)
-    tvar = np.empty(B) if with_t_variances else None
-    fixed_rem = None
-    if fixed_completion and r > 0:
-        fixed_rem = vals[_srswor_rows(gen, 1, r, n)]
-    for lo, hi in _blocks(B):
-        rows = hi - lo
-        sel = _srswor_rows(gen, rows, n, N)
-        if r > 0:
-            rem = fixed_rem if fixed_rem is not None else vals[_srswor_rows(gen, rows, r, n)]
-            inside = sel < kn
-            chosen = np.where(
-                inside,
-                base[np.minimum(sel, kn - 1)],
-                np.take_along_axis(np.broadcast_to(rem, (rows, r)), np.maximum(sel - kn, 0), axis=1),
-            )
-        else:
-            chosen = base[sel]
-        est[lo:hi] = chosen.mean(axis=1)
-        if tvar is not None:
-            tvar[lo:hi] = chosen.var(axis=1, ddof=1) * t_scale
+    r = N % n
+    completion = None
+    if fixed_completion and r:
+        completion = gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, method="count")
+    est, tvar = _count_replicates(
+        lambda rows: (_ppb_counts(gen, rows, n, N, completion), n), vals, B, t_scale, with_t_variances
+    )
     return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.PPB)
 
 
@@ -288,7 +274,8 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     fraction; the repeat count targets k = n * (1 - f') / (n' * (1 - f)),
     which makes the bootstrap variance of a mean reproduce (1 - f) * s2 / n
     exactly when f' = f and approximately otherwise. k is randomized
-    between floor and ceil of the target so that E[k] = k_target.
+    between floor and ceil of the target so that E[k] = k_target. The
+    target is at least 1, since a replicate holds at least one subsample.
     """
     if n > N:
         raise ValueError(f"sample size {n} exceeds population size {N}")
@@ -300,7 +287,8 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     if n_prime == n:
         k_target = 1.0
     else:
-        k_target = n * (1.0 - f_prime) / (n_prime * (1.0 - f))
+        # Rounding n' can make f' > f and the target fall below 1; k is 1 then.
+        k_target = max(1.0, n * (1.0 - f_prime) / (n_prime * (1.0 - f)))
     k_low = max(1, math.floor(k_target))
     k_high = math.ceil(k_target)
     p_high = 0.0 if k_high == k_low else (k_target - k_low) / (k_high - k_low)
@@ -312,6 +300,26 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
         k_high=k_high,
         p_high=p_high,
     )
+
+
+def _mirror_counts(gen: np.random.Generator, rows: int, n: int, plan: MirrorMatchPlan):
+    """Unit counts of ``rows`` mirror-match resamples, and each row's k.
+
+    Every row draws k_high SRSWOR subsamples of size n' as 0/1 masks, one
+    subsample slot at a time, and keeps its first k of them: stream
+    consumption does not depend on the realised k.
+    """
+    if plan.k_high > plan.k_low:
+        kb = plan.k_low + (gen.random(rows) < plan.p_high)
+    else:
+        kb = np.full(rows, plan.k_low)
+    counts = np.zeros((rows, n), dtype=np.int64)
+    units = np.ones(n, dtype=np.int64)
+    for j in range(plan.k_high):
+        mask = gen.multivariate_hypergeometric(units, plan.n_prime, size=rows, method="count")
+        mask[kb <= j] = 0
+        counts += mask
+    return counts, kb
 
 
 def mirror_match_bootstrap(
@@ -343,27 +351,9 @@ def mirror_match_bootstrap(
         tvar = np.full(B, sample_variance(vals) * t_scale) if with_t_variances else None
         return BootstrapReplicates(B=B, estimates=np.full(B, c), t_variances=tvar, method=Method.MIRROR_MATCH)
 
-    n_p, k_hi = plan.n_prime, plan.k_high
-    est = np.empty(B)
-    tvar = np.empty(B) if with_t_variances else None
-    for lo, hi in _blocks(B):
-        rows = hi - lo
-        if plan.k_high > plan.k_low:
-            kb = plan.k_low + (gen.random(rows) < plan.p_high)
-        else:
-            kb = np.full(rows, plan.k_low)
-        # Draw k_high subsamples for every replicate and mask the unused
-        # one: stream consumption stays independent of the realized k.
-        sub = _srswor_rows(gen, rows * k_hi, n_p, n).reshape(rows, k_hi, n_p)
-        v = vals[sub]
-        sums = v.sum(axis=2)
-        use = np.arange(k_hi)[None, :] < kb[:, None]
-        total = (sums * use).sum(axis=1)
-        m = (kb * n_p).astype(np.float64)
-        est[lo:hi] = total / m
-        if tvar is not None:
-            sqs = (v * v).sum(axis=2)
-            qtot = (sqs * use).sum(axis=1)
-            s2 = np.where(m > 1, (qtot - total * total / m) / np.maximum(m - 1.0, 1.0), 0.0)
-            tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
+    def draw(rows):
+        counts, kb = _mirror_counts(gen, rows, n, plan)
+        return counts, kb * plan.n_prime
+
+    est, tvar = _count_replicates(draw, vals, B, t_scale, with_t_variances)
     return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.MIRROR_MATCH)

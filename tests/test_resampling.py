@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpboot import (
@@ -12,7 +12,6 @@ from fpboot import (
     Method,
     Sample,
     bootstrap_variance,
-    build_pseudo_population,
     corrected_variance,
     fpc,
     make_rng,
@@ -22,6 +21,7 @@ from fpboot import (
     sample_variance,
     standard_bootstrap,
 )
+from fpboot.resampling import _count_replicates, _mirror_counts, _ppb_counts
 
 
 def lognormal_sample(n, N, seed=0):
@@ -34,6 +34,13 @@ def lognormal_sample(n, N, seed=0):
 
 def constant_sample(n, N, value=2.5):
     return Sample(np.arange(n), np.full(n, value), np.zeros(n, bool), N)
+
+
+def assert_mean_counts(counts, expected):
+    # each unit's mean count within 5 Monte Carlo standard errors
+    mean = counts.mean(axis=0)
+    se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
+    assert np.all(np.abs(mean - expected) <= 5 * se)
 
 
 class TestFpc:
@@ -147,37 +154,6 @@ class TestStandardBootstrap:
             standard_bootstrap(constant_sample(1, 10), 10, EstimatorKind.MNCS, make_rng(0, 0))
 
 
-class TestPseudoPopulation:
-    def test_size_identity(self):
-        s = lognormal_sample(4, 10)
-        pseudo = build_pseudo_population(s, 10, make_rng(2, 0))
-        assert pseudo.k == 2 and pseudo.remainder == 2 and pseudo.size == 10
-
-    def test_exact_multiple(self):
-        s = lognormal_sample(4, 8)
-        pseudo = build_pseudo_population(s, 8, make_rng(2, 1))
-        assert pseudo.k == 2 and pseudo.remainder == 0 and pseudo.size == 8
-
-    def test_census(self):
-        s = lognormal_sample(6, 6)
-        pseudo = build_pseudo_population(s, 6, make_rng(2, 2))
-        assert pseudo.k == 1 and pseudo.remainder == 0
-        assert np.array_equal(pseudo.ncs, s.ncs)
-
-    def test_units_come_from_sample(self):
-        s = lognormal_sample(5, 13)
-        pseudo = build_pseudo_population(s, 13, make_rng(2, 3))
-        assert set(pseudo.ncs.tolist()) <= set(s.ncs.tolist())
-        # every sample unit appears at least k times
-        for v in s.ncs:
-            assert np.count_nonzero(pseudo.ncs == v) >= pseudo.k
-
-    def test_undersized_population_rejected(self):
-        s = lognormal_sample(5, 13)
-        with pytest.raises(ValueError):
-            build_pseudo_population(s, 4, make_rng(0, 0))
-
-
 class TestPpbBootstrap:
     def test_census_zero_variance(self):
         s = lognormal_sample(40, 40)
@@ -229,6 +205,18 @@ class TestPpbBootstrap:
         reps = ppb_bootstrap(s, 100, 200, EstimatorKind.PP_TOP10, make_rng(3, 5))
         assert np.all(reps.estimates >= 0) and np.all(reps.estimates <= 100)
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_determinism(self, fixed):
+        s = lognormal_sample(30, 100)
+        a = ppb_bootstrap(
+            s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True, fixed_completion=fixed
+        )
+        b = ppb_bootstrap(
+            s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True, fixed_completion=fixed
+        )
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.t_variances, b.t_variances)
+
 
 class TestMirrorMatchPlan:
     def test_half_fraction(self):
@@ -256,6 +244,8 @@ class TestMirrorMatchPlan:
             mirror_match_plan(10, 9)
 
     @given(st.integers(2, 800), st.integers(0, 4000))
+    @example(n=145, extra=9)  # rounding makes f' > f: the raw target is 0.99919
+    @example(n=5, extra=2)
     @settings(max_examples=120)
     def test_plan_invariants(self, n, extra):
         N = n + extra
@@ -300,6 +290,71 @@ class TestMirrorMatchBootstrap:
         oracle = sum((m - mu) ** 2 for m in means) / (len(means) - 1)
         reps = mirror_match_bootstrap(s, 60, 20_000, EstimatorKind.MNCS, make_rng(6, 3))
         assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.10)
+
+    def test_determinism(self):
+        s = lognormal_sample(30, 200)
+        a = mirror_match_bootstrap(s, 200, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
+        b = mirror_match_bootstrap(s, 200, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.t_variances, b.t_variances)
+
+
+class TestCountKernels:
+    @pytest.mark.parametrize("n,N", [(7, 24), (10, 40), (30, 45)])
+    def test_ppb_counts(self, n, N):
+        k = N // n
+        counts = _ppb_counts(make_rng(5, 0).generator, 4000, n, N)
+        assert np.all(counts.sum(axis=1) == n)
+        assert counts.min() >= 0 and counts.max() <= k + 1
+        assert_mean_counts(counts, 1.0)
+
+    def test_ppb_counts_fixed_completion(self):
+        n, N = 7, 24
+        completion = np.array([1, 0, 0, 1, 0, 1, 0])
+        counts = _ppb_counts(make_rng(5, 1).generator, 4000, n, N, completion)
+        assert np.all(counts.sum(axis=1) == n)
+        assert np.all(counts <= 3 + completion)
+        assert_mean_counts(counts, n * (3 + completion) / N)
+
+    @pytest.mark.parametrize("n,N", [(30, 200), (24, 60), (10, 13)])
+    def test_mirror_counts(self, n, N):
+        plan = mirror_match_plan(n, N)
+        counts, kb = _mirror_counts(make_rng(5, 2).generator, 4000, n, plan)
+        assert np.all((kb == plan.k_low) | (kb == plan.k_high))
+        assert np.all(counts.sum(axis=1) == kb * plan.n_prime)
+        assert counts.min() >= 0 and np.all(counts <= kb[:, None])
+        assert_mean_counts(counts, plan.k_target * plan.n_prime / n)
+
+    def test_reduction_matches_expanded_resamples(self):
+        # reference: expand each count row into its resample, then mean and variance
+        n, N, t_scale = 12, 60, 0.37
+        s = lognormal_sample(n, N, seed=31)
+        plan = mirror_match_plan(n, N)
+        counts, kb = _mirror_counts(make_rng(5, 3).generator, 300, n, plan)
+        est, tvar = _count_replicates(lambda rows: (counts, kb * plan.n_prime), s.ncs, 300, t_scale, True)
+        for b in range(300):
+            resample = np.repeat(s.ncs, counts[b])
+            assert est[b] == pytest.approx(resample.mean(), rel=1e-12)
+            assert tvar[b] == pytest.approx(resample.var(ddof=1) * t_scale, rel=1e-9)
+
+
+class TestVarianceGrid:
+    # FPC contract Var* ~= (1 - f) s^2 / n over a grid of f. N = n/f + 7
+    # leaves a pseudo-population remainder and a randomized mirror-match k.
+    @pytest.mark.parametrize("f", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap])
+    def test_variance_ratio(self, engine, f):
+        n, B = 200, 20_000
+        N = round(n / f) + 7
+        s = lognormal_sample(n, N, seed=29)
+        reps = engine(s, N, B, EstimatorKind.MNCS, make_rng(10, 0))
+        v = bootstrap_variance(reps)
+        # relative Monte Carlo standard error of a B-replicate variance: the
+        # spread of the squared deviations, at least sqrt(2 / (B - 1))
+        dev2 = (reps.estimates - reps.estimates.mean()) ** 2
+        se = max(np.std(dev2, ddof=1) / math.sqrt(B) / v, math.sqrt(2 / (B - 1)))
+        ratio = v / ((1 - n / N) * sample_variance(s.ncs) / n)
+        assert abs(ratio - 1) <= 5 * se
 
 
 class TestVarianceOrdering:
