@@ -3,24 +3,22 @@
 Resampling engines (standard, pseudo-population, mirror-match),
 finite-population-corrected variance estimation, four confidence-interval
 constructors, and a Monte Carlo coverage-study harness for bibliometric
-indicators.
+indicators. The command line lives in ``fpboot.cli`` and is not imported
+here.
 """
 
 from .errors import DegenerateDistributionError, PopulationParseError
 from .sampling import (
     Population,
-    PublicationRecord,
     RngStream,
     Sample,
+    load_population,
     make_rng,
     srswor,
-    srswr,
 )
 from .estimators import (
-    EstimateResult,
     EstimatorKind,
     estimate,
-    estimate_result,
     mncs,
     pp_top10,
     sample_variance,
@@ -48,7 +46,6 @@ from .intervals import (
     ci_bootstrap_t,
     ci_normal,
     ci_percentile,
-    empirical_quantile,
     jackknife_acceleration,
 )
 from .study import (
@@ -56,13 +53,14 @@ from .study import (
     StudyConfig,
     StudyReport,
     SynthSpec,
+    bootstrap,
+    build_interval,
     coverage_study,
     effective_ci_types,
+    emit_report,
     length_sweep,
-    run_cell,
     synth_population,
 )
-from .cli import cli_dispatch, emit_report, load_population
 
 __version__ = "0.1.0"
 
@@ -72,33 +70,30 @@ __all__ = [
     "CiType",
     "ConfidenceInterval",
     "DegenerateDistributionError",
-    "EstimateResult",
     "EstimatorKind",
     "FpcFactors",
     "Method",
     "MirrorMatchPlan",
     "Population",
     "PopulationParseError",
-    "PublicationRecord",
     "RngStream",
     "Sample",
     "StudyConfig",
     "StudyReport",
     "SynthSpec",
     "bias_correction",
+    "bootstrap",
     "bootstrap_variance",
+    "build_interval",
     "ci_bca",
     "ci_bootstrap_t",
     "ci_normal",
     "ci_percentile",
-    "cli_dispatch",
     "corrected_variance",
     "coverage_study",
     "effective_ci_types",
     "emit_report",
-    "empirical_quantile",
     "estimate",
-    "estimate_result",
     "fpc",
     "jackknife_acceleration",
     "length_sweep",
@@ -109,11 +104,9 @@ __all__ = [
     "mncs",
     "pp_top10",
     "ppb_bootstrap",
-    "run_cell",
     "sample_variance",
     "se_mean_fpc",
     "srswor",
-    "srswr",
     "standard_bootstrap",
     "synth_population",
     "unit_values",

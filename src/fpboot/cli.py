@@ -1,4 +1,4 @@
-"""Command-line front door: population files, study configs, reports.
+"""Command-line front door: subcommands and study config files.
 
 Subcommands: ``synth`` writes a synthetic population CSV, ``estimate``
 prints point estimates plus one bootstrap CI, ``simulate`` runs a full
@@ -9,33 +9,30 @@ I/O or parse error.
 
 import argparse
 import json
-import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import PopulationParseError
 from .estimators import EstimatorKind, estimate
-from .intervals import CiType, ci_bca, ci_bootstrap_t, ci_normal, ci_percentile, jackknife_acceleration
-from .resampling import (
-    Method,
-    bootstrap_variance,
-    mirror_match_bootstrap,
-    ppb_bootstrap,
-    standard_bootstrap,
-)
-from .sampling import Population, Sample, make_rng, srswor
+from .intervals import CiType, jackknife_acceleration
+from .resampling import Method, bootstrap_variance
+from .sampling import Population, Sample, load_population, make_rng, srswor, write_population
 from .study import (
     StudyConfig,
-    StudyReport,
     SynthSpec,
     SYNTH_STREAM_ID,
+    _g12,
+    bootstrap,
+    build_interval,
     coverage_study,
+    emit_report,
+    emit_sweep,
     length_sweep,
     synth_population,
 )
 
-_POPULATION_HEADER = "ncs,top10"
-_FLAG_TOKENS = {"0": False, "false": False, "1": True, "true": True}
 _METHOD_TOKENS = {m.value: m for m in Method}
 _CI_TOKENS = {c.value: c for c in CiType}
 _ESTIMATOR_TOKENS = {e.value: e for e in EstimatorKind}
@@ -55,95 +52,6 @@ _CONFIG_KEYS = {
     "ci_pairing",
     "ppb_completion",
 }
-
-
-def load_population(path) -> Population:
-    """Read a population CSV (header ``ncs,top10``; rows: score, 0/1 flag)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != _POPULATION_HEADER:
-            raise PopulationParseError(
-                f"{path}:1: expected header {_POPULATION_HEADER!r}, got {header!r}"
-            )
-        ncs = []
-        top10 = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise PopulationParseError(f"{path}:{lineno}: expected two comma-separated fields")
-            try:
-                score = float(parts[0])
-            except ValueError:
-                raise PopulationParseError(f"{path}:{lineno}: bad ncs value {parts[0]!r}") from None
-            flag = _FLAG_TOKENS.get(parts[1].strip().lower())
-            if flag is None:
-                raise PopulationParseError(f"{path}:{lineno}: bad top10 flag {parts[1]!r}")
-            if not math.isfinite(score) or score < 0:
-                raise ValueError(f"{path}:{lineno}: ncs must be finite and >= 0, got {parts[0]}")
-            ncs.append(score)
-            top10.append(flag)
-    if not ncs:
-        raise ValueError(f"{path}: population file contains no records")
-    return Population(ncs, top10)
-
-
-def write_population(pop: Population, path):
-    """Write a population CSV with full-precision scores."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_POPULATION_HEADER + "\n")
-        for score, flag in zip(pop.ncs, pop.top10):
-            fh.write(f"{float(score)!r},{1 if flag else 0}\n")
-
-
-def _g12(x: float) -> str:
-    return format(x, ".12g")
-
-
-def emit_report(report: StudyReport, fmt: str, path):
-    """Write a study report as CSV (one row per cell) or structured JSON."""
-    if fmt == "csv":
-        lines = ["n,method,ci_type,estimator,coverage,avg_length,avg_variance,R"]
-        for c in report.cells:
-            lines.append(
-                ",".join(
-                    [
-                        str(c.n),
-                        c.method.value,
-                        c.ci_type.value,
-                        c.estimator.value,
-                        _g12(c.coverage),
-                        _g12(c.avg_length),
-                        _g12(c.avg_variance),
-                        str(c.r_effective),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown report format: {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def emit_sweep(rows, path):
-    """Write a length-sweep table (n, method, ci_type, estimator, avg_length)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,method,ci_type,estimator,avg_length\n")
-        for row in rows:
-            fh.write(
-                f"{row['n']},{row['method']},{row['ci_type']},{row['estimator']},{_g12(row['avg_length'])}\n"
-            )
-
-
-def load_report(path) -> dict:
-    """Read back a JSON report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _parse_tokens(values, table, what):
@@ -206,38 +114,43 @@ def _config_from(raw: dict, args) -> StudyConfig:
     else:
         raise ValueError("config must name a 'population' file or a 'synth' spec")
 
-    sizes = getattr(args, "sizes", None) or raw.get("sample_sizes")
+    sizes = _setting(args, "sizes", raw, "sample_sizes")
     if sizes is None:
         raise ValueError("no sample sizes given (config 'sample_sizes' or --sizes)")
     if isinstance(sizes, str):
         sizes = _parse_sizes(sizes)
     else:
         sizes = tuple(int(s) for s in sizes)
-
-    methods = getattr(args, "method", None) or raw.get("methods") or [m.value for m in Method]
-    cis = getattr(args, "ci", None) or raw.get("ci_types") or ["normal", "percentile"]
-    ests = (
-        getattr(args, "estimator", None)
-        or raw.get("estimators")
-        or [e.value for e in EstimatorKind]
-    )
-    b = getattr(args, "B", None)
-    reps = getattr(args, "reps", None)
-    level = getattr(args, "level", None)
-    seed = getattr(args, "seed", None)
+    methods = _setting(args, "method", raw, "methods", [m.value for m in Method])
+    cis = _setting(args, "ci", raw, "ci_types", ["normal", "percentile"])
+    ests = _setting(args, "estimator", raw, "estimators", [e.value for e in EstimatorKind])
     return StudyConfig(
         population_source=source,
         sample_sizes=sizes,
-        B=int(b if b is not None else raw.get("B", 1000)),
-        repetitions=int(reps if reps is not None else raw.get("repetitions", 1000)),
+        B=int(_setting(args, "B", raw, "B", 1000)),
+        repetitions=int(_setting(args, "reps", raw, "repetitions", 1000)),
         methods=_parse_tokens(methods, _METHOD_TOKENS, "method"),
         ci_types=_parse_tokens(cis, _CI_TOKENS, "ci type"),
         estimators=_parse_tokens(ests, _ESTIMATOR_TOKENS, "estimator"),
-        level=float(level if level is not None else raw.get("level", 0.95)),
-        master_seed=int(seed if seed is not None else raw.get("master_seed", 0)),
+        level=float(_setting(args, "level", raw, "level", 0.95)),
+        master_seed=int(_setting(args, "seed", raw, "master_seed", 0)),
         ci_pairing=str(raw.get("ci_pairing", "paper")),
         ppb_completion=str(raw.get("ppb_completion", "per-replicate")),
     )
+
+
+def _setting(args, flag: str, raw: dict, key: str, default=None):
+    """The command-line flag if given, else the config value, else ``default``.
+
+    An explicitly empty list in the config file is an error, not "use the
+    default".
+    """
+    value = getattr(args, flag, None)
+    if value is None:
+        value = raw.get(key, default)
+    if isinstance(value, list) and not value:
+        raise ValueError(f"config '{key}' is an empty list")
+    return value
 
 
 def _workers(args) -> int:
@@ -248,10 +161,7 @@ def _workers(args) -> int:
 
 
 def _census_sample(pop: Population) -> Sample:
-    import numpy as np
-
-    idx = np.arange(pop.size)
-    return Sample(idx, pop.ncs, pop.top10, pop.size)
+    return Sample(np.arange(pop.size), pop.ncs, pop.top10, pop.size)
 
 
 def _cmd_synth(args) -> int:
@@ -273,28 +183,14 @@ def _cmd_estimate(args) -> int:
     method = _parse_tokens([args.method], _METHOD_TOKENS, "method")[0]
     ci_kind = _parse_tokens([args.ci], _CI_TOKENS, "ci type")[0]
     value = estimate(kind, sample)
-    need_t = ci_kind is CiType.BOOTSTRAP_T
-    if method is Method.STANDARD:
-        reps = standard_bootstrap(sample, args.B, kind, rng, with_t_variances=need_t)
-    elif method is Method.PPB:
-        reps = ppb_bootstrap(sample, pop.size, args.B, kind, rng, with_t_variances=need_t)
-    else:
-        reps = mirror_match_bootstrap(sample, pop.size, args.B, kind, rng, with_t_variances=need_t)
+    reps = bootstrap(
+        method, sample, pop.size, args.B, kind, rng, with_t_variances=ci_kind is CiType.BOOTSTRAP_T
+    )
     v_hat = bootstrap_variance(reps)
-    if ci_kind is CiType.NORMAL:
-        interval = ci_normal(value, v_hat, args.level)
-    elif ci_kind is CiType.PERCENTILE:
-        interval = ci_percentile(reps, args.level)
-    elif ci_kind is CiType.BCA:
-        accel = jackknife_acceleration(sample, kind)
-        interval = ci_bca(reps, value, accel, args.level)
-    else:
-        if v_hat == 0.0:
-            from .intervals import ConfidenceInterval
-
-            interval = ConfidenceInterval(CiType.BOOTSTRAP_T, args.level, value, value)
-        else:
-            interval = ci_bootstrap_t(reps, value, v_hat, args.level)
+    accel = jackknife_acceleration(sample, kind) if ci_kind is CiType.BCA else 0.0
+    interval = build_interval(ci_kind, reps=reps, theta_hat=value, v_hat=v_hat, accel=accel, level=args.level)
+    if interval is None:
+        raise ValueError("bootstrap-t interval undefined: more than 1% of replicates have zero variance")
     print(f"{kind.value} {_g12(value)}")
     print(f"variance {_g12(v_hat)}")
     print(f"ci {interval.method.value} {_g12(interval.lower)} {_g12(interval.upper)}")

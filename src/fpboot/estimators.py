@@ -8,11 +8,10 @@ indicators are directly comparable in reports.
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import Population, PublicationRecord, Sample
+from .sampling import Population, Sample
 
 
 class EstimatorKind(enum.Enum):
@@ -22,71 +21,22 @@ class EstimatorKind(enum.Enum):
     PP_TOP10 = "pp_top10"
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """A point estimate: indicator kind, value, and the sample size used."""
-
-    kind: EstimatorKind
-    value: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind is EstimatorKind.PP_TOP10 and not 0.0 <= self.value <= 100.0:
-            raise ValueError(f"PP(top 10%) must lie in [0, 100], got {self.value}")
-        if self.kind is EstimatorKind.MNCS and self.value < 0.0:
-            raise ValueError(f"MNCS must be >= 0, got {self.value}")
-
-
-def _score_array(records) -> np.ndarray:
-    if isinstance(records, (Population, Sample)):
-        return records.ncs
-    seq = list(records)
-    if seq and isinstance(seq[0], PublicationRecord):
-        return np.array([r.ncs for r in seq], dtype=np.float64)
-    return np.asarray(seq, dtype=np.float64)
-
-
-def _flag_array(records) -> np.ndarray:
-    if isinstance(records, (Population, Sample)):
-        return records.top10
-    seq = list(records)
-    if seq and isinstance(seq[0], PublicationRecord):
-        return np.array([r.top10 for r in seq], dtype=bool)
-    return np.asarray(seq, dtype=bool)
-
-
 def unit_values(kind: EstimatorKind, records) -> np.ndarray:
     """Per-record values whose plain mean is the indicator.
 
-    MNCS: the citation scores. PP(top 10%): 100.0 for flagged records and
-    0.0 otherwise, so the mean is already in percent. Every resampling
-    engine evaluates statistics through this array, which keeps the
-    indicator, its bootstrap replicates, and the population truth on one
-    numeric path.
+    ``records`` is a :class:`Population`, a :class:`Sample`, or a sequence
+    of scores (MNCS) or flags (PP(top 10%)). MNCS: the citation scores.
+    PP(top 10%): 100.0 for flagged records and 0.0 otherwise, so the mean
+    is already in percent. Every resampling engine evaluates statistics
+    through this array, which keeps the indicator, its bootstrap
+    replicates, and the population truth on one numeric path.
     """
+    whole = isinstance(records, (Population, Sample))
     if kind is EstimatorKind.MNCS:
-        return _score_array(records)
+        return records.ncs if whole else np.asarray(records, dtype=np.float64)
     if kind is EstimatorKind.PP_TOP10:
-        return np.where(_flag_array(records), 100.0, 0.0)
+        return np.where(records.top10 if whole else np.asarray(records, dtype=bool), 100.0, 0.0)
     raise ValueError(f"unknown estimator kind: {kind!r}")
-
-
-def mncs(records) -> float:
-    """Mean normalized citation score of the records."""
-    arr = _score_array(records)
-    if arr.size < 1:
-        raise ValueError("mncs requires at least one record")
-    return float(arr.mean())
-
-
-def pp_top10(records) -> float:
-    """Percentage of records flagged as top-10% most cited."""
-    flags = _flag_array(records)
-    if flags.size < 1:
-        raise ValueError("pp_top10 requires at least one record")
-    return float(np.where(flags, 100.0, 0.0).mean())
 
 
 def estimate(kind: EstimatorKind, records) -> float:
@@ -97,11 +47,14 @@ def estimate(kind: EstimatorKind, records) -> float:
     return float(arr.mean())
 
 
-def estimate_result(kind: EstimatorKind, records) -> EstimateResult:
-    arr = unit_values(kind, records)
-    if arr.size < 1:
-        raise ValueError("estimate requires at least one record")
-    return EstimateResult(kind=kind, value=float(arr.mean()), n=int(arr.size))
+def mncs(records) -> float:
+    """Mean normalized citation score of the records."""
+    return estimate(EstimatorKind.MNCS, records)
+
+
+def pp_top10(records) -> float:
+    """Percentage of records flagged as top-10% most cited."""
+    return estimate(EstimatorKind.PP_TOP10, records)
 
 
 def sample_variance(values) -> float:

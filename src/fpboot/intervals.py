@@ -69,17 +69,6 @@ def _quantile_sorted(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[_rank(q, sorted_values.size) - 1])
 
 
-def empirical_quantile(values, q: float) -> float:
-    """The ceil(q * B)-th order statistic of ``values`` (rank clamped to [1, B])."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 1:
-        raise ValueError("empirical_quantile requires at least one value")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    r = _rank(q, arr.size)
-    return float(np.partition(arr, r - 1)[r - 1])
-
-
 def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
     """Asymptotic interval: theta_hat +/- z_{1-alpha/2} * sqrt(variance)."""
     _check_level(level)
@@ -101,19 +90,12 @@ def ci_percentile(reps: BootstrapReplicates, level: float = 0.95) -> ConfidenceI
     return ConfidenceInterval(CiType.PERCENTILE, level, _quantile_sorted(srt, q_lo), _quantile_sorted(srt, q_hi))
 
 
-def bias_correction(reps: BootstrapReplicates, theta_hat: float, tie_policy: str = "strict") -> float:
+def bias_correction(reps: BootstrapReplicates, theta_hat: float) -> float:
     """BCa bias-correction z0 = Phi^-1(#{theta* < theta_hat} / B).
 
-    ``tie_policy`` "strict" counts only replicates strictly below the
-    estimate; "half" counts ties as half.
+    Only replicates strictly below the estimate count; ties do not.
     """
-    if tie_policy not in ("strict", "half"):
-        raise ValueError(f"unknown tie policy: {tie_policy!r}")
-    est = reps.estimates
-    below = float(np.count_nonzero(est < theta_hat))
-    if tie_policy == "half":
-        below += 0.5 * np.count_nonzero(est == theta_hat)
-    p0 = below / reps.B
+    p0 = float(np.count_nonzero(reps.estimates < theta_hat)) / reps.B
     if not 0.0 < p0 < 1.0:
         raise DegenerateDistributionError(
             f"all bootstrap estimates on one side of the point estimate (p0 = {p0})"
@@ -145,7 +127,6 @@ def ci_bca(
     theta_hat: float,
     accel: float,
     level: float = 0.95,
-    tie_policy: str = "strict",
 ) -> ConfidenceInterval:
     """Bias-corrected and accelerated percentile interval.
 
@@ -158,7 +139,7 @@ def ci_bca(
         raise ValueError("ci_bca requires at least two replicates")
     if not np.isfinite(accel):
         raise ValueError(f"accel must be finite, got {accel!r}")
-    z0 = bias_correction(reps, theta_hat, tie_policy)
+    z0 = bias_correction(reps, theta_hat)
     alpha = 1.0 - level
 
     def adjusted(z: float) -> float:

@@ -4,13 +4,21 @@ Randomness is organized around explicit streams: a (master_seed, stream_id)
 pair keys a Philox counter-based generator, so distinct stream ids give
 statistically independent streams with no shared state and the same pair
 reproduces the same draws on every run, platform, and thread count.
+
+A population lives on disk as a CSV with header ``ncs,top10`` and one
+``score,flag`` row per record.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PopulationParseError
+
 _UINT64_MAX = 2**64 - 1
+_POPULATION_HEADER = "ncs,top10"
+_FLAG_TOKENS = {"0": False, "false": False, "1": True, "true": True}
 
 
 @dataclass(frozen=True)
@@ -33,18 +41,6 @@ def make_rng(master_seed: int, stream_id: int) -> RngStream:
             raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     key = np.array([master_seed, stream_id], dtype=np.uint64)
     return RngStream(int(master_seed), int(stream_id), np.random.Generator(np.random.Philox(key=key)))
-
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One publication: field-normalized citation score and top-10% flag."""
-
-    ncs: float
-    top10: bool
-
-    def __post_init__(self):
-        if not np.isfinite(self.ncs) or self.ncs < 0:
-            raise ValueError(f"ncs must be finite and >= 0, got {self.ncs!r}")
 
 
 class Population:
@@ -70,11 +66,6 @@ class Population:
         self.ncs = ncs
         self.top10 = top10
 
-    @classmethod
-    def from_records(cls, records) -> "Population":
-        records = list(records)
-        return cls([r.ncs for r in records], [r.top10 for r in records])
-
     @property
     def size(self) -> int:
         return int(self.ncs.size)
@@ -82,8 +73,46 @@ class Population:
     def __len__(self) -> int:
         return self.size
 
-    def records(self) -> tuple[PublicationRecord, ...]:
-        return tuple(PublicationRecord(float(s), bool(t)) for s, t in zip(self.ncs, self.top10))
+
+def load_population(path) -> Population:
+    """Read a population CSV (header ``ncs,top10``; rows: score, 0/1 flag)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().strip()
+        if header != _POPULATION_HEADER:
+            raise PopulationParseError(
+                f"{path}:1: expected header {_POPULATION_HEADER!r}, got {header!r}"
+            )
+        ncs = []
+        top10 = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise PopulationParseError(f"{path}:{lineno}: expected two comma-separated fields")
+            try:
+                score = float(parts[0])
+            except ValueError:
+                raise PopulationParseError(f"{path}:{lineno}: bad ncs value {parts[0]!r}") from None
+            flag = _FLAG_TOKENS.get(parts[1].strip().lower())
+            if flag is None:
+                raise PopulationParseError(f"{path}:{lineno}: bad top10 flag {parts[1]!r}")
+            if not math.isfinite(score) or score < 0:
+                raise ValueError(f"{path}:{lineno}: ncs must be finite and >= 0, got {parts[0]}")
+            ncs.append(score)
+            top10.append(flag)
+    if not ncs:
+        raise ValueError(f"{path}: population file contains no records")
+    return Population(ncs, top10)
+
+
+def write_population(pop: Population, path):
+    """Write a population CSV with full-precision scores."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_POPULATION_HEADER + "\n")
+        for score, flag in zip(pop.ncs, pop.top10):
+            fh.write(f"{float(score)!r},{1 if flag else 0}\n")
 
 
 class Sample:
@@ -126,9 +155,6 @@ class Sample:
     def f(self) -> float:
         return self.n / self.population_size
 
-    def records(self) -> tuple[PublicationRecord, ...]:
-        return tuple(PublicationRecord(float(s), bool(t)) for s, t in zip(self.ncs, self.top10))
-
 
 def _partial_permutation(gen: np.random.Generator, n_take: int, pool_size: int) -> np.ndarray:
     """First ``n_take`` entries of a uniform permutation of range(pool_size).
@@ -162,21 +188,3 @@ def srswor(pop: Population, n: int, rng: RngStream) -> Sample:
     idx = np.sort(_partial_permutation(rng.generator, n, N))
     return Sample(idx, pop.ncs[idx], pop.top10[idx], N)
 
-
-def srswr(items, m: int, rng: RngStream):
-    """Sample ``m`` items uniformly with replacement.
-
-    Returns an ndarray when given one, otherwise a list.
-    """
-    if m < 1:
-        raise ValueError(f"number of draws must be >= 1, got {m}")
-    if isinstance(items, np.ndarray):
-        if items.size < 1:
-            raise ValueError("cannot sample from an empty collection")
-        idx = rng.generator.integers(0, items.shape[0], size=m)
-        return items[idx]
-    seq = list(items)
-    if not seq:
-        raise ValueError("cannot sample from an empty collection")
-    idx = rng.generator.integers(0, len(seq), size=m)
-    return [seq[i] for i in idx]

@@ -9,9 +9,15 @@ Reproducibility model: replication r of the cell keyed by (n, method,
 estimator) uses stream_id = stable_hash(cell) * 2**32 + r, so any subset
 of cells, any worker count, and any scheduling order produce identical
 reports. CI types share one bootstrap run per replication.
+
+``bootstrap`` (engine dispatch) and ``build_interval`` (one CI type from
+one set of replicates) are the single path for both steps; the CLI's
+``estimate`` command calls them too. They call the engines and interval
+constructors as names of this module, so tracing can wrap those names.
 """
 
 import hashlib
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,13 +36,14 @@ from .intervals import (
     jackknife_acceleration,
 )
 from .resampling import (
+    BootstrapReplicates,
     Method,
     bootstrap_variance,
     mirror_match_bootstrap,
     ppb_bootstrap,
     standard_bootstrap,
 )
-from .sampling import Population, RngStream, make_rng, srswor
+from .sampling import Population, RngStream, Sample, make_rng, srswor
 
 # Stream id reserved for synthetic population generation; cell streams are
 # hash * 2**32 + r with r far below 2**32, so they cannot collide with it.
@@ -115,8 +122,15 @@ class StudyConfig:
             raise ValueError(f"unknown ci_pairing: {self.ci_pairing!r}")
         if self.ppb_completion not in ("per-replicate", "fixed"):
             raise ValueError(f"unknown ppb_completion: {self.ppb_completion!r}")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 1")
+        if any(n < 2 for n in self.sample_sizes):
+            raise ValueError(f"sample sizes must be >= 2, got {list(self.sample_sizes)}")
+        for name in ("sample_sizes", "methods", "ci_types", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
+        bca = any(CiType.BCA in effective_ci_types(m, self.ci_types, self.ci_pairing) for m in self.methods)
+        if bca and any(n < 3 for n in self.sample_sizes):
+            raise ValueError("BCA intervals need sample sizes >= 3 (jackknife acceleration)")
 
 
 @dataclass(frozen=True)
@@ -195,6 +209,48 @@ def config_dict(config: StudyConfig) -> dict:
     return out
 
 
+def _g12(x: float) -> str:
+    return format(x, ".12g")
+
+
+def emit_report(report: StudyReport, fmt: str, path):
+    """Write a study report as CSV (one row per cell) or structured JSON."""
+    if fmt == "csv":
+        lines = ["n,method,ci_type,estimator,coverage,avg_length,avg_variance,R"]
+        for c in report.cells:
+            lines.append(
+                ",".join(
+                    [
+                        str(c.n),
+                        c.method.value,
+                        c.ci_type.value,
+                        c.estimator.value,
+                        _g12(c.coverage),
+                        _g12(c.avg_length),
+                        _g12(c.avg_variance),
+                        str(c.r_effective),
+                    ]
+                )
+            )
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def emit_sweep(rows, path):
+    """Write a length-sweep table (n, method, ci_type, estimator, avg_length)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n,method,ci_type,estimator,avg_length\n")
+        for row in rows:
+            fh.write(
+                f"{row['n']},{row['method']},{row['ci_type']},{row['estimator']},{_g12(row['avg_length'])}\n"
+            )
+
+
 def effective_ci_types(method: Method, requested, pairing: str = "paper") -> tuple[CiType, ...]:
     """CI types actually built for a method under the given pairing rule."""
     requested = tuple(requested)
@@ -221,7 +277,34 @@ def _init_worker(ncs: np.ndarray, top10: np.ndarray):
     _POP = Population(ncs, top10)
 
 
-def _build_interval(
+def bootstrap(
+    method: Method,
+    sample: Sample,
+    N: int,
+    B: int,
+    kind: EstimatorKind,
+    rng: RngStream,
+    *,
+    with_t_variances: bool = False,
+    fixed_completion: bool = False,
+) -> BootstrapReplicates:
+    """B replicates of ``kind`` from the engine ``method``.
+
+    ``N`` is ignored by the standard engine and ``fixed_completion`` by
+    every engine but ppb.
+    """
+    if method is Method.STANDARD:
+        return standard_bootstrap(sample, B, kind, rng, with_t_variances=with_t_variances)
+    if method is Method.PPB:
+        return ppb_bootstrap(
+            sample, N, B, kind, rng, with_t_variances=with_t_variances, fixed_completion=fixed_completion
+        )
+    if method is Method.MIRROR_MATCH:
+        return mirror_match_bootstrap(sample, N, B, kind, rng, with_t_variances=with_t_variances)
+    raise ValueError(f"unknown method: {method!r}")
+
+
+def build_interval(
     ci: CiType,
     *,
     reps,
@@ -230,7 +313,12 @@ def _build_interval(
     accel: float,
     level: float,
 ) -> ConfidenceInterval | None:
-    """One interval for one replication; None when it cannot be formed."""
+    """One interval from one set of replicates; None when it cannot be formed.
+
+    BCa on a one-sided bootstrap distribution falls back to the percentile
+    interval; bootstrap-t with more than 1% zero-variance replicates gives
+    None. ``accel`` is only read for BCa.
+    """
     if ci is CiType.NORMAL:
         return ci_normal(theta_hat, v_hat, level)
     if ci is CiType.PERCENTILE:
@@ -281,21 +369,14 @@ def _run_replications(task: dict):
         rng = make_rng(master_seed, base + r)
         sample = srswor(pop, n, rng)
         theta_hat = estimate(kind, sample)
-        if method is Method.STANDARD:
-            reps = standard_bootstrap(sample, B, kind, rng, with_t_variances=need_t)
-        elif method is Method.PPB:
-            reps = ppb_bootstrap(
-                sample, pop.size, B, kind, rng, with_t_variances=need_t, fixed_completion=ppb_fixed
-            )
-        elif method is Method.MIRROR_MATCH:
-            reps = mirror_match_bootstrap(sample, pop.size, B, kind, rng, with_t_variances=need_t)
-        else:
-            raise ValueError(f"unknown method: {method!r}")
+        reps = bootstrap(
+            method, sample, pop.size, B, kind, rng, with_t_variances=need_t, fixed_completion=ppb_fixed
+        )
         v_hat = bootstrap_variance(reps)
         v_hats[t] = v_hat
         accel = jackknife_acceleration(sample, kind) if need_a else 0.0
         for i, ci in enumerate(cis):
-            interval = _build_interval(
+            interval = build_interval(
                 ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=level
             )
             if interval is None:
@@ -379,57 +460,6 @@ def _aggregate(group, results, *, n, method, estimator, cis, R) -> list[CellRepo
     return cells
 
 
-def run_cell(
-    pop: Population,
-    *,
-    n: int,
-    B: int,
-    R: int,
-    method: Method,
-    ci_types,
-    estimator: EstimatorKind,
-    level: float = 0.95,
-    master_seed: int = 0,
-    workers: int = 1,
-    ci_pairing: str = "paper",
-    ppb_fixed_completion: bool = False,
-    true_value: float | None = None,
-) -> list[CellReport]:
-    """Coverage/length accounting for one (n, method, estimator) cell group.
-
-    Draws R independent SRSWOR samples (replication r on its own stream),
-    bootstraps each, builds every requested CI type from the shared
-    replicates, and aggregates containment of the population truth.
-    """
-    if not 1 <= n <= pop.size:
-        raise ValueError(f"sample size must satisfy 1 <= n <= {pop.size}, got {n}")
-    if B < 2:
-        raise ValueError("B must be >= 2")
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    cis = effective_ci_types(method, ci_types, ci_pairing)
-    if not cis:
-        return []
-    theta = estimate(estimator, pop) if true_value is None else float(true_value)
-    chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
-    tasks = _group_tasks(
-        0,
-        n=n,
-        method=method,
-        estimator=estimator,
-        cis=cis,
-        B=B,
-        R=R,
-        level=level,
-        master_seed=master_seed,
-        ppb_fixed=ppb_fixed_completion,
-        true_value=theta,
-        chunk=chunk,
-    )
-    results = _execute(tasks, pop, workers)
-    return _aggregate(0, results, n=n, method=method, estimator=estimator, cis=cis, R=R)
-
-
 def resolve_population(config: StudyConfig, population: Population | None = None) -> Population:
     """Population for a study: as passed, or synthesized from the config."""
     if population is not None:
@@ -437,8 +467,6 @@ def resolve_population(config: StudyConfig, population: Population | None = None
     source = config.population_source
     if isinstance(source, SynthSpec):
         return synth_population(source, make_rng(config.master_seed, SYNTH_STREAM_ID))
-    if isinstance(source, Population):
-        return source
     raise ValueError("a file-backed study needs the loaded population passed in")
 
 
@@ -449,8 +477,6 @@ def _population_info(config: StudyConfig, pop: Population) -> dict:
     source = config.population_source
     if isinstance(source, SynthSpec):
         kind, path = "synthetic", None
-    elif isinstance(source, Population):
-        kind, path = "in-memory", None
     else:
         kind, path = "file", str(source)
     return {"source": kind, "path": path, "size": pop.size, "sha256": digest.hexdigest()}

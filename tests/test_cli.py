@@ -1,13 +1,17 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fpboot import PopulationParseError, load_population
-from fpboot.cli import cli_dispatch, emit_report, load_report
-from fpboot.study import StudyConfig, SynthSpec, coverage_study
-from fpboot.estimators import EstimatorKind
-from fpboot.intervals import CiType
-from fpboot.resampling import Method
+from fpboot import PopulationParseError, build_interval, load_population
+from fpboot.cli import cli_dispatch, emit_report
+from fpboot.sampling import make_rng, srswor
+from fpboot.study import StudyConfig, SynthSpec, bootstrap, coverage_study
+from fpboot.estimators import EstimatorKind, estimate
+from fpboot.intervals import CiType, jackknife_acceleration
+from fpboot.resampling import Method, bootstrap_variance
 
 
 def write(path, text):
@@ -93,8 +97,7 @@ class TestEmitReport:
         report = tiny_report()
         out = tmp_path / "r.json"
         emit_report(report, "json", out)
-        again = load_report(out)
-        assert again == report.to_dict()
+        assert json.loads(out.read_text()) == report.to_dict()
 
     def test_csv_round_trip_precision(self, tmp_path):
         report = tiny_report()
@@ -177,7 +180,7 @@ class TestCliDispatch:
         out = str(tmp_path / "r.json")
         assert cli_dispatch(["simulate", "--config", cfg, "--out", out, "--format", "json",
                              "--reps", "3", "--method", "ppb", "--estimator", "mncs"]) == 0
-        report = load_report(out)
+        report = json.loads((tmp_path / "r.json").read_text())
         assert report["config"]["repetitions"] == 3
         assert report["config"]["methods"] == ["ppb"]
         assert {c["method"] for c in report["cells"]} == {"ppb"}
@@ -218,3 +221,76 @@ class TestCliDispatch:
         cli_dispatch(["synth", "--n", "50", "--out", pop_path])
         assert cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs",
                              "--n", "51"]) == 1
+
+
+def two_flag_population(tmp_path):
+    """200 records, two of them flagged: most samples of 20 hold no flag."""
+    rows = [f"{0.01 * (i + 1)!r},{1 if i in (50, 150) else 0}" for i in range(200)]
+    return write(tmp_path / "pop.csv", "ncs,top10\n" + "\n".join(rows) + "\n")
+
+
+class TestEstimateSharesTheStudyPath:
+    def test_bca_falls_back_like_the_study(self, tmp_path, capsys):
+        pop_path = two_flag_population(tmp_path)
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp",
+                             "--n", "20", "--ci", "bca", "--seed", "3"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+
+        pop = load_population(pop_path)
+        rng = make_rng(3, 0)
+        sample = srswor(pop, 20, rng)
+        reps = bootstrap(Method.STANDARD, sample, pop.size, 1000, EstimatorKind.PP_TOP10, rng)
+        theta = estimate(EstimatorKind.PP_TOP10, sample)
+        accel = jackknife_acceleration(sample, EstimatorKind.PP_TOP10)
+        interval = build_interval(
+            CiType.BCA, reps=reps, theta_hat=theta, v_hat=bootstrap_variance(reps), accel=accel, level=0.95
+        )
+        assert out[2] == f"ci bca {interval.lower:.12g} {interval.upper:.12g}"
+
+    def test_boot_t_with_zero_variance_replicates_exits_1(self, tmp_path, capsys):
+        # census of 20 records, one flagged: about a third of the standard
+        # resamples miss it and have zero variance, far above the 1% allowed
+        rows = [f"{1.0 + i!r},{1 if i == 0 else 0}" for i in range(20)]
+        pop_path = write(tmp_path / "pop.csv", "ncs,top10\n" + "\n".join(rows) + "\n")
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp", "--ci", "boot-t"])
+        assert code == 1
+        assert "bootstrap-t" in capsys.readouterr().err
+
+
+class TestConfigLists:
+    @pytest.mark.parametrize("key", ["sample_sizes", "methods", "ci_types", "estimators"])
+    def test_empty_list_in_config_rejected(self, tmp_path, capsys, key):
+        pop_path = two_flag_population(tmp_path)
+        cfg = TestCliDispatch.study_config(tmp_path, pop_path, **{key: []})
+        out = tmp_path / "r.csv"
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_size_rejected(self, tmp_path, capsys):
+        pop_path = two_flag_population(tmp_path)
+        cfg = TestCliDispatch.study_config(tmp_path, pop_path, sample_sizes=[50, 50])
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+
+
+def test_import_fpboot_skips_the_cli():
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    probe = (
+        "import json, sys\n"
+        "import fpboot\n"
+        "print(json.dumps({'cli': 'fpboot.cli' in sys.modules, 'argparse': 'argparse' in sys.modules,\n"
+        "                  'unresolved': [n for n in fpboot.__all__ if not hasattr(fpboot, n)]}))\n"
+    )
+    deps = "import sys, numpy, scipy.special\nprint('argparse' in sys.modules)\n"
+    env = {"PYTHONPATH": src}
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+    seen = json.loads(run(probe))
+    assert seen["cli"] is False
+    assert seen["unresolved"] == []
+    # argparse may still arrive through a dependency (numpy.f2py, imported by
+    # scipy.special), but never through fpboot itself
+    assert seen["argparse"] == (run(deps).strip() == "True")

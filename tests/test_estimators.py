@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpboot import (
-    EstimateResult,
     EstimatorKind,
-    PublicationRecord,
-    estimate_result,
     mncs,
     pp_top10,
     sample_variance,
@@ -27,10 +24,6 @@ class TestMncs:
 
     def test_two_point_mean(self):
         assert mncs([0.0, 2.55]) == pytest.approx(1.275, abs=1e-15)
-
-    def test_records_accepted(self):
-        recs = [PublicationRecord(2.0, False), PublicationRecord(4.0, True)]
-        assert mncs(recs) == 3.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -106,19 +99,9 @@ class TestSeMeanFpc:
         assert se_mean_fpc(s2, n, N) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-class TestEstimateResult:
-    def test_fields(self):
-        res = estimate_result(EstimatorKind.PP_TOP10, [True, False, False, False])
-        assert res == EstimateResult(EstimatorKind.PP_TOP10, 25.0, 4)
-
+class TestUnitValues:
     def test_unit_values_scale(self):
         vals = unit_values(EstimatorKind.PP_TOP10, [True, False])
         assert vals.tolist() == [100.0, 0.0]
         vals = unit_values(EstimatorKind.MNCS, [1.5, 2.5])
         assert vals.tolist() == [1.5, 2.5]
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            EstimateResult(EstimatorKind.PP_TOP10, 101.0, 3)
-        with pytest.raises(ValueError):
-            EstimateResult(EstimatorKind.MNCS, -0.1, 3)

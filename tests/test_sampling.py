@@ -1,9 +1,7 @@
-import collections
-
 import numpy as np
 import pytest
 
-from fpboot import Population, PublicationRecord, Sample, make_rng, srswor, srswr
+from fpboot import Population, Sample, make_rng, srswor
 
 
 def small_pop(n=10):
@@ -71,34 +69,6 @@ class TestSrswor:
             srswor(small_pop(10), n, make_rng(0, 0))
 
 
-class TestSrswr:
-    def test_single_item(self):
-        assert srswr(["a"], 5, make_rng(1, 0)) == ["a", "a", "a", "a", "a"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            srswr([], 3, make_rng(1, 0))
-        with pytest.raises(ValueError):
-            srswr(np.array([]), 3, make_rng(1, 0))
-
-    def test_mean_of_binary_items(self):
-        # 3 sigma band: 3 * 0.5 / sqrt(1e6) = 0.0015
-        draws = srswr(np.array([0.0, 1.0]), 10**6, make_rng(21, 4))
-        assert abs(draws.mean() - 0.5) < 0.0015
-
-    def test_uniform_positions(self):
-        draws = srswr(list("abc"), 30000, make_rng(2, 9))
-        counts = collections.Counter(draws)
-        for token in "abc":
-            assert abs(counts[token] / 30000 - 1 / 3) < 0.01
-
-    def test_ndarray_round_trip(self):
-        items = np.array([3.5, 7.25])
-        out = srswr(items, 10, make_rng(2, 0))
-        assert isinstance(out, np.ndarray)
-        assert set(out.tolist()) <= {3.5, 7.25}
-
-
 class TestDomainTypes:
     def test_population_validation(self):
         with pytest.raises(ValueError):
@@ -114,17 +84,6 @@ class TestDomainTypes:
         pop = small_pop()
         with pytest.raises(ValueError):
             pop.ncs[0] = 3.0
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            PublicationRecord(-0.5, False)
-        rec = PublicationRecord(1.5, True)
-        assert rec.ncs == 1.5 and rec.top10
-
-    def test_from_records_round_trip(self):
-        pop = Population.from_records([PublicationRecord(1.0, True), PublicationRecord(0.5, False)])
-        assert pop.size == 2
-        assert pop.records()[0] == PublicationRecord(1.0, True)
 
     def test_sample_rejects_duplicates(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,31 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fpboot import (
     CiType,
+    ConfidenceInterval,
     EstimatorKind,
     Method,
+    Sample,
     StudyConfig,
     SynthSpec,
+    bootstrap,
+    bootstrap_variance,
+    build_interval,
     coverage_study,
     effective_ci_types,
+    emit_report,
+    estimate,
     length_sweep,
     make_rng,
+    mirror_match_bootstrap,
     mncs,
     pp_top10,
-    run_cell,
+    ppb_bootstrap,
+    srswor,
+    standard_bootstrap,
     synth_population,
 )
 from fpboot.study import SYNTH_STREAM_ID, cell_stream_base
@@ -86,31 +98,36 @@ class TestCiPairing:
 
 
 class TestRunCell:
+    """One (n, method, estimator) cell group, run as a one-size coverage study."""
+
+    @staticmethod
+    def cells(size=400, workers=1, **fields):
+        spec = SynthSpec(size=size, target_mncs=1.275, target_pp=13.7)
+        return coverage_study(StudyConfig(population_source=spec, **fields), workers=workers).cells
+
     def test_single_repetition_coverage_is_binary(self):
-        pop = synth()
-        cells = run_cell(
-            pop, n=80, B=200, R=1, method=Method.STANDARD,
-            ci_types=(CiType.NORMAL,), estimator=EstimatorKind.MNCS, master_seed=3,
+        cells = self.cells(
+            sample_sizes=(80,), B=200, repetitions=1, methods=(Method.STANDARD,),
+            ci_types=(CiType.NORMAL,), estimators=(EstimatorKind.MNCS,), master_seed=3,
         )
         assert len(cells) == 1
         assert cells[0].coverage in (0.0, 1.0)
         assert cells[0].r_effective == 1
 
     def test_determinism(self):
-        pop = synth()
         kwargs = dict(
-            pop=pop, n=60, B=150, R=12, method=Method.PPB, ci_types=ALL_CIS,
-            estimator=EstimatorKind.PP_TOP10, master_seed=5,
+            sample_sizes=(60,), B=150, repetitions=12, methods=(Method.PPB,), ci_types=ALL_CIS,
+            estimators=(EstimatorKind.PP_TOP10,), master_seed=5,
         )
-        assert run_cell(**kwargs) == run_cell(**kwargs)
+        assert self.cells(**kwargs) == self.cells(**kwargs)
 
     def test_census_cells(self):
-        pop = synth(size=120)
         for method in (Method.PPB, Method.MIRROR_MATCH):
-            cells = run_cell(
-                pop, n=120, B=100, R=4, method=method, ci_types=ALL_CIS,
-                estimator=EstimatorKind.MNCS, master_seed=1,
+            cells = self.cells(
+                size=120, sample_sizes=(120,), B=100, repetitions=4, methods=(method,),
+                ci_types=ALL_CIS, estimators=(EstimatorKind.MNCS,), master_seed=1,
             )
+            assert cells
             for c in cells:
                 assert c.coverage == 1.0
                 assert c.avg_variance == 0.0
@@ -118,19 +135,17 @@ class TestRunCell:
                     assert c.avg_length == 0.0
 
     def test_worker_count_does_not_change_results(self):
-        pop = synth()
         kwargs = dict(
-            pop=pop, n=50, B=120, R=10, method=Method.MIRROR_MATCH,
-            ci_types=(CiType.NORMAL, CiType.PERCENTILE),
-            estimator=EstimatorKind.MNCS, master_seed=8,
+            sample_sizes=(50,), B=120, repetitions=10, methods=(Method.MIRROR_MATCH,),
+            ci_types=(CiType.NORMAL, CiType.PERCENTILE), estimators=(EstimatorKind.MNCS,), master_seed=8,
         )
-        assert run_cell(workers=1, **kwargs) == run_cell(workers=2, **kwargs)
+        assert self.cells(workers=1, **kwargs) == self.cells(workers=2, **kwargs)
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):
-            run_cell(
-                synth(size=30), n=31, B=100, R=1, method=Method.STANDARD,
-                ci_types=(CiType.NORMAL,), estimator=EstimatorKind.MNCS,
+            self.cells(
+                size=30, sample_sizes=(31,), B=100, repetitions=1, methods=(Method.STANDARD,),
+                ci_types=(CiType.NORMAL,), estimators=(EstimatorKind.MNCS,),
             )
 
 
@@ -207,6 +222,34 @@ class TestCoverageStudy:
         with pytest.raises(ValueError):
             coverage_study(self.config(sample_sizes=(301,)))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sample_sizes=(1,)),
+            dict(sample_sizes=(60, 60)),
+            dict(methods=(Method.PPB, Method.PPB)),
+            dict(ci_types=(CiType.NORMAL, CiType.NORMAL)),
+            dict(estimators=(EstimatorKind.MNCS, EstimatorKind.MNCS)),
+            dict(sample_sizes=(2,), ci_types=(CiType.BCA,)),
+        ],
+        ids=["n1", "repeated-size", "repeated-method", "repeated-ci", "repeated-estimator", "bca-n2"],
+    )
+    def test_unrunnable_config_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            self.config(**overrides)
+
+    def test_smallest_sizes_run(self):
+        # n = 2 runs every engine; only BCA's jackknife acceleration needs n >= 3
+        no_bca = (CiType.NORMAL, CiType.PERCENTILE, CiType.BOOTSTRAP_T)
+        report = coverage_study(
+            self.config(sample_sizes=(2,), methods=tuple(Method), ci_types=no_bca, ci_pairing="all")
+        )
+        assert len(report.cells) == 3 * 3
+        # under the paper pairing the FPC engines never build BCA
+        self.config(sample_sizes=(2,), methods=(Method.PPB,), ci_types=ALL_CIS)
+        report = coverage_study(self.config(sample_sizes=(3,), methods=(Method.STANDARD,), ci_types=ALL_CIS))
+        assert len(report.cells) == 3
+
 
 class TestLengthSweep:
     def test_census_limit_rows(self):
@@ -229,3 +272,84 @@ class TestLengthSweep:
                 assert row["avg_length"] > 0.0
             if row["n"] == 30:
                 assert row["avg_length"] > 0.0
+
+
+class TestSharedPath:
+    """``bootstrap`` and ``build_interval``: the one engine dispatch and interval path."""
+
+    def test_bootstrap_dispatches_to_each_engine(self):
+        pop = synth(size=200)
+        kind = EstimatorKind.MNCS
+        engines = {
+            Method.STANDARD: lambda s, rng: standard_bootstrap(s, 100, kind, rng, with_t_variances=True),
+            Method.PPB: lambda s, rng: ppb_bootstrap(
+                s, 200, 100, kind, rng, with_t_variances=True, fixed_completion=True
+            ),
+            Method.MIRROR_MATCH: lambda s, rng: mirror_match_bootstrap(s, 200, 100, kind, rng, with_t_variances=True),
+        }
+        for method, engine in engines.items():
+            rng_a, rng_b = make_rng(4, 2), make_rng(4, 2)
+            via = bootstrap(
+                method, srswor(pop, 40, rng_a), 200, 100, kind, rng_a, with_t_variances=True, fixed_completion=True
+            )
+            ref = engine(srswor(pop, 40, rng_b), rng_b)
+            assert via.method is method
+            assert np.array_equal(via.estimates, ref.estimates)
+            assert np.array_equal(via.t_variances, ref.t_variances)
+
+    def test_bca_falls_back_to_percentile(self):
+        # every replicate equals the estimate: the bias correction is undefined
+        pop = synth(size=50)
+        rng = make_rng(1, 0)
+        sample = srswor(pop, 50, rng)
+        reps = bootstrap(Method.PPB, sample, 50, 60, EstimatorKind.MNCS, rng)
+        theta = estimate(EstimatorKind.MNCS, sample)
+        ci = build_interval(CiType.BCA, reps=reps, theta_hat=theta, v_hat=0.0, accel=0.0, level=0.9)
+        assert ci == ConfidenceInterval(CiType.BCA, 0.9, theta, theta)
+
+    def test_bootstrap_t_census_and_dropped(self):
+        rng = make_rng(1, 0)
+        pop = synth(size=40)
+        reps = bootstrap(Method.STANDARD, srswor(pop, 30, rng), 40, 50, EstimatorKind.MNCS, rng, with_t_variances=True)
+        point = build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=1.5, v_hat=0.0, accel=0.0, level=0.95)
+        assert (point.lower, point.upper) == (1.5, 1.5)
+        # one flagged unit in 20: about a third of the resamples miss it and have zero variance
+        flags = np.zeros(20, dtype=bool)
+        flags[0] = True
+        sample = Sample(np.arange(20), np.ones(20), flags, 20)
+        reps = bootstrap(Method.STANDARD, sample, 20, 200, EstimatorKind.PP_TOP10, rng, with_t_variances=True)
+        v_hat = bootstrap_variance(reps)
+        assert v_hat > 0
+        assert build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=5.0, v_hat=v_hat, accel=0.0, level=0.95) is None
+
+
+# SHA-256 of the CSV report of GOLDEN_CONFIG at master seed 1, per (n, ppb
+# completion). At n = 60 the population is exactly 5 copies of the sample,
+# so both completions give the same report; n = 70 tells them apart. A
+# change that deliberately alters stream consumption updates these and says
+# so in CHANGES.md.
+GOLDEN_SHA256 = {
+    (60, "per-replicate"): "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
+    (60, "fixed"): "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
+    (70, "per-replicate"): "56599e5a59f2d18e21f231f6f6a1caa8a35c1b983f1455f94e1762f6ac3bd754",
+    (70, "fixed"): "6384af851c2d983414190ef9067907044ac8833bad82129ae0be5dade37801c0",
+}
+
+
+@pytest.mark.parametrize("n,completion", sorted(GOLDEN_SHA256))
+def test_golden_report(tmp_path, n, completion):
+    config = StudyConfig(
+        population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
+        sample_sizes=(n,),
+        B=50,
+        repetitions=5,
+        methods=tuple(Method),
+        ci_types=ALL_CIS,
+        estimators=tuple(EstimatorKind),
+        master_seed=1,
+        ci_pairing="all",
+        ppb_completion=completion,
+    )
+    path = tmp_path / "report.csv"
+    emit_report(coverage_study(config), "csv", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(n, completion)]
