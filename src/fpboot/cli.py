@@ -50,7 +50,6 @@ _CONFIG_KEYS = {
     "level",
     "master_seed",
     "ci_pairing",
-    "ppb_completion",
 }
 
 
@@ -135,7 +134,6 @@ def _config_from(raw: dict, args) -> StudyConfig:
         level=float(_setting(args, "level", raw, "level", 0.95)),
         master_seed=int(_setting(args, "seed", raw, "master_seed", 0)),
         ci_pairing=str(raw.get("ci_pairing", "paper")),
-        ppb_completion=str(raw.get("ppb_completion", "per-replicate")),
     )
 
 

@@ -174,7 +174,7 @@ def ci_bootstrap_t(
     """
     _check_level(level)
     if reps.t_variances is None:
-        raise ValueError("bootstrap-t requires replicates with per-replicate variances")
+        raise ValueError("bootstrap-t requires replicates with their variance estimates")
     if reps.B < 2:
         raise ValueError("ci_bootstrap_t requires at least two replicates")
     if not np.isfinite(v_hat) or v_hat <= 0:

@@ -5,7 +5,7 @@ finite population:
 
 * standard: with-replacement resamples of size n from the sample (ignores
   the finite population, so it overstates variance when f = n/N is large);
-* pseudo-population: replicate the sample into an N-sized pseudo-population
+* pseudo-population: replicate the sample into one N-sized pseudo-population
   (floor(N/n) whole copies plus a without-replacement remainder), then
   redraw the original design (SRSWOR of size n) from it;
 * mirror-match: concatenate k small without-replacement subsamples whose
@@ -80,7 +80,7 @@ def corrected_variance(v_star: float, n: int, N: int) -> float:
 
 @dataclass(frozen=True)
 class BootstrapReplicates:
-    """B bootstrap estimates, optionally with per-replicate variance estimates."""
+    """B bootstrap estimates, optionally with a variance estimate for each replicate."""
 
     B: int
     estimates: np.ndarray
@@ -140,28 +140,18 @@ def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_var
     return est, tvar
 
 
-def _ppb_counts(
-    gen: np.random.Generator, rows: int, n: int, N: int, completion: np.ndarray | None = None
-) -> np.ndarray:
-    """Unit counts of ``rows`` SRSWOR draws of size n from a size-N pseudo-population.
+def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
+    """Copies of each sample unit in one size-N pseudo-population.
 
-    The pseudo-population holds k + 1 copies of the r = N - k*n units
-    marked 1 in ``completion`` and k copies of the others. Without a
-    completion each row marks a fresh uniform r-subset: the draw takes
-    colours for k copies of every unit plus r single extra copies, and the
-    row's extra copies are added to its marked units. Extra copies are
-    exchangeable, so their order does not matter.
+    Every unit gets k = N // n copies, and a uniform r-subset of the units,
+    r = N - k*n, gets one more (the Booth, Butler & Hall 1994 completion).
+    The subset is one 0/1 draw from the stream, taken only when r > 0.
     """
     k, r = divmod(N, n)
-    if completion is not None or r == 0:
-        colours = np.full(n, k, dtype=np.int64) if completion is None else k + completion
-        return gen.multivariate_hypergeometric(colours, n, size=rows, method="count")
-    colours = np.concatenate([np.full(n, k, dtype=np.int64), np.ones(r, dtype=np.int64)])
-    drawn = gen.multivariate_hypergeometric(colours, n, size=rows, method="count")
-    marked = gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, size=rows, method="count")
-    counts = drawn[:, :n]
-    counts[np.arange(rows)[:, None], np.nonzero(marked)[1].reshape(rows, r)] += drawn[:, n:]
-    return counts
+    copies = np.full(n, k, dtype=np.int64)
+    if r:
+        copies += gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, method="count")
+    return copies
 
 
 def standard_bootstrap(
@@ -174,7 +164,7 @@ def standard_bootstrap(
     """Efron's with-replacement bootstrap of the sample statistic.
 
     Each replicate resamples n records with replacement from the sample
-    and re-evaluates the statistic. When requested, per-replicate variance
+    and re-evaluates the statistic. When requested, the replicates' variance
     estimates use the analytic form for a mean, s2_b * (n - 1) / n**2.
     """
     n = sample.n
@@ -202,16 +192,15 @@ def ppb_bootstrap(
     kind: EstimatorKind,
     rng: RngStream,
     with_t_variances: bool = False,
-    fixed_completion: bool = False,
 ) -> BootstrapReplicates:
     """Pseudo-population bootstrap: rerun the SRSWOR design on an N-sized replica.
 
-    Each replicate completes the pseudo-population (k whole copies of the
-    sample plus r = N - k*n records redrawn without replacement from the
-    sample; redrawn per replicate unless ``fixed_completion``), draws an
-    SRSWOR sample of size n from it, and re-evaluates the statistic. The
-    draw is sampled as the count of each sample unit in it. Per-replicate
-    variance estimates carry the 1 - f correction.
+    One pseudo-population per call (k whole copies of the sample plus one
+    more copy of r = N - k*n sample units drawn without replacement) serves
+    every replicate. Each replicate draws an SRSWOR sample of size n from
+    it, sampled as the count of each sample unit in the draw, and
+    re-evaluates the statistic. The replicates' variance estimates carry the
+    1 - f correction.
     """
     n = sample.n
     if N < n:
@@ -232,13 +221,12 @@ def ppb_bootstrap(
         tvar = np.zeros(B) if with_t_variances else None
         return BootstrapReplicates(B=B, estimates=np.full(B, c), t_variances=tvar, method=Method.PPB)
 
-    r = N % n
-    completion = None
-    if fixed_completion and r:
-        completion = gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, method="count")
-    est, tvar = _count_replicates(
-        lambda rows: (_ppb_counts(gen, rows, n, N, completion), n), vals, B, t_scale, with_t_variances
-    )
+    copies = _pseudo_population(gen, n, N)
+
+    def draw(rows):
+        return gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n
+
+    est, tvar = _count_replicates(draw, vals, B, t_scale, with_t_variances)
     return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.PPB)
 
 

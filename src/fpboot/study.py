@@ -109,7 +109,6 @@ class StudyConfig:
     level: float = 0.95
     master_seed: int = 0
     ci_pairing: str = "paper"
-    ppb_completion: str = "per-replicate"
 
     def __post_init__(self):
         if self.B < 2:
@@ -120,8 +119,6 @@ class StudyConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.ci_pairing not in ("paper", "all"):
             raise ValueError(f"unknown ci_pairing: {self.ci_pairing!r}")
-        if self.ppb_completion not in ("per-replicate", "fixed"):
-            raise ValueError(f"unknown ppb_completion: {self.ppb_completion!r}")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError(f"sample sizes must be >= 2, got {list(self.sample_sizes)}")
         for name in ("sample_sizes", "methods", "ci_types", "estimators"):
@@ -203,7 +200,6 @@ def config_dict(config: StudyConfig) -> dict:
             "level": config.level,
             "master_seed": config.master_seed,
             "ci_pairing": config.ci_pairing,
-            "ppb_completion": config.ppb_completion,
         }
     )
     return out
@@ -286,19 +282,15 @@ def bootstrap(
     rng: RngStream,
     *,
     with_t_variances: bool = False,
-    fixed_completion: bool = False,
 ) -> BootstrapReplicates:
     """B replicates of ``kind`` from the engine ``method``.
 
-    ``N`` is ignored by the standard engine and ``fixed_completion`` by
-    every engine but ppb.
+    ``N`` is ignored by the standard engine.
     """
     if method is Method.STANDARD:
         return standard_bootstrap(sample, B, kind, rng, with_t_variances=with_t_variances)
     if method is Method.PPB:
-        return ppb_bootstrap(
-            sample, N, B, kind, rng, with_t_variances=with_t_variances, fixed_completion=fixed_completion
-        )
+        return ppb_bootstrap(sample, N, B, kind, rng, with_t_variances=with_t_variances)
     if method is Method.MIRROR_MATCH:
         return mirror_match_bootstrap(sample, N, B, kind, rng, with_t_variances=with_t_variances)
     raise ValueError(f"unknown method: {method!r}")
@@ -353,7 +345,6 @@ def _run_replications(task: dict):
     master_seed = task["master_seed"]
     base = task["stream_base"]
     lo, hi = task["lo"], task["hi"]
-    ppb_fixed = task["ppb_fixed"]
     theta_true = task["true_value"]
 
     count = hi - lo
@@ -369,9 +360,7 @@ def _run_replications(task: dict):
         rng = make_rng(master_seed, base + r)
         sample = srswor(pop, n, rng)
         theta_hat = estimate(kind, sample)
-        reps = bootstrap(
-            method, sample, pop.size, B, kind, rng, with_t_variances=need_t, fixed_completion=ppb_fixed
-        )
+        reps = bootstrap(method, sample, pop.size, B, kind, rng, with_t_variances=need_t)
         v_hat = bootstrap_variance(reps)
         v_hats[t] = v_hat
         accel = jackknife_acceleration(sample, kind) if need_a else 0.0
@@ -398,7 +387,7 @@ def _execute(tasks, pop: Population, workers: int):
         return [f.result() for f in futures]
 
 
-def _group_tasks(group_id, *, n, method, estimator, cis, B, R, level, master_seed, ppb_fixed, true_value, chunk):
+def _group_tasks(group_id, *, n, method, estimator, cis, B, R, level, master_seed, true_value, chunk):
     base = cell_stream_base(n, method, estimator)
     tasks = []
     for lo in range(1, R + 1, chunk):
@@ -416,7 +405,6 @@ def _group_tasks(group_id, *, n, method, estimator, cis, B, R, level, master_see
                 "stream_base": base,
                 "lo": lo,
                 "hi": hi,
-                "ppb_fixed": ppb_fixed,
                 "true_value": true_value,
             }
         )
@@ -498,7 +486,6 @@ def coverage_study(
         if n > pop.size:
             raise ValueError(f"sample size {n} exceeds population size {pop.size}")
     true_values = {k.value: estimate(k, pop) for k in config.estimators}
-    ppb_fixed = config.ppb_completion == "fixed"
 
     groups = []
     gid = 0
@@ -526,7 +513,6 @@ def coverage_study(
                 R=R,
                 level=config.level,
                 master_seed=config.master_seed,
-                ppb_fixed=ppb_fixed,
                 true_value=true_values[estimator.value],
                 chunk=chunk,
             )

@@ -21,7 +21,7 @@ from fpboot import (
     sample_variance,
     standard_bootstrap,
 )
-from fpboot.resampling import _count_replicates, _mirror_counts, _ppb_counts
+from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population
 
 
 def lognormal_sample(n, N, seed=0):
@@ -175,15 +175,14 @@ class TestPpbBootstrap:
         assert bootstrap_variance(reps) == pytest.approx(expected, rel=0.10)
 
     def test_variance_against_brute_force(self):
-        # independent oracle: python resampler building the pseudo-population
-        # and an SRSWOR redraw per replicate
+        # independent oracle: python SRSWOR redraws from the engine's one
+        # pseudo-population, whose completion is the first draw of its stream
         s = lognormal_sample(24, 60, seed=13)
-        values = s.ncs.tolist()
+        copies = _pseudo_population(make_rng(3, 3).generator, 24, 60)
+        pseudo = np.repeat(s.ncs, copies).tolist()
         prng = random.Random(4321)
-        k, r = divmod(60, 24)
         means = []
         for _ in range(20_000):
-            pseudo = values * k + prng.sample(values, r)
             resample = prng.sample(pseudo, 24)
             means.append(sum(resample) / 24)
         mu = sum(means) / len(means)
@@ -191,29 +190,15 @@ class TestPpbBootstrap:
         reps = ppb_bootstrap(s, 60, 20_000, EstimatorKind.MNCS, make_rng(3, 3))
         assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.10)
 
-    def test_fixed_completion_mode(self):
-        s = lognormal_sample(7, 24, seed=2)
-        reps = ppb_bootstrap(
-            s, 24, 400, EstimatorKind.MNCS, make_rng(3, 4), fixed_completion=True
-        )
-        assert reps.B == 400
-        other = ppb_bootstrap(s, 24, 400, EstimatorKind.MNCS, make_rng(3, 4))
-        assert not np.array_equal(reps.estimates, other.estimates)
-
     def test_pp_estimator_scale(self):
         s = lognormal_sample(50, 100, seed=7)
         reps = ppb_bootstrap(s, 100, 200, EstimatorKind.PP_TOP10, make_rng(3, 5))
         assert np.all(reps.estimates >= 0) and np.all(reps.estimates <= 100)
 
-    @pytest.mark.parametrize("fixed", [False, True])
-    def test_determinism(self, fixed):
+    def test_determinism(self):
         s = lognormal_sample(30, 100)
-        a = ppb_bootstrap(
-            s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True, fixed_completion=fixed
-        )
-        b = ppb_bootstrap(
-            s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True, fixed_completion=fixed
-        )
+        a = ppb_bootstrap(s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
+        b = ppb_bootstrap(s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.t_variances, b.t_variances)
 
@@ -302,19 +287,29 @@ class TestMirrorMatchBootstrap:
 class TestCountKernels:
     @pytest.mark.parametrize("n,N", [(7, 24), (10, 40), (30, 45)])
     def test_ppb_counts(self, n, N):
+        # copies per unit in 4000 pseudo-populations: k or k + 1, N in all,
+        # and a uniform completion gives each unit N/n copies on average
         k = N // n
-        counts = _ppb_counts(make_rng(5, 0).generator, 4000, n, N)
-        assert np.all(counts.sum(axis=1) == n)
-        assert counts.min() >= 0 and counts.max() <= k + 1
-        assert_mean_counts(counts, 1.0)
+        gen = make_rng(5, 0).generator
+        copies = np.array([_pseudo_population(gen, n, N) for _ in range(4000)])
+        assert np.all(copies.sum(axis=1) == N)
+        assert copies.min() >= k and copies.max() <= k + 1
+        assert_mean_counts(copies, N / n)
 
     def test_ppb_counts_fixed_completion(self):
-        n, N = 7, 24
-        completion = np.array([1, 0, 0, 1, 0, 1, 0])
-        counts = _ppb_counts(make_rng(5, 1).generator, 4000, n, N, completion)
+        # every replicate of a run is an SRSWOR draw from the one
+        # pseudo-population completed by the first draw of the stream
+        n, N, B = 7, 24, 400
+        s = lognormal_sample(n, N, seed=2)
+        gen = make_rng(5, 1).generator
+        copies = _pseudo_population(gen, n, N)
+        counts = gen.multivariate_hypergeometric(copies, n, size=B, method="count")
         assert np.all(counts.sum(axis=1) == n)
-        assert np.all(counts <= 3 + completion)
-        assert_mean_counts(counts, n * (3 + completion) / N)
+        assert np.all(counts <= copies)
+        assert_mean_counts(counts, n * copies / N)
+        reps = ppb_bootstrap(s, N, B, EstimatorKind.MNCS, make_rng(5, 1))
+        expected = [np.repeat(s.ncs, row).mean() for row in counts]
+        assert reps.estimates == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n,N", [(30, 200), (24, 60), (10, 13)])
     def test_mirror_counts(self, n, N):

@@ -282,16 +282,12 @@ class TestSharedPath:
         kind = EstimatorKind.MNCS
         engines = {
             Method.STANDARD: lambda s, rng: standard_bootstrap(s, 100, kind, rng, with_t_variances=True),
-            Method.PPB: lambda s, rng: ppb_bootstrap(
-                s, 200, 100, kind, rng, with_t_variances=True, fixed_completion=True
-            ),
+            Method.PPB: lambda s, rng: ppb_bootstrap(s, 200, 100, kind, rng, with_t_variances=True),
             Method.MIRROR_MATCH: lambda s, rng: mirror_match_bootstrap(s, 200, 100, kind, rng, with_t_variances=True),
         }
         for method, engine in engines.items():
             rng_a, rng_b = make_rng(4, 2), make_rng(4, 2)
-            via = bootstrap(
-                method, srswor(pop, 40, rng_a), 200, 100, kind, rng_a, with_t_variances=True, fixed_completion=True
-            )
+            via = bootstrap(method, srswor(pop, 40, rng_a), 200, 100, kind, rng_a, with_t_variances=True)
             ref = engine(srswor(pop, 40, rng_b), rng_b)
             assert via.method is method
             assert np.array_equal(via.estimates, ref.estimates)
@@ -323,21 +319,19 @@ class TestSharedPath:
         assert build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=5.0, v_hat=v_hat, accel=0.0, level=0.95) is None
 
 
-# SHA-256 of the CSV report of GOLDEN_CONFIG at master seed 1, per (n, ppb
-# completion). At n = 60 the population is exactly 5 copies of the sample,
-# so both completions give the same report; n = 70 tells them apart. A
-# change that deliberately alters stream consumption updates these and says
-# so in CHANGES.md.
+# SHA-256 of the CSV report of the config below at master seed 1, per n.
+# At n = 60 the population is exactly 5 copies of the sample; at n = 70 the
+# pseudo-population needs a completion. A change that deliberately alters
+# stream consumption or replicate values updates these and says so in
+# CHANGES.md.
 GOLDEN_SHA256 = {
-    (60, "per-replicate"): "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
-    (60, "fixed"): "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
-    (70, "per-replicate"): "56599e5a59f2d18e21f231f6f6a1caa8a35c1b983f1455f94e1762f6ac3bd754",
-    (70, "fixed"): "6384af851c2d983414190ef9067907044ac8833bad82129ae0be5dade37801c0",
+    60: "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
+    70: "6384af851c2d983414190ef9067907044ac8833bad82129ae0be5dade37801c0",
 }
 
 
-@pytest.mark.parametrize("n,completion", sorted(GOLDEN_SHA256))
-def test_golden_report(tmp_path, n, completion):
+@pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
+def test_golden_report(tmp_path, n):
     config = StudyConfig(
         population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
         sample_sizes=(n,),
@@ -348,8 +342,7 @@ def test_golden_report(tmp_path, n, completion):
         estimators=tuple(EstimatorKind),
         master_seed=1,
         ci_pairing="all",
-        ppb_completion=completion,
     )
     path = tmp_path / "report.csv"
     emit_report(coverage_study(config), "csv", path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(n, completion)]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[n]
