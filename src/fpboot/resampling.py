@@ -236,7 +236,7 @@ class MirrorMatchPlan:
 
     Each bootstrap sample concatenates k subsamples of size n_prime drawn
     without replacement from the original sample; k is randomized between
-    k_low and k_high so its mean equals k_target.
+    k_low and k_high so that E[1/k] = 1/k_target.
     """
 
     n_prime: int
@@ -262,8 +262,10 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     fraction; the repeat count targets k = n * (1 - f') / (n' * (1 - f)),
     which makes the bootstrap variance of a mean reproduce (1 - f) * s2 / n
     exactly when f' = f and approximately otherwise. k is randomized
-    between floor and ceil of the target so that E[k] = k_target. The
-    target is at least 1, since a replicate holds at least one subsample.
+    between floor and ceil of the target so that E[1/k] = 1/k_target: the
+    variance of a replicate mean given k is (1 - f') * s2 / (k * n'), so
+    E[1/k], not E[k], must match. The target is at least 1, since a
+    replicate holds at least one subsample.
     """
     if n > N:
         raise ValueError(f"sample size {n} exceeds population size {N}")
@@ -279,7 +281,7 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
         k_target = max(1.0, n * (1.0 - f_prime) / (n_prime * (1.0 - f)))
     k_low = max(1, math.floor(k_target))
     k_high = math.ceil(k_target)
-    p_high = 0.0 if k_high == k_low else (k_target - k_low) / (k_high - k_low)
+    p_high = 0.0 if k_high == k_low else (1 / k_low - 1 / k_target) / (1 / k_low - 1 / k_high)
     return MirrorMatchPlan(
         n_prime=n_prime,
         f_prime=f_prime,

@@ -238,8 +238,8 @@ class TestMirrorMatchPlan:
         assert 1 <= plan.n_prime <= n
         assert plan.k_low <= plan.k_target <= plan.k_high + 1e-9
         assert 0.0 <= plan.p_high <= 1.0
-        expected_mean = plan.p_high * plan.k_high + (1 - plan.p_high) * plan.k_low
-        assert expected_mean == pytest.approx(plan.k_target, rel=1e-9)
+        inverse_mean = plan.p_high / plan.k_high + (1 - plan.p_high) / plan.k_low
+        assert inverse_mean == pytest.approx(1 / plan.k_target, rel=1e-9)
 
 
 class TestMirrorMatchBootstrap:
@@ -318,7 +318,8 @@ class TestCountKernels:
         assert np.all((kb == plan.k_low) | (kb == plan.k_high))
         assert np.all(counts.sum(axis=1) == kb * plan.n_prime)
         assert counts.min() >= 0 and np.all(counts <= kb[:, None])
-        assert_mean_counts(counts, plan.k_target * plan.n_prime / n)
+        mean_k = plan.p_high * plan.k_high + (1 - plan.p_high) * plan.k_low
+        assert_mean_counts(counts, mean_k * plan.n_prime / n)
 
     def test_reduction_matches_expanded_resamples(self):
         # reference: expand each count row into its resample, then mean and variance
@@ -350,6 +351,26 @@ class TestVarianceGrid:
         se = max(np.std(dev2, ddof=1) / math.sqrt(B) / v, math.sqrt(2 / (B - 1)))
         ratio = v / ((1 - n / N) * sample_variance(s.ncs) / n)
         assert abs(ratio - 1) <= 5 * se
+
+
+class TestLargeFractionVariance:
+    # FPC contract at large f, where a redrawn pseudo-population remainder or
+    # a mirror-match k randomized for E[k] instead of E[1/k] shows. One
+    # pseudo-population moves a single call's ratio by about 10% on this
+    # skewed sample, so the ratio is averaged over M independent streams and
+    # judged against the standard error of that average.
+    @pytest.mark.parametrize("f", [0.64, 0.8, 0.96])
+    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap])
+    def test_variance_ratio(self, engine, f):
+        n, B, M = 200, 2000, 50
+        N = round(n / f)
+        s = lognormal_sample(n, N, seed=29)
+        target = (1 - n / N) * sample_variance(s.ncs) / n
+        ratios = np.array(
+            [bootstrap_variance(engine(s, N, B, EstimatorKind.MNCS, make_rng(11, m))) / target for m in range(M)]
+        )
+        se = ratios.std(ddof=1) / math.sqrt(M)
+        assert abs(ratios.mean() - 1) <= 5 * se
 
 
 class TestVarianceOrdering:

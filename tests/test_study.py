@@ -326,7 +326,7 @@ class TestSharedPath:
 # CHANGES.md.
 GOLDEN_SHA256 = {
     60: "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
-    70: "6384af851c2d983414190ef9067907044ac8833bad82129ae0be5dade37801c0",
+    70: "46c15429740af3d5d341fa6844edcfe0afe1be6236c9d3b40faec2b398c64561",
 }
 
 
