@@ -118,13 +118,16 @@ def _blocks(B: int):
 def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_variances: bool):
     """Replicate means and t-variances from blocks of unit counts.
 
-    ``draw(rows)`` returns a rows x n count matrix and its row sums m. The
-    values are centred on their mean, which keeps the one-pass variance
-    clear of cancellation and makes a constant sample's replicates exact.
+    ``draw(rows)`` returns a rows x n count matrix and its row sums m.
+    Integer values (PP's 0 and 100) are summed as they are: their sums are
+    exact, so a replicate mean is rounded once, like the sample estimate,
+    and a replicate tied with the sample equals its estimate bit for bit.
+    Other values are centred on their mean, which keeps the one-pass
+    variance clear of cancellation and a constant sample's replicates exact.
     The reductions use einsum, not ``@``, to stay out of BLAS threads (see
     the module docstring).
     """
-    vbar = float(vals.mean())
+    vbar = 0.0 if np.array_equal(vals, np.trunc(vals)) else float(vals.mean())
     d = vals - vbar
     d2 = d * d
     est = np.empty(B)

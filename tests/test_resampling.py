@@ -13,6 +13,7 @@ from fpboot import (
     Sample,
     bootstrap_variance,
     corrected_variance,
+    estimate,
     fpc,
     make_rng,
     mirror_match_bootstrap,
@@ -332,6 +333,40 @@ class TestCountKernels:
             resample = np.repeat(s.ncs, counts[b])
             assert est[b] == pytest.approx(resample.mean(), rel=1e-12)
             assert tvar[b] == pytest.approx(resample.var(ddof=1) * t_scale, rel=1e-9)
+
+
+class TestExactReplicates:
+    # ppb and mirror replicates are reduced from unit counts, the standard
+    # engine's from resampled values; both must land on the same bits where
+    # the exact answer is the same.
+    @pytest.mark.parametrize("engine,N", [(ppb_bootstrap, 640), (mirror_match_bootstrap, 600)])
+    def test_integer_values_tie_exactly(self, engine, N):
+        # PP(top 10%) units are 0 or 100, so every replicate sum is exact. A
+        # replicate with the sample's flagged share must equal the estimate
+        # bit for bit (BCa does not count ties as below), and one with no
+        # flagged unit must be 0 with zero variance (bootstrap-t drops it).
+        # The estimate 2/3 has no exact binary form.
+        n = 300
+        flags = np.zeros(n, dtype=bool)
+        flags[:2] = True
+        s = Sample(np.arange(n), np.ones(n), flags, N)
+        theta_hat = estimate(EstimatorKind.PP_TOP10, s)
+        reps = engine(s, N, 2000, EstimatorKind.PP_TOP10, make_rng(12, 0), with_t_variances=True)
+        tied = np.abs(reps.estimates - theta_hat) < 1e-9
+        empty = np.abs(reps.estimates) < 1e-9
+        assert tied.sum() > 100 and empty.sum() > 10
+        assert np.all(reps.estimates[tied] == theta_hat)
+        assert np.all(reps.estimates[empty] == 0.0)
+        assert np.all(reps.t_variances[empty] == 0.0)
+
+    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap])
+    def test_constant_sample_is_exact(self, engine):
+        # 0.1 has no exact binary form and its sample mean is off by an ulp;
+        # N = 60 randomizes mirror-match's k, so row sums differ
+        s = constant_sample(37, 60, value=0.1)
+        reps = engine(s, 60, 600, EstimatorKind.MNCS, make_rng(12, 1), with_t_variances=True)
+        assert np.all(reps.estimates == 0.1)
+        assert np.all(reps.t_variances == 0.0)
 
 
 class TestVarianceGrid:
