@@ -148,6 +148,7 @@ class TestCliDispatch:
 
     @staticmethod
     def study_config(tmp_path, pop_path, **extra):
+        # an extra value of None drops that key
         cfg = {
             "population": pop_path,
             "sample_sizes": [30],
@@ -161,7 +162,7 @@ class TestCliDispatch:
         }
         cfg.update(extra)
         path = tmp_path / "study.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}), encoding="utf-8")
         return str(path)
 
     def test_simulate_deterministic(self, tmp_path, capsys):
@@ -191,6 +192,32 @@ class TestCliDispatch:
         cli_dispatch(["synth", "--n", "120", "--seed", "1", "--out", pop_path])
         cfg = self.study_config(tmp_path, pop_path, typo_key=1)
         assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_ppb_completion_key_rejected(self, tmp_path, capsys):
+        pop_path = str(tmp_path / "pop.csv")
+        cli_dispatch(["synth", "--n", "120", "--seed", "1", "--out", pop_path])
+        cfg = self.study_config(tmp_path, pop_path, ppb_completion="fixed")
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["population", "synth"])
+    def test_report_config_round_trip(self, tmp_path, capsys, source):
+        # the "config" block of a JSON report, saved as a config file,
+        # reproduces the report: the echo and the accepted keys agree
+        pop_path = str(tmp_path / "pop.csv")
+        cli_dispatch(["synth", "--n", "120", "--seed", "1", "--out", pop_path])
+        extra = {"level": 0.9, "ci_pairing": "all", "master_seed": 7, "sample_sizes": [30, 50]}
+        if source == "synth":
+            extra.update(population=None, synth={"size": 150, "mncs": 1.3, "pp": 12.0, "shape": 0.8})
+        cfg = self.study_config(tmp_path, pop_path, **extra)
+        first, again = tmp_path / "r.json", tmp_path / "again.json"
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(first), "--format", "json"]) == 0
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        echo = write(tmp_path / "echo.json", json.dumps(json.loads(first.read_text())["config"]))
+        assert cli_dispatch(["simulate", "--config", echo, "--out", str(again), "--format", "json"]) == 0
+        assert cli_dispatch(["simulate", "--config", echo, "--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert json.loads(again.read_text())["config"] == json.loads(first.read_text())["config"]
 
     def test_sweep_census_limit(self, tmp_path, capsys):
         pop_path = str(tmp_path / "pop.csv")
