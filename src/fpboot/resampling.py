@@ -127,15 +127,15 @@ def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_var
     The reductions use einsum, not ``@``, to stay out of BLAS threads (see
     the module docstring).
     """
-    vbar = 0.0 if np.array_equal(vals, np.trunc(vals)) else float(vals.mean())
-    d = vals - vbar
+    centre = 0.0 if np.array_equal(vals, np.trunc(vals)) else float(vals.mean())
+    d = vals - centre
     d2 = d * d
     est = np.empty(B)
     tvar = np.empty(B) if with_t_variances else None
     for lo, hi in _blocks(B):
         counts, m = draw(hi - lo)
         s1 = np.einsum("rn,n->r", counts, d)
-        est[lo:hi] = vbar + s1 / m
+        est[lo:hi] = centre + s1 / m
         if tvar is not None:
             ss = np.einsum("rn,n->r", counts, d2) - s1 * s1 / m
             s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
