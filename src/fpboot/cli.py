@@ -56,7 +56,7 @@ _CONFIG_KEYS = {
 def _parse_tokens(values, table, what):
     out = []
     for v in values:
-        token = v.strip().lower()
+        token = v.strip().lower() if isinstance(v, str) else None
         if token not in table:
             raise ValueError(f"unknown {what}: {v!r} (choose from {sorted(table)})")
         item = table[token]
@@ -73,6 +73,27 @@ def _parse_sizes(text) -> tuple[int, ...]:
     if not sizes:
         raise ValueError("sample-size list is empty")
     return sizes
+
+
+def _whole(value, key: str) -> int:
+    """A config value that counts something: a whole number (20.0 passes, 20.9 does not)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config '{key}' must be a whole number, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _listed(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"config '{key}' must be a list, got {value!r}")
+    return value
 
 
 def read_config_file(path) -> dict:
@@ -104,11 +125,14 @@ def _config_from(raw: dict, args) -> StudyConfig:
         unknown = set(synth) - {"size", "mncs", "pp", "shape"}
         if unknown:
             raise ValueError(f"unknown synth keys: {sorted(unknown)}")
+        missing = {"size", "mncs", "pp"} - set(synth)
+        if missing:
+            raise ValueError(f"missing synth keys: {sorted(missing)}")
         source = SynthSpec(
-            size=int(synth["size"]),
-            target_mncs=float(synth["mncs"]),
-            target_pp=float(synth["pp"]),
-            shape=float(synth.get("shape", 1.0)),
+            size=_whole(synth["size"], "synth.size"),
+            target_mncs=_real(synth["mncs"], "synth.mncs"),
+            target_pp=_real(synth["pp"], "synth.pp"),
+            shape=_real(synth.get("shape", 1.0), "synth.shape"),
         )
     else:
         raise ValueError("config must name a 'population' file or a 'synth' spec")
@@ -119,20 +143,20 @@ def _config_from(raw: dict, args) -> StudyConfig:
     if isinstance(sizes, str):
         sizes = _parse_sizes(sizes)
     else:
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(_whole(s, "sample_sizes") for s in _listed(sizes, "sample_sizes"))
     methods = _setting(args, "method", raw, "methods", [m.value for m in Method])
     cis = _setting(args, "ci", raw, "ci_types", ["normal", "percentile"])
     ests = _setting(args, "estimator", raw, "estimators", [e.value for e in EstimatorKind])
     return StudyConfig(
         population_source=source,
         sample_sizes=sizes,
-        B=int(_setting(args, "B", raw, "B", 1000)),
-        repetitions=int(_setting(args, "reps", raw, "repetitions", 1000)),
-        methods=_parse_tokens(methods, _METHOD_TOKENS, "method"),
-        ci_types=_parse_tokens(cis, _CI_TOKENS, "ci type"),
-        estimators=_parse_tokens(ests, _ESTIMATOR_TOKENS, "estimator"),
-        level=float(_setting(args, "level", raw, "level", 0.95)),
-        master_seed=int(_setting(args, "seed", raw, "master_seed", 0)),
+        B=_whole(_setting(args, "B", raw, "B", 1000), "B"),
+        repetitions=_whole(_setting(args, "reps", raw, "repetitions", 1000), "repetitions"),
+        methods=_parse_tokens(_listed(methods, "methods"), _METHOD_TOKENS, "method"),
+        ci_types=_parse_tokens(_listed(cis, "ci_types"), _CI_TOKENS, "ci type"),
+        estimators=_parse_tokens(_listed(ests, "estimators"), _ESTIMATOR_TOKENS, "estimator"),
+        level=_real(_setting(args, "level", raw, "level", 0.95), "level"),
+        master_seed=_whole(_setting(args, "seed", raw, "master_seed", 0), "master_seed"),
         ci_pairing=str(raw.get("ci_pairing", "paper")),
     )
 

@@ -14,6 +14,10 @@ finite population:
 All engines evaluate the statistic through ``unit_values`` so both
 indicators ride the same mean-of-values path, and consume their stream in
 fixed-size blocks so results never depend on caller memory or threading.
+Stream consumption does not depend on the estimator either: given a tuple
+of kinds, an engine reads every kind off the same resamples and returns
+one set of replicates per kind, each equal bit for bit to a single-kind
+call on the same stream.
 
 Every statistic is a mean of unit values, so a pseudo-population or
 mirror-match replicate is fully described by how often it draws each of
@@ -115,10 +119,25 @@ def _blocks(B: int):
         yield lo, min(lo + _BLOCK, B)
 
 
-def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_variances: bool):
+def _kinds(kind) -> tuple[EstimatorKind, ...]:
+    return kind if isinstance(kind, tuple) else (kind,)
+
+
+def _replicates(kind, method: Method, B: int, runs):
+    """One BootstrapReplicates per (estimates, t_variances) run, shaped like ``kind``."""
+    reps = tuple(BootstrapReplicates(B=B, estimates=e, t_variances=t, method=method) for e, t in runs)
+    return reps if isinstance(kind, tuple) else reps[0]
+
+
+def _count_replicates(draw, vals: list[np.ndarray], B: int, t_scale: float, with_t_variances: bool):
     """Replicate means and t-variances from blocks of unit counts.
 
-    ``draw(rows)`` returns a rows x n count matrix and its row sums m.
+    ``draw(rows)`` returns a rows x n count matrix and its row sums m. Each
+    block is reduced against every array of unit values in ``vals``, and
+    one (estimates, t_variances) pair is returned per array. Each array
+    gets its own 1-D einsum: on numpy 2.4 one stacked "rn,ne->re" call
+    takes several times as long as the 1-D calls together.
+
     Integer values (PP's 0 and 100) are summed as they are: their sums are
     exact, so a replicate mean is rounded once, like the sample estimate,
     and a replicate tied with the sample equals its estimate bit for bit.
@@ -127,20 +146,20 @@ def _count_replicates(draw, vals: np.ndarray, B: int, t_scale: float, with_t_var
     The reductions use einsum, not ``@``, to stay out of BLAS threads (see
     the module docstring).
     """
-    centre = 0.0 if np.array_equal(vals, np.trunc(vals)) else float(vals.mean())
-    d = vals - centre
-    d2 = d * d
-    est = np.empty(B)
-    tvar = np.empty(B) if with_t_variances else None
+    centres = [0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean()) for v in vals]
+    ds = [v - c for v, c in zip(vals, centres)]
+    d2s = [d * d for d in ds]
+    runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B):
         counts, m = draw(hi - lo)
-        s1 = np.einsum("rn,n->r", counts, d)
-        est[lo:hi] = centre + s1 / m
-        if tvar is not None:
-            ss = np.einsum("rn,n->r", counts, d2) - s1 * s1 / m
-            s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
-            tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
-    return est, tvar
+        for centre, d, d2, (est, tvar) in zip(centres, ds, d2s, runs):
+            s1 = np.einsum("rn,n->r", counts, d)
+            est[lo:hi] = centre + s1 / m
+            if tvar is not None:
+                ss = np.einsum("rn,n->r", counts, d2) - s1 * s1 / m
+                s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
+                tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
+    return runs
 
 
 def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
@@ -160,42 +179,44 @@ def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
 def standard_bootstrap(
     sample: Sample,
     B: int,
-    kind: EstimatorKind,
+    kind: EstimatorKind | tuple[EstimatorKind, ...],
     rng: RngStream,
     with_t_variances: bool = False,
-) -> BootstrapReplicates:
+) -> BootstrapReplicates | tuple[BootstrapReplicates, ...]:
     """Efron's with-replacement bootstrap of the sample statistic.
 
     Each replicate resamples n records with replacement from the sample
     and re-evaluates the statistic. When requested, the replicates' variance
     estimates use the analytic form for a mean, s2_b * (n - 1) / n**2.
+    A tuple of kinds gives a tuple of replicates, all read off one block
+    of resampled indices.
     """
     n = sample.n
     if n < 2:
         raise ValueError("standard_bootstrap requires a sample of size >= 2")
     if B < 1:
         raise ValueError("B must be >= 1")
-    vals = unit_values(kind, sample)
+    vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
-    est = np.empty(B)
-    tvar = np.empty(B) if with_t_variances else None
+    runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B):
         idx = gen.integers(0, n, size=(hi - lo, n))
-        m = vals[idx]
-        est[lo:hi] = m.mean(axis=1)
-        if tvar is not None:
-            tvar[lo:hi] = m.var(axis=1, ddof=1) * (n - 1) / (n * n)
-    return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.STANDARD)
+        for v, (est, tvar) in zip(vals, runs):
+            m = v[idx]
+            est[lo:hi] = m.mean(axis=1)
+            if tvar is not None:
+                tvar[lo:hi] = m.var(axis=1, ddof=1) * (n - 1) / (n * n)
+    return _replicates(kind, Method.STANDARD, B, runs)
 
 
 def ppb_bootstrap(
     sample: Sample,
     N: int,
     B: int,
-    kind: EstimatorKind,
+    kind: EstimatorKind | tuple[EstimatorKind, ...],
     rng: RngStream,
     with_t_variances: bool = False,
-) -> BootstrapReplicates:
+) -> BootstrapReplicates | tuple[BootstrapReplicates, ...]:
     """Pseudo-population bootstrap: rerun the SRSWOR design on an N-sized replica.
 
     One pseudo-population per call (k whole copies of the sample plus one
@@ -203,7 +224,8 @@ def ppb_bootstrap(
     every replicate. Each replicate draws an SRSWOR sample of size n from
     it, sampled as the count of each sample unit in the draw, and
     re-evaluates the statistic. The replicates' variance estimates carry the
-    1 - f correction.
+    1 - f correction. A tuple of kinds gives a tuple of replicates, all
+    reduced from the same count blocks.
     """
     n = sample.n
     if N < n:
@@ -212,7 +234,7 @@ def ppb_bootstrap(
         raise ValueError("B must be >= 1")
     if n < 2:
         raise ValueError("ppb_bootstrap requires a sample of size >= 2")
-    vals = unit_values(kind, sample)
+    vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
     one_minus_f = (N - n) / N
     t_scale = one_minus_f * (n - 1) / (n * n)
@@ -220,17 +242,15 @@ def ppb_bootstrap(
     if n == N:
         # Census: every SRSWOR resample of size N from the replica is the
         # whole sample, so all replicates coincide bit for bit.
-        c = float(vals.mean())
-        tvar = np.zeros(B) if with_t_variances else None
-        return BootstrapReplicates(B=B, estimates=np.full(B, c), t_variances=tvar, method=Method.PPB)
+        runs = [(np.full(B, float(v.mean())), np.zeros(B) if with_t_variances else None) for v in vals]
+        return _replicates(kind, Method.PPB, B, runs)
 
     copies = _pseudo_population(gen, n, N)
 
     def draw(rows):
         return gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n
 
-    est, tvar = _count_replicates(draw, vals, B, t_scale, with_t_variances)
-    return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.PPB)
+    return _replicates(kind, Method.PPB, B, _count_replicates(draw, vals, B, t_scale, with_t_variances))
 
 
 @dataclass(frozen=True)
@@ -319,34 +339,37 @@ def mirror_match_bootstrap(
     sample: Sample,
     N: int,
     B: int,
-    kind: EstimatorKind,
+    kind: EstimatorKind | tuple[EstimatorKind, ...],
     rng: RngStream,
     with_t_variances: bool = False,
-) -> BootstrapReplicates:
+) -> BootstrapReplicates | tuple[BootstrapReplicates, ...]:
     """Sitter-style direct bootstrap for SRSWOR.
 
     Each replicate draws k independent SRSWOR subsamples of size n' from
     the sample (k randomized per replicate between the plan's bounds),
     concatenates them, and evaluates the statistic on the concatenation.
+    A tuple of kinds gives a tuple of replicates, all reduced from the same
+    count blocks.
     """
     n = sample.n
     plan = mirror_match_plan(n, N)
     if B < 1:
         raise ValueError("B must be >= 1")
-    vals = unit_values(kind, sample)
+    vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
     one_minus_f = (N - n) / N
     t_scale = one_minus_f * (n - 1) / (n * n)
 
     if plan.n_prime == n:
         # k = 1 and the subsample is the whole sample: all replicates coincide.
-        c = float(vals.mean())
-        tvar = np.full(B, sample_variance(vals) * t_scale) if with_t_variances else None
-        return BootstrapReplicates(B=B, estimates=np.full(B, c), t_variances=tvar, method=Method.MIRROR_MATCH)
+        runs = [
+            (np.full(B, float(v.mean())), np.full(B, sample_variance(v) * t_scale) if with_t_variances else None)
+            for v in vals
+        ]
+        return _replicates(kind, Method.MIRROR_MATCH, B, runs)
 
     def draw(rows):
         counts, kb = _mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    est, tvar = _count_replicates(draw, vals, B, t_scale, with_t_variances)
-    return BootstrapReplicates(B=B, estimates=est, t_variances=tvar, method=Method.MIRROR_MATCH)
+    return _replicates(kind, Method.MIRROR_MATCH, B, _count_replicates(draw, vals, B, t_scale, with_t_variances))

@@ -5,10 +5,13 @@ bootstrap engine per sample, builds the requested confidence intervals,
 and aggregates containment of the population truth plus interval lengths
 per (n, method, CI type, estimator) cell.
 
-Reproducibility model: replication r of the cell keyed by (n, method,
-estimator) uses stream_id = stable_hash(cell) * 2**32 + r, so any subset
-of cells, any worker count, and any scheduling order produce identical
-reports. CI types share one bootstrap run per replication.
+Reproducibility model: replication r of the group keyed by (n, method)
+uses stream_id = stable_hash(group) * 2**32 + r. Its one sample and one
+bootstrap run serve every estimator and every CI type: the engine reads
+all estimators off the same resamples. Since neither the sample nor the
+resamples depend on which estimators or CI types are requested, any
+subset of cells, any worker count, and any scheduling order produce
+identical cells.
 
 ``bootstrap`` (engine dispatch) and ``build_interval`` (one CI type from
 one set of replicates) are the single path for both steps; the CLI's
@@ -257,9 +260,9 @@ def effective_ci_types(method: Method, requested, pairing: str = "paper") -> tup
     return tuple(c for c in requested if c is not CiType.BCA)
 
 
-def cell_stream_base(n: int, method: Method, estimator: EstimatorKind) -> int:
-    """Stable 64-bit stream base for the cell keyed by (n, method, estimator)."""
-    key = f"{n}|{method.value}|{estimator.value}".encode()
+def cell_stream_base(n: int, method: Method) -> int:
+    """Stable 64-bit stream base for the cells keyed by (n, method)."""
+    key = f"{n}|{method.value}".encode()
     h = int.from_bytes(hashlib.blake2b(key, digest_size=4).digest(), "big")
     return h << 32
 
@@ -278,14 +281,15 @@ def bootstrap(
     sample: Sample,
     N: int,
     B: int,
-    kind: EstimatorKind,
+    kind: EstimatorKind | tuple[EstimatorKind, ...],
     rng: RngStream,
     *,
     with_t_variances: bool = False,
-) -> BootstrapReplicates:
+) -> BootstrapReplicates | tuple[BootstrapReplicates, ...]:
     """B replicates of ``kind`` from the engine ``method``.
 
-    ``N`` is ignored by the standard engine.
+    A tuple of kinds gives one set of replicates per kind, all from one
+    bootstrap run. ``N`` is ignored by the standard engine.
     """
     if method is Method.STANDARD:
         return standard_bootstrap(sample, B, kind, rng, with_t_variances=with_t_variances)
@@ -334,45 +338,51 @@ def build_interval(
 
 
 def _run_replications(task: dict):
-    """Run replications [lo, hi) of one cell group; returns per-rep arrays."""
+    """Run replications [lo, hi) of one (n, method) group; returns per-rep arrays.
+
+    Each replication draws one sample and makes one engine call that
+    returns replicates for every estimator. Arrays are indexed
+    [estimator, (CI type,) replication].
+    """
     pop = _POP
     n = task["n"]
     method = task["method"]
-    kind = task["estimator"]
+    kinds = task["estimators"]
+    truths = task["true_values"]
     cis = task["ci_types"]
     B = task["B"]
     level = task["level"]
     master_seed = task["master_seed"]
     base = task["stream_base"]
     lo, hi = task["lo"], task["hi"]
-    theta_true = task["true_value"]
 
     count = hi - lo
-    n_ci = len(cis)
-    v_hats = np.empty(count)
-    ok = np.zeros((n_ci, count), dtype=bool)
-    contained = np.zeros((n_ci, count), dtype=bool)
-    lengths = np.zeros((n_ci, count))
+    shape = (len(kinds), len(cis), count)
+    v_hats = np.empty((len(kinds), count))
+    ok = np.zeros(shape, dtype=bool)
+    contained = np.zeros(shape, dtype=bool)
+    lengths = np.zeros(shape)
     need_t = CiType.BOOTSTRAP_T in cis
     need_a = CiType.BCA in cis
 
     for t, r in enumerate(range(lo, hi)):
         rng = make_rng(master_seed, base + r)
         sample = srswor(pop, n, rng)
-        theta_hat = estimate(kind, sample)
-        reps = bootstrap(method, sample, pop.size, B, kind, rng, with_t_variances=need_t)
-        v_hat = bootstrap_variance(reps)
-        v_hats[t] = v_hat
-        accel = jackknife_acceleration(sample, kind) if need_a else 0.0
-        for i, ci in enumerate(cis):
-            interval = build_interval(
-                ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=level
-            )
-            if interval is None:
-                continue
-            ok[i, t] = True
-            contained[i, t] = interval.contains(theta_true)
-            lengths[i, t] = interval.length
+        runs = bootstrap(method, sample, pop.size, B, kinds, rng, with_t_variances=need_t)
+        for e, (kind, reps) in enumerate(zip(kinds, runs)):
+            theta_hat = estimate(kind, sample)
+            v_hat = bootstrap_variance(reps)
+            v_hats[e, t] = v_hat
+            accel = jackknife_acceleration(sample, kind) if need_a else 0.0
+            for i, ci in enumerate(cis):
+                interval = build_interval(
+                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=level
+                )
+                if interval is None:
+                    continue
+                ok[e, i, t] = True
+                contained[e, i, t] = interval.contains(truths[e])
+                lengths[e, i, t] = interval.length
     return task["group"], lo, v_hats, ok, contained, lengths
 
 
@@ -387,64 +397,44 @@ def _execute(tasks, pop: Population, workers: int):
         return [f.result() for f in futures]
 
 
-def _group_tasks(group_id, *, n, method, estimator, cis, B, R, level, master_seed, true_value, chunk):
-    base = cell_stream_base(n, method, estimator)
-    tasks = []
-    for lo in range(1, R + 1, chunk):
-        hi = min(lo + chunk, R + 1)
-        tasks.append(
-            {
-                "group": group_id,
-                "n": n,
-                "method": method,
-                "estimator": estimator,
-                "ci_types": cis,
-                "B": B,
-                "level": level,
-                "master_seed": master_seed,
-                "stream_base": base,
-                "lo": lo,
-                "hi": hi,
-                "true_value": true_value,
-            }
-        )
-    return tasks
+def _aggregate(group, results, *, n, method, estimators, cis, R) -> list[CellReport]:
+    """Reassemble per-rep arrays in replication order and reduce to cells.
 
-
-def _aggregate(group, results, *, n, method, estimator, cis, R) -> list[CellReport]:
-    """Reassemble per-rep arrays in replication order and reduce to cells."""
-    n_ci = len(cis)
-    v_hats = np.empty(R)
-    ok = np.zeros((n_ci, R), dtype=bool)
-    contained = np.zeros((n_ci, R), dtype=bool)
-    lengths = np.zeros((n_ci, R))
+    Cells come out estimator by estimator, CI type by CI type.
+    """
+    shape = (len(estimators), len(cis), R)
+    v_hats = np.empty((len(estimators), R))
+    ok = np.zeros(shape, dtype=bool)
+    contained = np.zeros(shape, dtype=bool)
+    lengths = np.zeros(shape)
     for g, lo, v, o, c, ln in results:
         if g != group:
             continue
-        s = slice(lo - 1, lo - 1 + v.size)
-        v_hats[s] = v
-        ok[:, s] = o
-        contained[:, s] = c
-        lengths[:, s] = ln
-    avg_variance = float(v_hats.mean())
+        s = slice(lo - 1, lo - 1 + v.shape[1])
+        v_hats[:, s] = v
+        ok[..., s] = o
+        contained[..., s] = c
+        lengths[..., s] = ln
     cells = []
-    for i, ci in enumerate(cis):
-        r_eff = int(np.count_nonzero(ok[i]))
-        hits = int(np.count_nonzero(contained[i] & ok[i]))
-        coverage = hits / r_eff if r_eff else 0.0
-        avg_length = float(lengths[i][ok[i]].mean()) if r_eff else 0.0
-        cells.append(
-            CellReport(
-                n=n,
-                method=method,
-                ci_type=ci,
-                estimator=estimator,
-                coverage=coverage,
-                avg_length=avg_length,
-                avg_variance=avg_variance,
-                r_effective=r_eff,
+    for e, estimator in enumerate(estimators):
+        avg_variance = float(v_hats[e].mean())
+        for i, ci in enumerate(cis):
+            r_eff = int(np.count_nonzero(ok[e, i]))
+            hits = int(np.count_nonzero(contained[e, i] & ok[e, i]))
+            coverage = hits / r_eff if r_eff else 0.0
+            avg_length = float(lengths[e, i][ok[e, i]].mean()) if r_eff else 0.0
+            cells.append(
+                CellReport(
+                    n=n,
+                    method=method,
+                    ci_type=ci,
+                    estimator=estimator,
+                    coverage=coverage,
+                    avg_length=avg_length,
+                    avg_variance=avg_variance,
+                    r_effective=r_eff,
+                )
             )
-        )
     return cells
 
 
@@ -487,41 +477,39 @@ def coverage_study(
             raise ValueError(f"sample size {n} exceeds population size {pop.size}")
     true_values = {k.value: estimate(k, pop) for k in config.estimators}
 
-    groups = []
-    gid = 0
-    for n in config.sample_sizes:
-        for method in config.methods:
-            for estimator in config.estimators:
-                cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
-                if not cis:
-                    continue
-                groups.append((gid, n, method, estimator, cis))
-                gid += 1
+    kinds = config.estimators
+    groups = [
+        (n, method, cis)
+        for n in config.sample_sizes
+        for method in config.methods
+        if kinds and (cis := effective_ci_types(method, config.ci_types, config.ci_pairing))
+    ]
 
     R = config.repetitions
     chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
-    tasks = []
-    for gid, n, method, estimator, cis in groups:
-        tasks.extend(
-            _group_tasks(
-                gid,
-                n=n,
-                method=method,
-                estimator=estimator,
-                cis=cis,
-                B=config.B,
-                R=R,
-                level=config.level,
-                master_seed=config.master_seed,
-                true_value=true_values[estimator.value],
-                chunk=chunk,
-            )
-        )
+    tasks = [
+        {
+            "group": gid,
+            "n": n,
+            "method": method,
+            "estimators": kinds,
+            "true_values": tuple(true_values[k.value] for k in kinds),
+            "ci_types": cis,
+            "B": config.B,
+            "level": config.level,
+            "master_seed": config.master_seed,
+            "stream_base": cell_stream_base(n, method),
+            "lo": lo,
+            "hi": min(lo + chunk, R + 1),
+        }
+        for gid, (n, method, cis) in enumerate(groups)
+        for lo in range(1, R + 1, chunk)
+    ]
     results = _execute(tasks, pop, workers)
 
     cells: list[CellReport] = []
-    for gid, n, method, estimator, cis in groups:
-        cells.extend(_aggregate(gid, results, n=n, method=method, estimator=estimator, cis=cis, R=R))
+    for gid, (n, method, cis) in enumerate(groups):
+        cells.extend(_aggregate(gid, results, n=n, method=method, estimators=kinds, cis=cis, R=R))
     return StudyReport(
         config=config,
         population_info=_population_info(config, pop),

@@ -200,6 +200,32 @@ class TestCliDispatch:
         assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"synth": {"mncs": 1.3, "pp": 12.0}}, "missing synth keys: ['size']"),
+            ({"B": None}, "'B' must be a whole number"),
+            ({"methods": [1]}, "unknown method: 1"),
+            ({"sample_sizes": [10.7]}, "'sample_sizes' must be a whole number"),
+            ({"B": 20.9}, "'B' must be a whole number"),
+            ({"repetitions": 2.5}, "'repetitions' must be a whole number"),
+        ],
+        ids=["synth-without-size", "null-B", "method-not-a-token", "fractional-size", "fractional-B",
+             "fractional-repetitions"],
+    )
+    def test_malformed_config_value_exits_1(self, tmp_path, capsys, bad, message):
+        # written here, not by study_config, which drops keys set to None
+        cfg = json.loads(Path(self.study_config(tmp_path, two_flag_population(tmp_path))).read_text())
+        if "synth" in bad:
+            del cfg["population"]
+        cfg.update(bad)
+        path = write(tmp_path / "bad.json", json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        assert cli_dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["population", "synth"])
     def test_report_config_round_trip(self, tmp_path, capsys, source):
         # the "config" block of a JSON report, saved as a config file,

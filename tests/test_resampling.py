@@ -323,16 +323,57 @@ class TestCountKernels:
         assert_mean_counts(counts, mean_k * plan.n_prime / n)
 
     def test_reduction_matches_expanded_resamples(self):
-        # reference: expand each count row into its resample, then mean and variance
+        # reference: expand each count row into its resample, then mean and
+        # variance, for each array of unit values reduced from the same counts
         n, N, t_scale = 12, 60, 0.37
         s = lognormal_sample(n, N, seed=31)
         plan = mirror_match_plan(n, N)
         counts, kb = _mirror_counts(make_rng(5, 3).generator, 300, n, plan)
-        est, tvar = _count_replicates(lambda rows: (counts, kb * plan.n_prime), s.ncs, 300, t_scale, True)
-        for b in range(300):
-            resample = np.repeat(s.ncs, counts[b])
-            assert est[b] == pytest.approx(resample.mean(), rel=1e-12)
-            assert tvar[b] == pytest.approx(resample.var(ddof=1) * t_scale, rel=1e-9)
+        vals = [s.ncs, np.where(s.top10, 100.0, 0.0)]
+        runs = _count_replicates(lambda rows: (counts, kb * plan.n_prime), vals, 300, t_scale, True)
+        assert len(runs) == 2
+        for v, (est, tvar) in zip(vals, runs):
+            for b in range(300):
+                resample = np.repeat(v, counts[b])
+                assert est[b] == pytest.approx(resample.mean(), rel=1e-12, abs=1e-12)
+                assert tvar[b] == pytest.approx(resample.var(ddof=1) * t_scale, rel=1e-9, abs=1e-9)
+
+
+ENGINES = {
+    "standard": lambda s, N, B, kind, rng, t: standard_bootstrap(s, B, kind, rng, with_t_variances=t),
+    "ppb": lambda s, N, B, kind, rng, t: ppb_bootstrap(s, N, B, kind, rng, with_t_variances=t),
+    "mirror": lambda s, N, B, kind, rng, t: mirror_match_bootstrap(s, N, B, kind, rng, with_t_variances=t),
+}
+
+
+class TestSharedRun:
+    # One call for both estimators equals two single-kind calls on copies of
+    # the same stream, bit for bit, and leaves the stream where each of them
+    # does. N = 203 leaves a pseudo-population remainder and randomizes
+    # mirror-match's k; N = n is ppb's census and mirror-match's n' = n.
+    # B = 700 spans two blocks.
+    @pytest.mark.parametrize("with_t", [False, True])
+    @pytest.mark.parametrize("N", [203, 40])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_pair_equals_single_calls(self, engine, N, with_t):
+        run = ENGINES[engine]
+        s = lognormal_sample(40, N, seed=37)
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+        rng = make_rng(13, 5)
+        pair = run(s, N, 700, kinds, rng, with_t)
+        next_draw = rng.generator.random()
+        assert isinstance(pair, tuple) and len(pair) == 2
+        for kind, reps in zip(kinds, pair):
+            single_rng = make_rng(13, 5)
+            single = run(s, N, 700, kind, single_rng, with_t)
+            assert isinstance(single, BootstrapReplicates)
+            assert reps.method is single.method
+            assert np.array_equal(reps.estimates, single.estimates)
+            if with_t:
+                assert np.array_equal(reps.t_variances, single.t_variances)
+            else:
+                assert reps.t_variances is None and single.t_variances is None
+            assert single_rng.generator.random() == next_draw
 
 
 class TestExactReplicates:

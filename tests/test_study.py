@@ -91,14 +91,15 @@ class TestCiPairing:
         assert effective_ci_types(Method.PPB, ALL_CIS, "all") == ALL_CIS
 
     def test_stream_base_is_stable(self):
-        base = cell_stream_base(100, Method.PPB, EstimatorKind.MNCS)
-        assert base == cell_stream_base(100, Method.PPB, EstimatorKind.MNCS)
+        base = cell_stream_base(100, Method.PPB)
+        assert base == cell_stream_base(100, Method.PPB) == 1380853542104858624
         assert base % 2**32 == 0
-        assert base != cell_stream_base(100, Method.MIRROR_MATCH, EstimatorKind.MNCS)
+        assert base != cell_stream_base(100, Method.MIRROR_MATCH)
+        assert base != cell_stream_base(101, Method.PPB)
 
 
 class TestRunCell:
-    """One (n, method, estimator) cell group, run as a one-size coverage study."""
+    """One (n, method) group with one estimator, run as a one-size coverage study."""
 
     @staticmethod
     def cells(size=400, workers=1, **fields):
@@ -180,6 +181,16 @@ class TestCoverageStudy:
         pop = synth(size=300, seed=17)  # same spec/seed as the config
         assert report.true_values["mncs"] == mncs(pop)
         assert report.true_values["pp_top10"] == pp_top10(pop)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_estimator_subset_gives_the_same_cells(self, kind):
+        # a replication's sample and resamples do not depend on which
+        # estimators are requested, so a one-estimator study reproduces
+        # that estimator's cells of the two-estimator study
+        fields = dict(methods=tuple(Method), ci_types=ALL_CIS, ci_pairing="all")
+        both = coverage_study(self.config(estimators=tuple(EstimatorKind), **fields), workers=2)
+        one = coverage_study(self.config(estimators=(kind,), **fields))
+        assert one.cells == tuple(c for c in both.cells if c.estimator is kind)
 
     def test_report_determinism_and_worker_independence(self):
         cfg = self.config()
@@ -319,14 +330,15 @@ class TestSharedPath:
         assert build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=5.0, v_hat=v_hat, accel=0.0, level=0.95) is None
 
 
-# SHA-256 of the CSV report of the config below at master seed 1, per n.
-# At n = 60 the population is exactly 5 copies of the sample; at n = 70 the
-# pseudo-population needs a completion. A change that deliberately alters
-# stream consumption or replicate values updates these and says so in
-# CHANGES.md.
+# SHA-256 of the JSON report of the config below at master seed 1, per n.
+# JSON writes every float with repr, so a replicate value that moves by an
+# ulp shows. At n = 60 the population is exactly 5 copies of the sample; at
+# n = 70 the pseudo-population needs a completion. A change that
+# deliberately alters stream consumption or replicate values updates these
+# and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "bc0572fc1e50f43aa208c9c46d9592c174595965e4f586caba1b6512131cdfa2",
-    70: "46c15429740af3d5d341fa6844edcfe0afe1be6236c9d3b40faec2b398c64561",
+    60: "c4617689b3c2aa6578cfe72681f9f3e4c021764fe415e97c49aa906de54c9e45",
+    70: "a77759abbbf64fd4c90d7986f215c406fcd3cc38a2c25c6f2f615579a1c32047",
 }
 
 
@@ -343,6 +355,6 @@ def test_golden_report(tmp_path, n):
         master_seed=1,
         ci_pairing="all",
     )
-    path = tmp_path / "report.csv"
-    emit_report(coverage_study(config), "csv", path)
+    path = tmp_path / "report.json"
+    emit_report(coverage_study(config), "json", path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[n]
