@@ -177,9 +177,13 @@ def _setting(args, flag: str, raw: dict, key: str, default=None):
 
 def _workers(args) -> int:
     threads = getattr(args, "threads", 0) or 0
-    if threads <= 0:
-        return os.cpu_count() or 1
-    return threads
+    if threads > 0:
+        return threads
+    # the cores this process may run on, which taskset or a cpuset can
+    # narrow below the host's count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _census_sample(pop: Population) -> Sample:
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--estimator", action="append", default=None, help="repeatable: mncs | pp_top10")
         p.add_argument("--level", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0, help="worker processes (0 = all cores; never affects results)")
+        p.add_argument("--threads", type=int, default=0, help="worker processes (0 = every usable core; never affects results)")
         p.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a coverage study")

@@ -3,14 +3,19 @@
 All quantiles follow one deterministic rule: the ceil(q * B)-th order
 statistic, with the rank clamped to [1, B]. At B = 1000 and level 0.95
 this picks the conventional 25th and 975th order statistics.
+
+The standard normal comes from the standard library: the quantile is
+``statistics.NormalDist().inv_cdf`` (Wichura's AS241) and the CDF is
+``0.5 * math.erfc(-x / sqrt(2))``, which keeps full relative precision in
+the lower tail, where ``1 + erf(x / sqrt(2))`` cancels.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDistributionError
 from .estimators import EstimatorKind, unit_values
@@ -50,6 +55,14 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
+_norm_ppf = NormalDist().inv_cdf
+_SQRT2 = math.sqrt(2.0)
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
 def _check_level(level: float):
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -74,7 +87,7 @@ def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> Confide
     _check_level(level)
     if not np.isfinite(variance) or variance < 0:
         raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = _norm_ppf(0.5 + level / 2.0)
     half = z * math.sqrt(variance)
     return ConfidenceInterval(CiType.NORMAL, level, theta_hat - half, theta_hat + half)
 
@@ -100,7 +113,7 @@ def bias_correction(reps: BootstrapReplicates, theta_hat: float) -> float:
         raise DegenerateDistributionError(
             f"all bootstrap estimates on one side of the point estimate (p0 = {p0})"
         )
-    return float(ndtri(p0))
+    return _norm_ppf(p0)
 
 
 def jackknife_acceleration(sample: Sample, kind: EstimatorKind) -> float:
@@ -148,11 +161,11 @@ def ci_bca(
         if den <= 0.0:
             # acceleration pathologically large: saturate toward the tail
             den = 1e-12
-        q = float(ndtr(z0 + t / den))
+        q = _norm_cdf(z0 + t / den)
         return min(max(q, 1e-12), 1.0 - 1e-12)
 
-    q1 = adjusted(float(ndtri(alpha / 2.0)))
-    q2 = adjusted(float(ndtri(1.0 - alpha / 2.0)))
+    q1 = adjusted(_norm_ppf(alpha / 2.0))
+    q2 = adjusted(_norm_ppf(1.0 - alpha / 2.0))
     srt = np.sort(reps.estimates)
     lo = _quantile_sorted(srt, min(q1, q2))
     hi = _quantile_sorted(srt, max(q1, q2))

@@ -21,7 +21,7 @@ from fpboot import (
     ci_percentile,
     jackknife_acceleration,
 )
-from fpboot.intervals import _quantile_sorted
+from fpboot.intervals import _norm_cdf, _norm_ppf, _quantile_sorted
 
 
 def reps_of(values, t_variances=None):
@@ -61,6 +61,32 @@ class TestEmpiricalQuantile:
         values = np.arange(1.0, 1001.0)
         q = (1.0 - 0.95) / 2.0
         assert empirical_quantile(values, q) == 25.0
+
+
+P_GRID = [k / 1000 for k in range(1, 1000)]
+
+
+class TestStandardNormal:
+    def test_known_values(self):
+        assert abs(_norm_ppf(0.975) - 1.959963984540054) <= 4 * math.ulp(1.959963984540054)
+        assert _norm_cdf(0.0) == 0.5
+
+    def test_quantile_antisymmetry(self):
+        # 1 - p rounds, so the two sides agree to a few ulps, not exactly
+        for p in P_GRID:
+            assert abs(_norm_ppf(1.0 - p) + _norm_ppf(p)) <= 1e-12
+
+    def test_round_trip(self):
+        for p in P_GRID:
+            assert abs(_norm_cdf(_norm_ppf(p)) - p) <= 1e-15
+
+    def test_agrees_with_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for p in P_GRID:
+            ref = float(special.ndtri(p))
+            assert abs(_norm_ppf(p) - ref) <= 8 * math.ulp(ref)
+        for x in np.linspace(-8.0, 8.0, 1601):
+            assert abs(_norm_cdf(float(x)) - float(special.ndtr(x))) <= 4e-16
 
 
 class TestCiNormal:

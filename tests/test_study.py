@@ -334,11 +334,11 @@ class TestSharedPath:
 # JSON writes every float with repr, so a replicate value that moves by an
 # ulp shows. At n = 60 the population is exactly 5 copies of the sample; at
 # n = 70 the pseudo-population needs a completion. A change that
-# deliberately alters stream consumption or replicate values updates these
-# and says so in CHANGES.md.
+# deliberately alters stream consumption, replicate values or interval
+# arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "c4617689b3c2aa6578cfe72681f9f3e4c021764fe415e97c49aa906de54c9e45",
-    70: "a77759abbbf64fd4c90d7986f215c406fcd3cc38a2c25c6f2f615579a1c32047",
+    60: "f7f43dcdd89501f0513c5d858d96a173f882eb5f18d087a9ce3dfb74ef55ff78",
+    70: "fcc3152d902ca7b10d0ce8a4363381d0ad2d0a30b7c25d162c09848ce3b75f31",
 }
 
 
