@@ -28,10 +28,18 @@ against the centred unit values with einsum. The reduction deliberately
 avoids BLAS (``@``, ``np.dot``): BLAS threads started in every worker of a
 study's process pool oversubscribe the cores and cancel the pool's
 speed-up.
+
+The standard engine's gathered values and mirror-match's unit counts are
+built in block buffers that each thread keeps between blocks and calls, so
+a block does not fault fresh pages in: each thread holds at most one
+float64 and one int64 block of at most 512 x n between calls (4 MB each
+at n = 1000, 25 MB at n = 6224). No array an engine returns views a
+buffer.
 """
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +120,31 @@ def bootstrap_variance(reps: BootstrapReplicates) -> float:
     if reps.B < 2:
         raise ValueError("bootstrap_variance requires at least two replicates")
     return sample_variance(reps.estimates)
+
+
+class _Workspace(threading.local):
+    """This thread's block buffers, one per dtype, kept across blocks and calls.
+
+    A block of 512 x n is large enough that the allocator can hand its
+    pages back to the system when it is freed, so a fresh temporary per
+    block faults them in again on every block; a kept buffer faults them
+    in once. A buffer is replaced when n changes and grown when a caller
+    asks for more rows.
+    """
+
+    def __init__(self):
+        self.buffers: dict[type, np.ndarray] = {}
+
+    def block(self, dtype: type, rows: int, n: int) -> np.ndarray:
+        """A rows x n block of this thread's ``dtype`` buffer, valid until the next request."""
+        buf = self.buffers.get(dtype)
+        if buf is None or buf.shape[1] != n or buf.shape[0] < rows:
+            buf = self.buffers[dtype] = None  # free the old block before allocating
+            buf = self.buffers[dtype] = np.empty((rows, n), dtype)
+        return buf[:rows]
+
+
+_workspace = _Workspace()
 
 
 def _blocks(B: int):
@@ -201,11 +234,27 @@ def standard_bootstrap(
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B):
         idx = gen.integers(0, n, size=(hi - lo, n))
+        m = _workspace.block(np.float64, hi - lo, n)
         for v, (est, tvar) in zip(vals, runs):
-            m = v[idx]
-            est[lo:hi] = m.mean(axis=1)
+            # Indices lie in [0, n) by construction, so "clip" never clips;
+            # the default "raise" would gather into a fresh temporary and
+            # copy it to ``out``.
+            np.take(v, idx, out=m, mode="clip")
+            # m.mean(axis=1) and m.var(axis=1, ddof=1) * (n - 1) / (n * n),
+            # step for step in place, so the replicates keep their bits.
+            mean = np.add.reduce(m, axis=1, out=est[lo:hi])
+            mean /= n
             if tvar is not None:
-                tvar[lo:hi] = m.var(axis=1, ddof=1) * (n - 1) / (n * n)
+                m -= mean[:, None]
+                m *= m
+                var = np.add.reduce(m, axis=1, out=tvar[lo:hi])
+                var /= n - 1
+                var *= n - 1
+                var /= n * n
+        # Free the indices before the next block draws its own: two blocks'
+        # indices freed together can make the allocator trim the heap, and
+        # the next call would fault their pages in again.
+        del idx
     return _replicates(kind, Method.STANDARD, B, runs)
 
 
@@ -320,18 +369,23 @@ def _mirror_counts(gen: np.random.Generator, rows: int, n: int, plan: MirrorMatc
 
     Every row draws k_high SRSWOR subsamples of size n' as 0/1 masks, one
     subsample slot at a time, and keeps its first k of them: stream
-    consumption does not depend on the realised k.
+    consumption does not depend on the realised k. The counts are this
+    thread's int64 block buffer, valid until its next mirror-match block.
     """
     if plan.k_high > plan.k_low:
         kb = plan.k_low + (gen.random(rows) < plan.p_high)
     else:
         kb = np.full(rows, plan.k_low)
-    counts = np.zeros((rows, n), dtype=np.int64)
+    counts = _workspace.block(np.int64, rows, n)
     units = np.ones(n, dtype=np.int64)
     for j in range(plan.k_high):
         mask = gen.multivariate_hypergeometric(units, plan.n_prime, size=rows, method="count")
-        mask[kb <= j] = 0
-        counts += mask
+        if j == 0:
+            counts[...] = mask  # every row keeps slot 0, since k >= 1
+        else:
+            mask[kb <= j] = 0
+            counts += mask
+        del mask  # one mask live at a time, like the standard engine's indices
     return counts, kb
 
 

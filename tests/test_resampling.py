@@ -1,5 +1,10 @@
+import json
 import math
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from fpboot import (
     ppb_bootstrap,
     sample_variance,
     standard_bootstrap,
+    unit_values,
 )
 from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population
 
@@ -458,3 +464,166 @@ class TestVarianceOrdering:
         v_mm = bootstrap_variance(mirror_match_bootstrap(s, 200, 10_000, EstimatorKind.MNCS, make_rng(9, 2)))
         assert v_std > v_ppb
         assert v_std > v_mm
+
+
+# Reference block code with fresh temporaries per block: the same stream
+# reads and arithmetic as the engines, so they must match it bit for bit.
+def reference_standard(s, B, kinds, rng, with_t):
+    n, gen = s.n, rng.generator
+    vals = [unit_values(k, s) for k in kinds]
+    runs = [(np.empty(B), np.empty(B) if with_t else None) for _ in vals]
+    for lo in range(0, B, 512):
+        hi = min(lo + 512, B)
+        idx = gen.integers(0, n, size=(hi - lo, n))
+        for v, (est, tvar) in zip(vals, runs):
+            m = v[idx]
+            est[lo:hi] = m.mean(axis=1)
+            if tvar is not None:
+                tvar[lo:hi] = m.var(axis=1, ddof=1) * (n - 1) / (n * n)
+    return runs
+
+
+def reference_mirror_counts(gen, rows, n, plan):
+    if plan.k_high > plan.k_low:
+        kb = plan.k_low + (gen.random(rows) < plan.p_high)
+    else:
+        kb = np.full(rows, plan.k_low)
+    counts = np.zeros((rows, n), dtype=np.int64)
+    units = np.ones(n, dtype=np.int64)
+    for j in range(plan.k_high):
+        mask = gen.multivariate_hypergeometric(units, plan.n_prime, size=rows, method="count")
+        mask[kb <= j] = 0
+        counts += mask
+    return counts, kb
+
+
+def reference_mirror(s, N, B, kinds, rng, with_t):
+    n, gen = s.n, rng.generator
+    plan = mirror_match_plan(n, N)
+    assert plan.n_prime < n  # the count path, not the n' = n shortcut
+    t_scale = (N - n) / N * (n - 1) / (n * n)
+
+    def draw(rows):
+        counts, kb = reference_mirror_counts(gen, rows, n, plan)
+        return counts, kb * plan.n_prime
+
+    return _count_replicates(draw, [unit_values(k, s) for k in kinds], B, t_scale, with_t)
+
+
+REFERENCES = {
+    "standard": (lambda s, N, B, kinds, rng, t: reference_standard(s, B, kinds, rng, t)),
+    "mirror": reference_mirror,
+}
+
+
+def assert_same_bits(reps, runs, with_t):
+    reps = reps if isinstance(reps, tuple) else (reps,)
+    assert len(reps) == len(runs)
+    for r, (est, tvar) in zip(reps, runs):
+        assert r.estimates.tobytes() == est.tobytes()
+        if with_t:
+            assert r.t_variances.tobytes() == tvar.tobytes()
+        else:
+            assert r.t_variances is None
+
+
+POP = 6224  # mirror-match randomizes k at every n below
+
+
+class TestBlockBuffers:
+    # The standard and mirror-match engines build their blocks in buffers
+    # each thread keeps across blocks and calls; replicates and stream use
+    # must equal the reference block code's, whatever ran before.
+    @pytest.mark.parametrize("B", [1, 2, 511, 512, 513, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("engine", sorted(REFERENCES))
+    def test_bit_identical_to_reference(self, engine, n, B):
+        s = lognormal_sample(n, POP, seed=41)
+        for kind in (EstimatorKind.MNCS, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            for with_t in (False, True):
+                rng, ref_rng = make_rng(14, n * B), make_rng(14, n * B)
+                reps = ENGINES[engine](s, POP, B, kind, rng, with_t)
+                assert isinstance(reps, tuple) == isinstance(kind, tuple)
+                assert_same_bits(reps, REFERENCES[engine](s, POP, B, kinds, ref_rng, with_t), with_t)
+                assert rng.generator.random() == ref_rng.generator.random()
+
+    def test_calls_at_changing_n(self):
+        # n = 1000, 100, 1000 with different B, interleaving both engines:
+        # each call equals the reference on a fresh stream, and replicates
+        # returned earlier stay as they were (no returned array views a buffer)
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+        kept = []
+        for i, (n, B) in enumerate([(1000, 700), (100, 300), (1000, 1000)]):
+            s = lognormal_sample(n, POP, seed=43)
+            for engine in sorted(REFERENCES):
+                reps = ENGINES[engine](s, POP, B, kinds, make_rng(15, i), True)
+                assert_same_bits(reps, REFERENCES[engine](s, POP, B, kinds, make_rng(15, i), True), True)
+                kept.append((reps, [(r.estimates.copy(), r.t_variances.copy()) for r in reps]))
+        for reps, runs in kept:
+            assert_same_bits(reps, runs, True)
+
+    def test_threads_keep_their_own_buffers(self):
+        # two threads alternate standard and mirror-match calls and n, out
+        # of phase, so they run at different n and also share (dtype, n);
+        # a short switch interval interleaves their blocks
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+        samples = {n: lognormal_sample(n, POP, seed=47) for n in (100, 1000)}
+
+        def calls(t):
+            out = []
+            for j in range(20):
+                engine = ("standard", "mirror")[j % 2]
+                n = (100, 1000)[(j // 2 + t) % 2]
+                reps = ENGINES[engine](samples[n], POP, 600, kinds, make_rng(16 + t, j), True)
+                out.append([(r.estimates.tobytes(), r.t_variances.tobytes()) for r in reps])
+            return out
+
+        serial = [calls(t) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(calls, t) for t in (0, 1)]
+                concurrent = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read as on Linux")
+class TestPageFaults:
+    # Blocks built in kept buffers fault no fresh pages in once warm. The
+    # bounds are a tenth of the per-call minor faults with a fresh
+    # temporary per block (284 and 7,680). Each count is taken in a fresh
+    # interpreter: what earlier tests allocated and freed moves the
+    # allocator's thresholds and can hide the faults.
+    PROBE = """
+import json, resource, sys
+import numpy as np
+from fpboot import EstimatorKind, Sample, make_rng, mirror_match_bootstrap, standard_bootstrap
+engine, n = sys.argv[1], int(sys.argv[2])
+gen = np.random.default_rng(53)
+s = Sample(np.arange(n), gen.lognormal(size=n), gen.random(n) < 0.12, 6224)
+kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+def call(rng):
+    if engine == "standard":
+        standard_bootstrap(s, 1000, kinds, rng, with_t_variances=True)
+    else:
+        mirror_match_bootstrap(s, 6224, 1000, kinds, rng, with_t_variances=True)
+for i in range(3):
+    call(make_rng(17, i))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(5):
+    call(make_rng(18, i))
+print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5))
+"""
+
+    @pytest.mark.parametrize("engine,n,bound", [("standard", 100, 28), ("mirror", 1000, 768)])
+    def test_warm_calls_fault_little(self, engine, n, bound):
+        src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, engine, str(n)],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, check=True, timeout=120,
+        ).stdout
+        assert json.loads(out) <= bound
