@@ -223,25 +223,17 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    raw = read_config_file(args.config) if args.config else {}
-    if not args.config and not getattr(args, "population", None):
-        raise ValueError("simulate needs --config or --population")
-    config = _config_from(raw, args)
-    population = load_population(config.population_source) if isinstance(config.population_source, str) else None
-    report = coverage_study(config, population=population, workers=_workers(args))
-    emit_report(report, args.format, args.out)
-    print(f"wrote {len(report.cells)} cells to {args.out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_study(args) -> int:
     raw = read_config_file(args.config) if args.config else {}
     config = _config_from(raw, args)
-    population = load_population(config.population_source) if isinstance(config.population_source, str) else None
-    rows = length_sweep(config, population=population, workers=_workers(args))
-    emit_sweep(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    if args.command == "sweep":
+        rows = length_sweep(config, workers=_workers(args))
+        emit_sweep(rows, args.out)
+        print(f"wrote {len(rows)} rows to {args.out}")
+    else:
+        report = coverage_study(config, workers=_workers(args))
+        emit_report(report, args.format, args.out)
+        print(f"wrote {len(report.cells)} cells to {args.out}")
     return 0
 
 
@@ -293,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a coverage study")
     common_run_flags(p_sim)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_study)
 
     p_sweep = sub.add_parser("sweep", help="average CI length over a sample-size grid")
     common_run_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_study)
     return parser
 
 

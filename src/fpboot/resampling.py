@@ -162,6 +162,16 @@ def _replicates(kind, method: Method, B: int, runs):
     return reps if isinstance(kind, tuple) else reps[0]
 
 
+def _census(kind, method: Method, B: int, vals: list[np.ndarray], with_t_variances: bool):
+    """Replicates of a census sample (n = N).
+
+    Every resample is the whole sample, so every replicate equals the
+    sample mean bit for bit and has zero variance.
+    """
+    runs = [(np.full(B, float(v.mean())), np.zeros(B) if with_t_variances else None) for v in vals]
+    return _replicates(kind, method, B, runs)
+
+
 def _count_replicates(draw, vals: list[np.ndarray], B: int, t_scale: float, with_t_variances: bool):
     """Replicate means and t-variances from blocks of unit counts.
 
@@ -285,14 +295,10 @@ def ppb_bootstrap(
         raise ValueError("ppb_bootstrap requires a sample of size >= 2")
     vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
-    one_minus_f = (N - n) / N
-    t_scale = one_minus_f * (n - 1) / (n * n)
+    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
 
     if n == N:
-        # Census: every SRSWOR resample of size N from the replica is the
-        # whole sample, so all replicates coincide bit for bit.
-        runs = [(np.full(B, float(v.mean())), np.zeros(B) if with_t_variances else None) for v in vals]
-        return _replicates(kind, Method.PPB, B, runs)
+        return _census(kind, Method.PPB, B, vals, with_t_variances)
 
     copies = _pseudo_population(gen, n, N)
 
@@ -411,16 +417,11 @@ def mirror_match_bootstrap(
         raise ValueError("B must be >= 1")
     vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
-    one_minus_f = (N - n) / N
-    t_scale = one_minus_f * (n - 1) / (n * n)
+    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
 
-    if plan.n_prime == n:
-        # k = 1 and the subsample is the whole sample: all replicates coincide.
-        runs = [
-            (np.full(B, float(v.mean())), np.full(B, sample_variance(v) * t_scale) if with_t_variances else None)
-            for v in vals
-        ]
-        return _replicates(kind, Method.MIRROR_MATCH, B, runs)
+    if n == N:
+        # the only n with n' = n: the subsample is the whole sample and k = 1
+        return _census(kind, Method.MIRROR_MATCH, B, vals, with_t_variances)
 
     def draw(rows):
         counts, kb = _mirror_counts(gen, rows, n, plan)

@@ -13,6 +13,15 @@ resamples depend on which estimators or CI types are requested, any
 subset of cells, any worker count, and any scheduling order produce
 identical cells.
 
+Data path: a task is ``(config, n, method, lo, hi)``, replications
+[lo, hi) of one (n, method) group. It returns ``v_hats[estimator, rep]``,
+the bootstrap variances, and ``bounds[estimator, ci, rep, (lower, upper)]``,
+the interval endpoints, with NaN meaning "no interval" (a real interval
+never has a NaN endpoint). A group's task results are joined in
+replication order and reduced to cells in one vectorised step; one row
+definition (``_cell_row``) feeds the JSON report, the CSV report and the
+length sweep.
+
 ``bootstrap`` (engine dispatch) and ``build_interval`` (one CI type from
 one set of replicates) are the single path for both steps; the CLI's
 ``estimate`` command calls them too. They call the engines and interval
@@ -46,7 +55,7 @@ from .resampling import (
     ppb_bootstrap,
     standard_bootstrap,
 )
-from .sampling import Population, RngStream, Sample, make_rng, srswor
+from .sampling import Population, RngStream, Sample, load_population, make_rng, srswor
 
 # Stream id reserved for synthetic population generation; cell streams are
 # hash * 2**32 + r with r far below 2**32, so they cannot collide with it.
@@ -95,11 +104,12 @@ def synth_population(spec: SynthSpec, rng: RngStream) -> Population:
 class StudyConfig:
     """Full description of a coverage study.
 
-    ``population_source`` is either a file path (the caller loads and
-    passes the population) or a :class:`SynthSpec` generated from
-    ``master_seed``. ``ci_pairing`` "paper" skips bootstrap-t for the
-    standard bootstrap and BCa for the finite-population engines; "all"
-    builds every requested interval for every method.
+    ``population_source`` is either a population file path, loaded by the
+    study unless the caller passes the population, or a :class:`SynthSpec`
+    generated from ``master_seed``. ``ci_pairing`` "paper" skips
+    bootstrap-t for the standard bootstrap and BCa for the
+    finite-population engines; "all" builds every requested interval for
+    every method.
     """
 
     population_source: object
@@ -161,20 +171,19 @@ class StudyReport:
             "config": config_dict(self.config),
             "population": dict(self.population_info),
             "true_values": dict(self.true_values),
-            "cells": [
-                {
-                    "n": c.n,
-                    "method": c.method.value,
-                    "ci_type": c.ci_type.value,
-                    "estimator": c.estimator.value,
-                    "coverage": c.coverage,
-                    "avg_length": c.avg_length,
-                    "avg_variance": c.avg_variance,
-                    "R": c.r_effective,
-                }
-                for c in self.cells
-            ],
+            "cells": [_cell_row(c) for c in self.cells],
         }
+
+
+_REPORT_COLUMNS = ("n", "method", "ci_type", "estimator", "coverage", "avg_length", "avg_variance", "R")
+_SWEEP_COLUMNS = ("n", "method", "ci_type", "estimator", "avg_length")
+
+
+def _cell_row(c: CellReport) -> dict:
+    """One cell as a report row keyed by ``_REPORT_COLUMNS``, enums as their tokens."""
+    values = (c.n, c.method.value, c.ci_type.value, c.estimator.value)
+    values += (c.coverage, c.avg_length, c.avg_variance, c.r_effective)
+    return dict(zip(_REPORT_COLUMNS, values))
 
 
 def config_dict(config: StudyConfig) -> dict:
@@ -212,42 +221,33 @@ def _g12(x: float) -> str:
     return format(x, ".12g")
 
 
-def emit_report(report: StudyReport, fmt: str, path):
-    """Write a study report as CSV (one row per cell) or structured JSON."""
-    if fmt == "csv":
-        lines = ["n,method,ci_type,estimator,coverage,avg_length,avg_variance,R"]
-        for c in report.cells:
-            lines.append(
-                ",".join(
-                    [
-                        str(c.n),
-                        c.method.value,
-                        c.ci_type.value,
-                        c.estimator.value,
-                        _g12(c.coverage),
-                        _g12(c.avg_length),
-                        _g12(c.avg_variance),
-                        str(c.r_effective),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown report format: {fmt!r}")
+def _csv(rows, columns) -> str:
+    """CSV text of ``rows`` restricted to ``columns``: floats to 12 significant digits."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_g12(v) if isinstance(v, float) else str(v) for v in (row[c] for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
+def _write(text: str, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
+def emit_report(report: StudyReport, fmt: str, path):
+    """Write a study report as CSV (one row per cell) or structured JSON."""
+    if fmt == "csv":
+        text = _csv(map(_cell_row, report.cells), _REPORT_COLUMNS)
+    elif fmt == "json":
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    _write(text, path)
+
+
 def emit_sweep(rows, path):
     """Write a length-sweep table (n, method, ci_type, estimator, avg_length)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,method,ci_type,estimator,avg_length\n")
-        for row in rows:
-            fh.write(
-                f"{row['n']},{row['method']},{row['ci_type']},{row['estimator']},{_g12(row['avg_length'])}\n"
-            )
+    _write(_csv(rows, _SWEEP_COLUMNS), path)
 
 
 def effective_ci_types(method: Method, requested, pairing: str = "paper") -> tuple[CiType, ...]:
@@ -337,115 +337,84 @@ def build_interval(
     raise ValueError(f"unknown CI type: {ci!r}")
 
 
-def _run_replications(task: dict):
-    """Run replications [lo, hi) of one (n, method) group; returns per-rep arrays.
+def _run_replications(task):
+    """Run replications [lo, hi) of one (n, method) group.
 
-    Each replication draws one sample and makes one engine call that
-    returns replicates for every estimator. Arrays are indexed
-    [estimator, (CI type,) replication].
+    ``task`` is ``(config, n, method, lo, hi)``. Each replication draws one
+    sample and makes one engine call that returns replicates for every
+    estimator. Returns ``v_hats[estimator, rep]`` and
+    ``bounds[estimator, ci, rep, (lower, upper)]``, NaN where no interval
+    could be formed.
     """
+    config, n, method, lo, hi = task
     pop = _POP
-    n = task["n"]
-    method = task["method"]
-    kinds = task["estimators"]
-    truths = task["true_values"]
-    cis = task["ci_types"]
-    B = task["B"]
-    level = task["level"]
-    master_seed = task["master_seed"]
-    base = task["stream_base"]
-    lo, hi = task["lo"], task["hi"]
-
-    count = hi - lo
-    shape = (len(kinds), len(cis), count)
-    v_hats = np.empty((len(kinds), count))
-    ok = np.zeros(shape, dtype=bool)
-    contained = np.zeros(shape, dtype=bool)
-    lengths = np.zeros(shape)
+    kinds = config.estimators
+    cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
+    base = cell_stream_base(n, method)
+    v_hats = np.empty((len(kinds), hi - lo))
+    bounds = np.full((len(kinds), len(cis), hi - lo, 2), np.nan)
     need_t = CiType.BOOTSTRAP_T in cis
     need_a = CiType.BCA in cis
 
     for t, r in enumerate(range(lo, hi)):
-        rng = make_rng(master_seed, base + r)
+        rng = make_rng(config.master_seed, base + r)
         sample = srswor(pop, n, rng)
-        runs = bootstrap(method, sample, pop.size, B, kinds, rng, with_t_variances=need_t)
+        runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=need_t)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
             theta_hat = estimate(kind, sample)
-            v_hat = bootstrap_variance(reps)
-            v_hats[e, t] = v_hat
+            v_hat = v_hats[e, t] = bootstrap_variance(reps)
             accel = jackknife_acceleration(sample, kind) if need_a else 0.0
             for i, ci in enumerate(cis):
                 interval = build_interval(
-                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=level
+                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=config.level
                 )
-                if interval is None:
-                    continue
-                ok[e, i, t] = True
-                contained[e, i, t] = interval.contains(truths[e])
-                lengths[e, i, t] = interval.length
-    return task["group"], lo, v_hats, ok, contained, lengths
+                if interval is not None:
+                    bounds[e, i, t] = interval.lower, interval.upper
+    return v_hats, bounds
 
 
-def _execute(tasks, pop: Population, workers: int):
+def _execute(tasks, pop: Population, workers: int) -> list:
+    """Run every task; results come back in task order."""
     if workers <= 1:
         _init_worker(pop.ncs, pop.top10)
         return [_run_replications(t) for t in tasks]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(pop.ncs, pop.top10)
     ) as pool:
-        futures = [pool.submit(_run_replications, t) for t in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(_run_replications, tasks))
 
 
-def _aggregate(group, results, *, n, method, estimators, cis, R) -> list[CellReport]:
-    """Reassemble per-rep arrays in replication order and reduce to cells.
+def _cells(n, method, cis, kinds, truths, v_hats, bounds) -> list[CellReport]:
+    """Reduce one group's replications, in replication order, to its cells.
 
     Cells come out estimator by estimator, CI type by CI type.
     """
-    shape = (len(estimators), len(cis), R)
-    v_hats = np.empty((len(estimators), R))
-    ok = np.zeros(shape, dtype=bool)
-    contained = np.zeros(shape, dtype=bool)
-    lengths = np.zeros(shape)
-    for g, lo, v, o, c, ln in results:
-        if g != group:
-            continue
-        s = slice(lo - 1, lo - 1 + v.shape[1])
-        v_hats[:, s] = v
-        ok[..., s] = o
-        contained[..., s] = c
-        lengths[..., s] = ln
+    lower, upper = bounds[..., 0], bounds[..., 1]
+    truth = truths[:, None, None]
+    formed = ~np.isnan(lower)
+    contained = (lower <= truth) & (truth <= upper)
+    lengths = upper - lower
     cells = []
-    for e, estimator in enumerate(estimators):
+    for e, kind in enumerate(kinds):
         avg_variance = float(v_hats[e].mean())
         for i, ci in enumerate(cis):
-            r_eff = int(np.count_nonzero(ok[e, i]))
-            hits = int(np.count_nonzero(contained[e, i] & ok[e, i]))
-            coverage = hits / r_eff if r_eff else 0.0
-            avg_length = float(lengths[e, i][ok[e, i]].mean()) if r_eff else 0.0
-            cells.append(
-                CellReport(
-                    n=n,
-                    method=method,
-                    ci_type=ci,
-                    estimator=estimator,
-                    coverage=coverage,
-                    avg_length=avg_length,
-                    avg_variance=avg_variance,
-                    r_effective=r_eff,
-                )
-            )
+            r_eff = int(np.count_nonzero(formed[e, i]))
+            coverage = avg_length = 0.0
+            if r_eff:
+                coverage = int(np.count_nonzero(contained[e, i])) / r_eff
+                avg_length = float(lengths[e, i][formed[e, i]].mean())
+            cells.append(CellReport(n, method, ci, kind, coverage, avg_length, avg_variance, r_eff))
     return cells
 
 
 def resolve_population(config: StudyConfig, population: Population | None = None) -> Population:
-    """Population for a study: as passed, or synthesized from the config."""
+    """Population for a study: as passed, else loaded from the config's file or synthesized."""
     if population is not None:
         return population
     source = config.population_source
     if isinstance(source, SynthSpec):
         return synth_population(source, make_rng(config.master_seed, SYNTH_STREAM_ID))
-    raise ValueError("a file-backed study needs the loaded population passed in")
+    return load_population(source)
 
 
 def _population_info(config: StudyConfig, pop: Population) -> dict:
@@ -487,29 +456,16 @@ def coverage_study(
 
     R = config.repetitions
     chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
-    tasks = [
-        {
-            "group": gid,
-            "n": n,
-            "method": method,
-            "estimators": kinds,
-            "true_values": tuple(true_values[k.value] for k in kinds),
-            "ci_types": cis,
-            "B": config.B,
-            "level": config.level,
-            "master_seed": config.master_seed,
-            "stream_base": cell_stream_base(n, method),
-            "lo": lo,
-            "hi": min(lo + chunk, R + 1),
-        }
-        for gid, (n, method, cis) in enumerate(groups)
-        for lo in range(1, R + 1, chunk)
-    ]
+    spans = [(lo, min(lo + chunk, R + 1)) for lo in range(1, R + 1, chunk)]
+    tasks = [(config, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans]
     results = _execute(tasks, pop, workers)
 
+    truths = np.array([true_values[k.value] for k in kinds])
     cells: list[CellReport] = []
-    for gid, (n, method, cis) in enumerate(groups):
-        cells.extend(_aggregate(gid, results, n=n, method=method, estimators=kinds, cis=cis, R=R))
+    for g, (n, method, cis) in enumerate(groups):
+        v_parts, b_parts = zip(*results[g * len(spans) : (g + 1) * len(spans)])
+        v_hats, bounds = np.concatenate(v_parts, axis=1), np.concatenate(b_parts, axis=2)
+        cells.extend(_cells(n, method, cis, kinds, truths, v_hats, bounds))
     return StudyReport(
         config=config,
         population_info=_population_info(config, pop),
@@ -525,13 +481,4 @@ def length_sweep(
 ) -> list[dict]:
     """Average CI length per (n, method, ci_type, estimator), plot-ready."""
     report = coverage_study(config, population=population, workers=workers)
-    return [
-        {
-            "n": c.n,
-            "method": c.method.value,
-            "ci_type": c.ci_type.value,
-            "estimator": c.estimator.value,
-            "avg_length": c.avg_length,
-        }
-        for c in report.cells
-    ]
+    return [{k: row[k] for k in _SWEEP_COLUMNS} for row in map(_cell_row, report.cells)]

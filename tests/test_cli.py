@@ -247,6 +247,13 @@ class TestCliDispatch:
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
         assert json.loads(again.read_text())["config"] == json.loads(first.read_text())["config"]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_run_without_population_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert cli_dispatch([command, "--out", str(out)]) == 1
+        assert "config must name a 'population' file or a 'synth' spec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_census_limit(self, tmp_path, capsys):
         pop_path = str(tmp_path / "pop.csv")
         cli_dispatch(["synth", "--n", "90", "--seed", "2", "--out", pop_path])

@@ -235,6 +235,13 @@ class TestMirrorMatchPlan:
         with pytest.raises(ValueError):
             mirror_match_plan(10, 9)
 
+    def test_whole_sample_subsample_only_at_census(self):
+        # n' = n needs N >= 2n(N - n), which fails for every 2 <= n < N, so
+        # the engines' census path (n = N) is the only n' = n case
+        for N in range(2, 61):
+            for n in range(2, N + 1):
+                assert (mirror_match_plan(n, N).n_prime == n) == (n == N), (n, N)
+
     @given(st.integers(2, 800), st.integers(0, 4000))
     @example(n=145, extra=9)  # rounding makes f' > f: the raw target is 0.99919
     @example(n=5, extra=2)
@@ -356,7 +363,7 @@ class TestSharedRun:
     # One call for both estimators equals two single-kind calls on copies of
     # the same stream, bit for bit, and leaves the stream where each of them
     # does. N = 203 leaves a pseudo-population remainder and randomizes
-    # mirror-match's k; N = n is ppb's census and mirror-match's n' = n.
+    # mirror-match's k; N = n is both engines' census.
     # B = 700 spans two blocks.
     @pytest.mark.parametrize("with_t", [False, True])
     @pytest.mark.parametrize("N", [203, 40])

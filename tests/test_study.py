@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpboot import (
+    CellReport,
     CiType,
     ConfidenceInterval,
     EstimatorKind,
@@ -18,7 +19,9 @@ from fpboot import (
     effective_ci_types,
     emit_report,
     estimate,
+    jackknife_acceleration,
     length_sweep,
+    load_population,
     make_rng,
     mirror_match_bootstrap,
     mncs,
@@ -28,7 +31,8 @@ from fpboot import (
     standard_bootstrap,
     synth_population,
 )
-from fpboot.study import SYNTH_STREAM_ID, cell_stream_base
+from fpboot.sampling import write_population
+from fpboot.study import SYNTH_STREAM_ID, cell_stream_base, emit_sweep
 
 ALL_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BCA, CiType.BOOTSTRAP_T)
 
@@ -198,6 +202,58 @@ class TestCoverageStudy:
         b = coverage_study(cfg, workers=2)
         assert a.to_dict() == b.to_dict()
 
+    def test_file_source_is_loaded_by_the_study(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        write_population(synth(size=300, seed=4), path)
+        cfg = self.config(population_source=str(path))
+        loaded = coverage_study(cfg, population=load_population(path))
+        assert coverage_study(cfg).to_dict() == loaded.to_dict()
+        assert length_sweep(cfg) == length_sweep(cfg, population=load_population(path))
+
+    def test_cells_match_a_direct_recomputation(self):
+        # every cell rebuilt replication by replication from the public
+        # steps, independently of the study's task split and aggregation;
+        # at the census n = N the FPC engines' point intervals sit on the truth
+        spec = SynthSpec(size=200, target_mncs=1.275, target_pp=13.7)
+        kinds = tuple(EstimatorKind)
+        sizes, B, R, seed = (20, 200), 50, 12, 3
+        config = StudyConfig(
+            population_source=spec, sample_sizes=sizes, B=B, repetitions=R, methods=tuple(Method),
+            ci_types=ALL_CIS, estimators=kinds, master_seed=seed, ci_pairing="all",
+        )
+        pop = synth_population(spec, make_rng(seed, SYNTH_STREAM_ID))
+        expected = []
+        for n in sizes:
+            for method in Method:
+                variances = {kind: [] for kind in kinds}
+                formed = {(kind, ci): [] for kind in kinds for ci in ALL_CIS}
+                for r in range(1, R + 1):
+                    rng = make_rng(seed, cell_stream_base(n, method) + r)
+                    sample = srswor(pop, n, rng)
+                    runs = bootstrap(method, sample, pop.size, B, kinds, rng, with_t_variances=True)
+                    for kind, reps in zip(kinds, runs):
+                        theta_hat = estimate(kind, sample)
+                        v_hat = bootstrap_variance(reps)
+                        accel = jackknife_acceleration(sample, kind)
+                        variances[kind].append(v_hat)
+                        for ci in ALL_CIS:
+                            interval = build_interval(
+                                ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=0.95
+                            )
+                            if interval is not None:
+                                formed[kind, ci].append(interval)
+                for kind in kinds:
+                    truth = estimate(kind, pop)
+                    avg_variance = float(np.mean(variances[kind]))
+                    for ci in ALL_CIS:
+                        ivs = formed[kind, ci]
+                        coverage = sum(iv.contains(truth) for iv in ivs) / len(ivs) if ivs else 0.0
+                        avg_length = float(np.mean([iv.length for iv in ivs])) if ivs else 0.0
+                        expected.append(CellReport(n, method, ci, kind, coverage, avg_length, avg_variance, len(ivs)))
+        cells = coverage_study(config, workers=2).cells  # four tasks per (n, method)
+        assert cells == tuple(expected)
+        assert any(c.r_effective < R for c in cells)  # some replications formed no interval
+
     def test_population_info_embedded(self):
         report = coverage_study(self.config())
         info = report.population_info
@@ -340,11 +396,20 @@ GOLDEN_SHA256 = {
     60: "f7f43dcdd89501f0513c5d858d96a173f882eb5f18d087a9ce3dfb74ef55ff78",
     70: "fcc3152d902ca7b10d0ce8a4363381d0ad2d0a30b7c25d162c09848ce3b75f31",
 }
+# The same study's CSV report and its length sweep written by emit_sweep:
+# they pin the 12-digit CSV formatting of both writers.
+GOLDEN_CSV_SHA256 = {
+    60: "20d3fd4880280e76777ae9cd61939072998ab7c9ea92c9c0302fc4c4a0e1c32e",
+    70: "66d858d4399a233cb098cb9049c5b321f8c4ad86d81e910b76ae958b941fa86f",
+}
+GOLDEN_SWEEP_SHA256 = {
+    60: "05e8a5cd59bf6d637e94bdcb83ef01c93cc2dc1367ae3fd61f941ee1f3943fbb",
+    70: "2f1104044381b7f2ba10a02cdc2248e43bfe9b1ccef27d4587e575f1e3e6a602",
+}
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
-def test_golden_report(tmp_path, n):
-    config = StudyConfig(
+def golden_config(n):
+    return StudyConfig(
         population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
         sample_sizes=(n,),
         B=50,
@@ -355,6 +420,23 @@ def test_golden_report(tmp_path, n):
         master_seed=1,
         ci_pairing="all",
     )
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
+def test_golden_report(tmp_path, n):
     path = tmp_path / "report.json"
-    emit_report(coverage_study(config), "json", path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[n]
+    emit_report(coverage_study(golden_config(n)), "json", path)
+    assert sha256_of(path) == GOLDEN_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CSV_SHA256))
+def test_golden_csv_and_sweep(tmp_path, n):
+    csv_path, sweep_path = tmp_path / "report.csv", tmp_path / "sweep.csv"
+    emit_report(coverage_study(golden_config(n)), "csv", csv_path)
+    emit_sweep(length_sweep(golden_config(n)), sweep_path)
+    assert sha256_of(csv_path) == GOLDEN_CSV_SHA256[n]
+    assert sha256_of(sweep_path) == GOLDEN_SWEEP_SHA256[n]
