@@ -172,7 +172,7 @@ def _census(kind, method: Method, B: int, vals: list[np.ndarray], with_t_varianc
     return _replicates(kind, method, B, runs)
 
 
-def _count_replicates(draw, vals: list[np.ndarray], B: int, t_scale: float, with_t_variances: bool):
+def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with_t_variances: bool):
     """Replicate means and t-variances from blocks of unit counts.
 
     ``draw(rows)`` returns a rows x n count matrix and its row sums m. Each
@@ -189,6 +189,7 @@ def _count_replicates(draw, vals: list[np.ndarray], B: int, t_scale: float, with
     The reductions use einsum, not ``@``, to stay out of BLAS threads (see
     the module docstring).
     """
+    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
     centres = [0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean()) for v in vals]
     ds = [v - c for v, c in zip(vals, centres)]
     d2s = [d * d for d in ds]
@@ -295,7 +296,6 @@ def ppb_bootstrap(
         raise ValueError("ppb_bootstrap requires a sample of size >= 2")
     vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
-    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
 
     if n == N:
         return _census(kind, Method.PPB, B, vals, with_t_variances)
@@ -305,7 +305,7 @@ def ppb_bootstrap(
     def draw(rows):
         return gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n
 
-    return _replicates(kind, Method.PPB, B, _count_replicates(draw, vals, B, t_scale, with_t_variances))
+    return _replicates(kind, Method.PPB, B, _count_replicates(draw, vals, B, n, N, with_t_variances))
 
 
 @dataclass(frozen=True)
@@ -417,7 +417,6 @@ def mirror_match_bootstrap(
         raise ValueError("B must be >= 1")
     vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
-    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
 
     if n == N:
         # the only n with n' = n: the subsample is the whole sample and k = 1
@@ -427,4 +426,4 @@ def mirror_match_bootstrap(
         counts, kb = _mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    return _replicates(kind, Method.MIRROR_MATCH, B, _count_replicates(draw, vals, B, t_scale, with_t_variances))
+    return _replicates(kind, Method.MIRROR_MATCH, B, _count_replicates(draw, vals, B, n, N, with_t_variances))

@@ -32,7 +32,8 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -137,7 +138,7 @@ class StudyConfig:
         for name in ("sample_sizes", "methods", "ci_types", "estimators"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
-                raise ValueError(f"{name} must be distinct, got {list(values)}")
+                raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         bca = any(CiType.BCA in effective_ci_types(m, self.ci_types, self.ci_pairing) for m in self.methods)
         if bca and any(n < 3 for n in self.sample_sizes):
             raise ValueError("BCA intervals need sample sizes >= 3 (jackknife acceleration)")
@@ -186,34 +187,124 @@ def _cell_row(c: CellReport) -> dict:
     return dict(zip(_REPORT_COLUMNS, values))
 
 
+def _tokens(values) -> list:
+    return [v.value if isinstance(v, Enum) else v for v in values]
+
+
+def _whole(value, key: str) -> int:
+    """A config value that counts something: a whole number (20.0 passes, 20.9 does not)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config '{key}' must be a whole number, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"config '{key}' must be a string, got {value!r}")
+    return value
+
+
+def _listed(value, key: str) -> list:
+    """A config list; an empty one is an error, not a request for the default."""
+    if not isinstance(value, list):
+        raise ValueError(f"config '{key}' must be a list, got {value!r}")
+    if not value:
+        raise ValueError(f"config '{key}' is an empty list")
+    return value
+
+
+def parse_token(enum: type[Enum], value, what: str):
+    """The member of ``enum`` that ``value`` names, in any case; "pp" also names ``pp_top10``."""
+    table = {m.value: m for m in enum}
+    if enum is EstimatorKind:
+        table["pp"] = EstimatorKind.PP_TOP10
+    token = value.strip().lower() if isinstance(value, str) else None
+    if token not in table:
+        raise ValueError(f"unknown {what}: {value!r} (choose from {sorted(table)})")
+    return table[token]
+
+
+def _members(enum: type[Enum], what: str):
+    return lambda value, key: tuple(parse_token(enum, v, what) for v in _listed(value, key))
+
+
+# Config keys in echo order: the source keys set ``population_source``, and
+# every other key names the StudyConfig field that its parser's value sets.
+_SOURCE_KEYS = ("population", "synth")
+_CONFIG_KEYS = {
+    "sample_sizes": lambda value, key: tuple(_whole(v, key) for v in _listed(value, key)),
+    "B": _whole,
+    "repetitions": _whole,
+    "methods": _members(Method, "method"),
+    "ci_types": _members(CiType, "ci type"),
+    "estimators": _members(EstimatorKind, "estimator"),
+    "level": _real,
+    "master_seed": _whole,
+    "ci_pairing": _text,
+}
+# "synth" key -> (SynthSpec field, parser), in echo order
+_SYNTH_KEYS = {
+    "size": ("size", _whole),
+    "mncs": ("target_mncs", _real),
+    "pp": ("target_pp", _real),
+    "shape": ("shape", _real),
+}
+
+
+def _synth_spec(raw) -> SynthSpec:
+    if not isinstance(raw, dict):
+        raise ValueError("'synth' must be an object")
+    unknown = set(raw) - set(_SYNTH_KEYS)
+    if unknown:
+        raise ValueError(f"unknown synth keys: {sorted(unknown)}")
+    required = {f.name for f in fields(SynthSpec) if f.default is MISSING}
+    missing = [k for k, (name, _) in _SYNTH_KEYS.items() if k not in raw and name in required]
+    if missing:
+        raise ValueError(f"missing synth keys: {sorted(missing)}")
+    return SynthSpec(**{name: parse(raw[k], f"synth.{k}") for k, (name, parse) in _SYNTH_KEYS.items() if k in raw})
+
+
+def config_from_dict(raw: dict) -> StudyConfig:
+    """The config a plain dict describes, the inverse of :func:`config_dict`.
+
+    An absent key takes the ``StudyConfig`` or ``SynthSpec`` default.
+    """
+    unknown = set(raw) - {*_SOURCE_KEYS, *_CONFIG_KEYS}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if "population" in raw and "synth" in raw:
+        raise ValueError("give either 'population' or 'synth', not both")
+    if "population" in raw:
+        source = _text(raw["population"], "population")
+    elif "synth" in raw:
+        source = _synth_spec(raw["synth"])
+    else:
+        raise ValueError("config must name a 'population' file or a 'synth' spec")
+    required = {f.name for f in fields(StudyConfig) if f.default is MISSING}
+    missing = [k for k in _CONFIG_KEYS if k not in raw and k in required]
+    if missing:
+        raise ValueError(f"missing config keys: {sorted(missing)}")
+    return StudyConfig(source, **{key: parse(raw[key], key) for key, parse in _CONFIG_KEYS.items() if key in raw})
+
+
 def config_dict(config: StudyConfig) -> dict:
     """Plain-dict echo of a config, with enums rendered as their tokens."""
     source = config.population_source
     if isinstance(source, SynthSpec):
-        src = {
-            "synth": {
-                "size": source.size,
-                "mncs": source.target_mncs,
-                "pp": source.target_pp,
-                "shape": source.shape,
-            }
-        }
+        out = {"synth": {k: getattr(source, name) for k, (name, _) in _SYNTH_KEYS.items()}}
     else:
-        src = {"population": str(source)}
-    out = dict(src)
-    out.update(
-        {
-            "sample_sizes": list(config.sample_sizes),
-            "B": config.B,
-            "repetitions": config.repetitions,
-            "methods": [m.value for m in config.methods],
-            "ci_types": [c.value for c in config.ci_types],
-            "estimators": [e.value for e in config.estimators],
-            "level": config.level,
-            "master_seed": config.master_seed,
-            "ci_pairing": config.ci_pairing,
-        }
-    )
+        out = {"population": str(source)}
+    for key in _CONFIG_KEYS:
+        value = getattr(config, key)
+        out[key] = _tokens(value) if isinstance(value, tuple) else value
     return out
 
 

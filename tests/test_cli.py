@@ -330,10 +330,23 @@ class TestConfigLists:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_size_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra,flags,message",
+        [
+            ({"sample_sizes": [50, 50]}, [], "sample_sizes must be distinct, got [50, 50]"),
+            ({"methods": ["ppb", "PPB", " ppb"]}, [], "methods must be distinct, got ['ppb', 'ppb', 'ppb']"),
+            ({}, ["--method", "ppb", "--method", "ppb"], "methods must be distinct, got ['ppb', 'ppb']"),
+            ({"estimators": ["pp", "pp_top10"]}, [], "estimators must be distinct, got ['pp_top10', 'pp_top10']"),
+        ],
+        ids=["sizes", "method-case-variants", "method-flags", "estimator-alias"],
+    )
+    def test_repeated_entry_rejected(self, tmp_path, capsys, extra, flags, message):
         pop_path = two_flag_population(tmp_path)
-        cfg = TestCliDispatch.study_config(tmp_path, pop_path, sample_sizes=[50, 50])
-        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        cfg = TestCliDispatch.study_config(tmp_path, pop_path, **extra)
+        out = tmp_path / "r.csv"
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_import_fpboot_skips_the_cli():
@@ -381,3 +394,19 @@ def test_all_threads_means_usable_cores(monkeypatch):
     assert _workers(argparse.Namespace(threads=3)) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _workers(args) == 8
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_threads_exits_1(tmp_path, capsys, command):
+    cfg = TestCliDispatch.study_config(tmp_path, two_flag_population(tmp_path))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch([command, "--config", cfg, "--out", str(out), "--threads", "-3"]) == 1
+    assert "--threads must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_lists_every_token(capsys):
+    assert cli_dispatch(["simulate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for enum in (Method, CiType, EstimatorKind):
+        assert "repeatable: " + " | ".join(m.value for m in enum) in help_text

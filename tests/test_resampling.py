@@ -338,18 +338,19 @@ class TestCountKernels:
     def test_reduction_matches_expanded_resamples(self):
         # reference: expand each count row into its resample, then mean and
         # variance, for each array of unit values reduced from the same counts
-        n, N, t_scale = 12, 60, 0.37
+        n, N = 12, 60
         s = lognormal_sample(n, N, seed=31)
         plan = mirror_match_plan(n, N)
         counts, kb = _mirror_counts(make_rng(5, 3).generator, 300, n, plan)
         vals = [s.ncs, np.where(s.top10, 100.0, 0.0)]
-        runs = _count_replicates(lambda rows: (counts, kb * plan.n_prime), vals, 300, t_scale, True)
+        runs = _count_replicates(lambda rows: (counts, kb * plan.n_prime), vals, 300, n, N, True)
         assert len(runs) == 2
         for v, (est, tvar) in zip(vals, runs):
             for b in range(300):
                 resample = np.repeat(v, counts[b])
                 assert est[b] == pytest.approx(resample.mean(), rel=1e-12, abs=1e-12)
-                assert tvar[b] == pytest.approx(resample.var(ddof=1) * t_scale, rel=1e-9, abs=1e-9)
+                t_var = resample.var(ddof=1) * (1 - n / N) * (n - 1) / n**2
+                assert tvar[b] == pytest.approx(t_var, rel=1e-9, abs=1e-9)
 
 
 ENGINES = {
@@ -508,13 +509,12 @@ def reference_mirror(s, N, B, kinds, rng, with_t):
     n, gen = s.n, rng.generator
     plan = mirror_match_plan(n, N)
     assert plan.n_prime < n  # the count path, not the n' = n shortcut
-    t_scale = (N - n) / N * (n - 1) / (n * n)
 
     def draw(rows):
         counts, kb = reference_mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    return _count_replicates(draw, [unit_values(k, s) for k in kinds], B, t_scale, with_t)
+    return _count_replicates(draw, [unit_values(k, s) for k in kinds], B, n, N, with_t)
 
 
 REFERENCES = {

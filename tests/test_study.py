@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fpboot import (
     synth_population,
 )
 from fpboot.sampling import write_population
-from fpboot.study import SYNTH_STREAM_ID, cell_stream_base, emit_sweep
+from fpboot.study import SYNTH_STREAM_ID, cell_stream_base, config_dict, config_from_dict, emit_sweep
 
 ALL_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BCA, CiType.BOOTSTRAP_T)
 
@@ -76,6 +77,40 @@ class TestSynthPopulation:
             SynthSpec(size=10, target_mncs=1.0, target_pp=100.0)
         with pytest.raises(ValueError):
             SynthSpec(size=10, target_mncs=1.0, target_pp=10.0, shape=0.0)
+
+
+class TestConfigDict:
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert config_from_dict({"population": "pop.csv", "sample_sizes": [30]}) == StudyConfig("pop.csv", (30,))
+        raw = {"synth": {"size": 50, "mncs": 1.3, "pp": 12.0}, "sample_sizes": [30]}
+        assert config_from_dict(raw) == StudyConfig(SynthSpec(50, 1.3, 12.0), (30,))
+
+    def test_tokens_ignore_case_and_pp_names_pp_top10(self):
+        raw = {"population": "p.csv", "sample_sizes": [30], "methods": [" PPB", "Mirror"], "estimators": ["PP"]}
+        config = config_from_dict(raw)
+        assert config.methods == (Method.PPB, Method.MIRROR_MATCH)
+        assert config.estimators == (EstimatorKind.PP_TOP10,)
+
+    @pytest.mark.parametrize("source", ["synth", "file"])
+    def test_echo_parses_back_to_the_config(self, source):
+        if source == "synth":
+            config = StudyConfig(SynthSpec(150, 1.3, 12.0, shape=0.8), (30, 50), master_seed=7)
+        else:
+            config = StudyConfig(
+                population_source="pop.csv",
+                sample_sizes=(20, 60),
+                B=50,
+                repetitions=7,
+                methods=(Method.MIRROR_MATCH, Method.STANDARD),
+                ci_types=(CiType.BCA, CiType.BOOTSTRAP_T),
+                estimators=(EstimatorKind.PP_TOP10,),
+                level=0.9,
+                master_seed=11,
+                ci_pairing="all",
+            )
+            # every key is set away from its default
+            assert all(getattr(config, f.name) != f.default for f in fields(StudyConfig) if f.default is not MISSING)
+        assert config_from_dict(config_dict(config)) == config
 
 
 class TestCiPairing:
