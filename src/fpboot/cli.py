@@ -149,7 +149,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors: exit 1, not argparse's 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,10 @@ finite population:
 
 All engines evaluate the statistic through ``unit_values`` so both
 indicators ride the same mean-of-values path, and consume their stream in
-fixed-size blocks so results never depend on caller memory or threading.
+blocks whose size depends on n alone, so results never depend on caller
+memory or threading. A block holds min(512, 2**16 // n) replicates, at
+least one: at most 2**16 cells (512 KB of float64 or int64) whatever n
+is, and 512 replicates for every n <= 128.
 Stream consumption does not depend on the estimator either: given a tuple
 of kinds, an engine reads every kind off the same resamples and returns
 one set of replicates per kind, each equal bit for bit to a single-kind
@@ -32,9 +35,8 @@ speed-up.
 The standard engine's gathered values and mirror-match's unit counts are
 built in block buffers that each thread keeps between blocks and calls, so
 a block does not fault fresh pages in: each thread holds at most one
-float64 and one int64 block of at most 512 x n between calls (4 MB each
-at n = 1000, 25 MB at n = 6224). No array an engine returns views a
-buffer.
+float64 and one int64 block between calls. No array an engine returns
+views a buffer.
 """
 
 import enum
@@ -47,9 +49,11 @@ import numpy as np
 from .estimators import EstimatorKind, sample_variance, unit_values
 from .sampling import RngStream, Sample
 
-# Engines draw in blocks of this many replicates. Fixed: the stream
-# consumption pattern is part of the reproducibility contract.
-_BLOCK = 512
+# Engines draw in blocks of at most this many cells (replicates x n) and
+# this many replicates. Fixed: the stream consumption pattern is part of
+# the reproducibility contract.
+_BLOCK_CELLS = 2**16
+_BLOCK_ROWS = 512
 
 
 class Method(enum.Enum):
@@ -125,11 +129,11 @@ def bootstrap_variance(reps: BootstrapReplicates) -> float:
 class _Workspace(threading.local):
     """This thread's block buffers, one per dtype, kept across blocks and calls.
 
-    A block of 512 x n is large enough that the allocator can hand its
-    pages back to the system when it is freed, so a fresh temporary per
-    block faults them in again on every block; a kept buffer faults them
-    in once. A buffer is replaced when n changes and grown when a caller
-    asks for more rows.
+    A block of up to 2**16 cells is large enough that the allocator can
+    hand its pages back to the system when it is freed, so a fresh
+    temporary per block faults them in again on every block; a kept buffer
+    faults them in once. A buffer is replaced when n changes and grown
+    when a caller asks for more rows.
     """
 
     def __init__(self):
@@ -147,9 +151,11 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _blocks(B: int):
-    for lo in range(0, B, _BLOCK):
-        yield lo, min(lo + _BLOCK, B)
+def _blocks(B: int, n: int):
+    """(lo, hi) replicate ranges of the blocks of a B-replicate run at sample size n."""
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
+    for lo in range(0, B, rows):
+        yield lo, min(lo + rows, B)
 
 
 def _kinds(kind) -> tuple[EstimatorKind, ...]:
@@ -194,7 +200,7 @@ def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with
     ds = [v - c for v, c in zip(vals, centres)]
     d2s = [d * d for d in ds]
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
-    for lo, hi in _blocks(B):
+    for lo, hi in _blocks(B, n):
         counts, m = draw(hi - lo)
         for centre, d, d2, (est, tvar) in zip(centres, ds, d2s, runs):
             s1 = np.einsum("rn,n->r", counts, d)
@@ -243,7 +249,7 @@ def standard_bootstrap(
     vals = [unit_values(k, sample) for k in _kinds(kind)]
     gen = rng.generator
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
-    for lo, hi in _blocks(B):
+    for lo, hi in _blocks(B, n):
         idx = gen.integers(0, n, size=(hi - lo, n))
         m = _workspace.block(np.float64, hi - lo, n)
         for v, (est, tvar) in zip(vals, runs):
@@ -373,25 +379,28 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
 def _mirror_counts(gen: np.random.Generator, rows: int, n: int, plan: MirrorMatchPlan):
     """Unit counts of ``rows`` mirror-match resamples, and each row's k.
 
-    Every row draws k_high SRSWOR subsamples of size n' as 0/1 masks, one
-    subsample slot at a time, and keeps its first k of them: stream
-    consumption does not depend on the realised k. The counts are this
-    thread's int64 block buffer, valid until its next mirror-match block.
+    Each subsample of size n' is an SRSWOR 0/1 mask over the n units, drawn
+    one subsample slot at a time for a block of rows. Every row fills its
+    first k_low slots; the slots from k_low on are drawn only for the rows
+    whose k is k_high, so stream use depends on the realised k. The counts
+    are this thread's int64 block buffer, valid until its next mirror-match
+    block.
     """
-    if plan.k_high > plan.k_low:
-        kb = plan.k_low + (gen.random(rows) < plan.p_high)
-    else:
-        kb = np.full(rows, plan.k_low)
-    counts = _workspace.block(np.int64, rows, n)
     units = np.ones(n, dtype=np.int64)
-    for j in range(plan.k_high):
+    counts = _workspace.block(np.int64, rows, n)
+    kb = np.full(rows, plan.k_low)
+    if plan.k_high > plan.k_low:
+        high = np.flatnonzero(gen.random(rows) < plan.p_high)
+        kb[high] = plan.k_high
+    for j in range(plan.k_low):
         mask = gen.multivariate_hypergeometric(units, plan.n_prime, size=rows, method="count")
         if j == 0:
             counts[...] = mask  # every row keeps slot 0, since k >= 1
         else:
-            mask[kb <= j] = 0
             counts += mask
         del mask  # one mask live at a time, like the standard engine's indices
+    for _ in range(plan.k_low, plan.k_high):
+        counts[high] += gen.multivariate_hypergeometric(units, plan.n_prime, size=high.size, method="count")
     return counts, kb
 
 

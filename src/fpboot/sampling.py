@@ -136,9 +136,12 @@ class Sample:
             raise ValueError("indices, ncs and top10 must have equal length")
         if n > population_size:
             raise ValueError(f"sample size {n} exceeds population size {population_size}")
-        if np.unique(indices).size != n:
+        # sorted neighbours, not np.unique: its first call imports numpy.ma,
+        # which every fresh process of a study would pay for
+        srt = np.sort(indices)
+        if np.any(srt[1:] == srt[:-1]):
             raise ValueError("sample indices must be pairwise distinct")
-        if indices.min() < 0 or indices.max() >= population_size:
+        if srt[0] < 0 or srt[-1] >= population_size:
             raise ValueError("sample indices out of population range")
         for arr in (indices, ncs, top10):
             arr.setflags(write=False)
@@ -164,14 +167,13 @@ def _partial_permutation(gen: np.random.Generator, n_take: int, pool_size: int) 
     """
     js = gen.integers(np.arange(n_take, dtype=np.int64), pool_size)
     state: dict[int, int] = {}
-    picked = np.empty(n_take, dtype=np.int64)
-    for i in range(n_take):
-        j = int(js[i])
+    picked = []
+    # Python ints throughout: numpy scalars make each step several times dearer
+    for i, j in enumerate(js.tolist()):
         vi = state.get(i, i)
-        vj = state.get(j, j)
-        picked[i] = vj
+        picked.append(state.get(j, j))
         state[j] = vi
-    return picked
+    return np.array(picked, dtype=np.int64)
 
 
 def srswor(pop: Population, n: int, rng: RngStream) -> Sample:

@@ -285,6 +285,16 @@ class TestCliDispatch:
                              "--n", "51"]) == 1
 
 
+def test_bad_flag_value_names_the_flag(tmp_path, capsys):
+    # usage errors exit 1 and say, after the usage, what argparse rejected
+    out = tmp_path / "x.csv"
+    assert cli_dispatch(["simulate", "--B", "abc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fpboot simulate")
+    assert "fpboot simulate: error: argument --B: invalid int value: 'abc'" in err
+    assert not out.exists()
+
+
 def two_flag_population(tmp_path):
     """200 records, two of them flagged: most samples of 20 hold no flag."""
     rows = [f"{0.01 * (i + 1)!r},{1 if i in (50, 150) else 0}" for i in range(200)]

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from fpboot import (
     standard_bootstrap,
     unit_values,
 )
-from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population
+from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population, _workspace
 
 
 def lognormal_sample(n, N, seed=0):
@@ -476,6 +477,9 @@ class TestVarianceOrdering:
 
 # Reference block code with fresh temporaries per block: the same stream
 # reads and arithmetic as the engines, so they must match it bit for bit.
+# The standard engine's index draws are contiguous in the stream, so its
+# replicates do not depend on the block size: the reference keeps the
+# 512-row blocks at every n.
 def reference_standard(s, B, kinds, rng, with_t):
     n, gen = s.n, rng.generator
     vals = [unit_values(k, s) for k in kinds]
@@ -492,6 +496,7 @@ def reference_standard(s, B, kinds, rng, with_t):
 
 
 def reference_mirror_counts(gen, rows, n, plan):
+    # slot j is drawn only for the rows that keep it (k > j)
     if plan.k_high > plan.k_low:
         kb = plan.k_low + (gen.random(rows) < plan.p_high)
     else:
@@ -499,22 +504,31 @@ def reference_mirror_counts(gen, rows, n, plan):
     counts = np.zeros((rows, n), dtype=np.int64)
     units = np.ones(n, dtype=np.int64)
     for j in range(plan.k_high):
-        mask = gen.multivariate_hypergeometric(units, plan.n_prime, size=rows, method="count")
-        mask[kb <= j] = 0
-        counts += mask
+        keep = np.flatnonzero(kb > j)
+        counts[keep] += gen.multivariate_hypergeometric(units, plan.n_prime, size=keep.size, method="count")
     return counts, kb
+
+
+def block_rows(B, n):
+    # replicates per block: at most 2**16 cells and at most 512 rows
+    step = max(1, min(512, 2**16 // n))
+    return [min(step, B - lo) for lo in range(0, B, step)]
 
 
 def reference_mirror(s, N, B, kinds, rng, with_t):
     n, gen = s.n, rng.generator
     plan = mirror_match_plan(n, N)
     assert plan.n_prime < n  # the count path, not the n' = n shortcut
+    drawn = []
 
     def draw(rows):
+        drawn.append(rows)
         counts, kb = reference_mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    return _count_replicates(draw, [unit_values(k, s) for k in kinds], B, n, N, with_t)
+    runs = _count_replicates(draw, [unit_values(k, s) for k in kinds], B, n, N, with_t)
+    assert drawn == block_rows(B, n)
+    return runs
 
 
 REFERENCES = {
@@ -542,7 +556,7 @@ class TestBlockBuffers:
     # each thread keeps across blocks and calls; replicates and stream use
     # must equal the reference block code's, whatever ran before.
     @pytest.mark.parametrize("B", [1, 2, 511, 512, 513, 1000])
-    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 4000])
     @pytest.mark.parametrize("engine", sorted(REFERENCES))
     def test_bit_identical_to_reference(self, engine, n, B):
         s = lognormal_sample(n, POP, seed=41)
@@ -596,6 +610,45 @@ class TestBlockBuffers:
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == serial
+
+    def test_buffers_stay_within_block_cells(self):
+        # a fresh thread starts with no buffers; after each engine has run
+        # at n = 100, 1000 and 4000 no buffer exceeds 2**16 cells, and at
+        # n = 4000 a block holds 16 replicates
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+
+        def calls():
+            for n in (100, 1000, 4000):
+                s = lognormal_sample(n, POP, seed=59)
+                for engine in sorted(ENGINES):
+                    ENGINES[engine](s, POP, 600, kinds, make_rng(19, n), True)
+                    assert all(b.size <= 2**16 for b in _workspace.buffers.values())
+            return {dtype: b.shape for dtype, b in _workspace.buffers.items()}
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            shapes = pool.submit(calls).result(timeout=120)
+        assert shapes == {np.float64: (16, 4000), np.int64: (16, 4000)}
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_block_temporaries_stay_small(self, engine):
+        # a warm call at n = 4000 allocates at most a few blocks' worth
+        # (one block of 2**16 cells is 0.5 MiB): neither the index draw
+        # nor a hypergeometric output grows with n
+        n = 4000
+        s = lognormal_sample(n, POP, seed=61)
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+
+        def peak():
+            ENGINES[engine](s, POP, 1000, kinds, make_rng(20, 0), True)
+            tracemalloc.start()
+            try:
+                ENGINES[engine](s, POP, 1000, kinds, make_rng(20, 1), True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(peak).result(timeout=120) <= 4 * 2**16 * 8
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read as on Linux")

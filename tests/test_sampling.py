@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fpboot import Population, Sample, make_rng, srswor
+from fpboot.sampling import _partial_permutation
 
 
 def small_pop(n=10):
@@ -63,6 +64,18 @@ class TestSrswor:
         b = srswor(pop, 20, make_rng(5, 77))
         assert np.array_equal(a.indices, b.indices)
 
+    @pytest.mark.parametrize("n_take,pool", [(1, 1), (7, 7), (50, 1000), (300, 301)])
+    def test_partial_permutation_matches_dense_shuffle(self, n_take, pool):
+        # the sparse shuffle picks what swaps on a full range(pool) pick
+        for stream in range(10):
+            picked = _partial_permutation(make_rng(21, stream).generator, n_take, pool)
+            js = make_rng(21, stream).generator.integers(np.arange(n_take, dtype=np.int64), pool)
+            perm = np.arange(pool)
+            for i, j in enumerate(js):
+                perm[[i, j]] = perm[[j, i]]
+            assert picked.dtype == np.int64
+            assert np.array_equal(picked, perm[:n_take])
+
     @pytest.mark.parametrize("n", [0, 11])
     def test_bad_size_rejected(self, n):
         with pytest.raises(ValueError):
@@ -88,6 +101,18 @@ class TestDomainTypes:
     def test_sample_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Sample([0, 0], [1.0, 1.0], [False, False], 5)
+
+    @pytest.mark.parametrize("indices", [[3, 1, 3], [4, 0, 2, 0]])
+    def test_sample_rejects_unsorted_duplicates(self, indices):
+        k = len(indices)
+        with pytest.raises(ValueError, match="distinct"):
+            Sample(indices, [1.0] * k, [False] * k, 5)
+
+    @pytest.mark.parametrize("indices", [[-1, 2], [4, 5], [3, 0, 7]])
+    def test_sample_rejects_out_of_range(self, indices):
+        k = len(indices)
+        with pytest.raises(ValueError, match="out of population range"):
+            Sample(indices, [1.0] * k, [False] * k, 5)
 
     def test_sample_rejects_oversize(self):
         with pytest.raises(ValueError):

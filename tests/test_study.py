@@ -1,5 +1,8 @@
 import hashlib
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,22 +427,23 @@ class TestSharedPath:
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
 # JSON writes every float with repr, so a replicate value that moves by an
 # ulp shows. At n = 60 the population is exactly 5 copies of the sample; at
-# n = 70 the pseudo-population needs a completion. A change that
+# n = 70 the pseudo-population needs a completion and mirror-match's k is
+# 4 or 5, while at n = 60 it is 5 in every replicate. A change that
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
     60: "f7f43dcdd89501f0513c5d858d96a173f882eb5f18d087a9ce3dfb74ef55ff78",
-    70: "fcc3152d902ca7b10d0ce8a4363381d0ad2d0a30b7c25d162c09848ce3b75f31",
+    70: "02940b74f908764be612732f1f9158705e2a955040ef28e556f6c8d84c4fe424",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
 GOLDEN_CSV_SHA256 = {
     60: "20d3fd4880280e76777ae9cd61939072998ab7c9ea92c9c0302fc4c4a0e1c32e",
-    70: "66d858d4399a233cb098cb9049c5b321f8c4ad86d81e910b76ae958b941fa86f",
+    70: "fabad08eae737e0d87b32df81be8dfb2879b093af652bcc0e4a2792f687338c8",
 }
 GOLDEN_SWEEP_SHA256 = {
     60: "05e8a5cd59bf6d637e94bdcb83ef01c93cc2dc1367ae3fd61f941ee1f3943fbb",
-    70: "2f1104044381b7f2ba10a02cdc2248e43bfe9b1ccef27d4587e575f1e3e6a602",
+    70: "668b6f8a7af6d315fe6c0de37189e94d6b7b56015ff502bae5b2600a682984c2",
 }
 
 
@@ -475,3 +479,20 @@ def test_golden_csv_and_sweep(tmp_path, n):
     emit_sweep(length_sweep(golden_config(n)), sweep_path)
     assert sha256_of(csv_path) == GOLDEN_CSV_SHA256[n]
     assert sha256_of(sweep_path) == GOLDEN_SWEEP_SHA256[n]
+
+
+def test_study_leaves_numpy_ma_unloaded():
+    # numpy.ma costs every fresh process 12-50 ms to import; nothing on a
+    # study's path (every engine and CI type, both indicators) may load it
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study\n"
+        "coverage_study(StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "    sample_sizes=(70, 300), B=50, repetitions=3, methods=tuple(Method), ci_types=tuple(CiType),\n"
+        "    estimators=tuple(EstimatorKind), master_seed=1, ci_pairing='all'))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=120).stdout
+    assert out.strip() == "False"
