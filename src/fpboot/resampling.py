@@ -14,9 +14,8 @@ finite population:
 All engines evaluate the statistic through ``unit_values`` so both
 indicators ride the same mean-of-values path, and consume their stream in
 blocks whose size depends on n alone, so results never depend on caller
-memory or threading. A block holds min(512, 2**16 // n) replicates, at
-least one: at most 2**16 cells (512 KB of float64 or int64) whatever n
-is, and 512 replicates for every n <= 128.
+memory or threading. A block holds 2**16 // n replicates, at least one:
+at most 2**16 cells (512 KB of float64 or int64) whatever n is.
 Stream consumption does not depend on the estimator either: given a tuple
 of kinds, an engine reads every kind off the same resamples and returns
 one set of replicates per kind, each equal bit for bit to a single-kind
@@ -40,7 +39,6 @@ views a buffer.
 """
 
 import enum
-import math
 import threading
 from dataclasses import dataclass
 
@@ -49,11 +47,10 @@ import numpy as np
 from .estimators import EstimatorKind, sample_variance, unit_values
 from .sampling import RngStream, Sample
 
-# Engines draw in blocks of at most this many cells (replicates x n) and
-# this many replicates. Fixed: the stream consumption pattern is part of
-# the reproducibility contract.
+# Engines draw in blocks of at most this many cells (replicates x n).
+# Fixed: the stream consumption pattern is part of the reproducibility
+# contract.
 _BLOCK_CELLS = 2**16
-_BLOCK_ROWS = 512
 
 
 class Method(enum.Enum):
@@ -153,7 +150,7 @@ _workspace = _Workspace()
 
 def _blocks(B: int, n: int):
     """(lo, hi) replicate ranges of the blocks of a B-replicate run at sample size n."""
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
+    rows = max(1, _BLOCK_CELLS // n)
     for lo in range(0, B, rows):
         yield lo, min(lo + rows, B)
 
@@ -257,16 +254,13 @@ def standard_bootstrap(
             # the default "raise" would gather into a fresh temporary and
             # copy it to ``out``.
             np.take(v, idx, out=m, mode="clip")
-            # m.mean(axis=1) and m.var(axis=1, ddof=1) * (n - 1) / (n * n),
-            # step for step in place, so the replicates keep their bits.
+            # m.mean(axis=1) and sum((m - mean)**2) / n**2, in place
             mean = np.add.reduce(m, axis=1, out=est[lo:hi])
             mean /= n
             if tvar is not None:
                 m -= mean[:, None]
                 m *= m
                 var = np.add.reduce(m, axis=1, out=tvar[lo:hi])
-                var /= n - 1
-                var *= n - 1
                 var /= n * n
         # Free the indices before the next block draws its own: two blocks'
         # indices freed together can make the allocator trim the heap, and
@@ -342,33 +336,32 @@ class MirrorMatchPlan:
 def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     """Choose mirror-match parameters for sample size n from population size N.
 
-    The subsample size n' = round(f * n) mirrors the original sampling
-    fraction; the repeat count targets k = n * (1 - f') / (n' * (1 - f)),
+    The subsample size n' = round(f * n) = round(n**2 / N), halves rounded
+    up, mirrors the original sampling fraction; the repeat count targets
+    k = n * (1 - f') / (n' * (1 - f)) = (n - n') * N / (n' * (N - n)),
     which makes the bootstrap variance of a mean reproduce (1 - f) * s2 / n
     exactly when f' = f and approximately otherwise. k is randomized
     between floor and ceil of the target so that E[1/k] = 1/k_target: the
     variance of a replicate mean given k is (1 - f') * s2 / (k * n'), so
     E[1/k], not E[k], must match. The target is at least 1, since a
-    replicate holds at least one subsample.
+    replicate holds at least one subsample. The plan is worked out in
+    integers, so k is fixed whenever the target is a whole number.
     """
     if n > N:
         raise ValueError(f"sample size {n} exceeds population size {N}")
     if n < 2:
         raise ValueError("mirror_match_plan requires n >= 2")
-    f = n / N
-    n_prime = int(min(n, max(1, math.floor(f * n + 0.5))))
-    f_prime = n_prime / n
-    if n_prime == n:
-        k_target = 1.0
-    else:
-        # Rounding n' can make f' > f and the target fall below 1; k is 1 then.
-        k_target = max(1.0, n * (1.0 - f_prime) / (n_prime * (1.0 - f)))
-    k_low = max(1, math.floor(k_target))
-    k_high = math.ceil(k_target)
-    p_high = 0.0 if k_high == k_low else (1 / k_low - 1 / k_target) / (1 / k_low - 1 / k_high)
+    n_prime = max(1, (2 * n * n + N) // (2 * N))
+    # n' * (N - n) is 0 only at the census n = N, where n' = n and k is 1
+    num, den = (n - n_prime) * N, max(1, n_prime * (N - n))
+    # Rounding n' can make f' > f and the target fall below 1; k is 1 then.
+    k_target = max(1.0, num / den)
+    k_low, k_high = max(1, num // den), max(1, -(-num // den))
+    # E[1/k] = 1/k_target with k_high = k_low + 1, in one rounding
+    p_high = 0.0 if k_high == k_low else k_high * (num - k_low * den) / num
     return MirrorMatchPlan(
         n_prime=n_prime,
-        f_prime=f_prime,
+        f_prime=n_prime / n,
         k_target=k_target,
         k_low=k_low,
         k_high=k_high,

@@ -3,7 +3,9 @@
 Randomness is organized around explicit streams: a (master_seed, stream_id)
 pair keys a Philox counter-based generator, so distinct stream ids give
 statistically independent streams with no shared state and the same pair
-reproduces the same draws on every run, platform, and thread count.
+reproduces the same draws on every run, platform, and thread count. An
+SRSWOR sample is one draw of numpy's without-replacement sampler
+(``Generator.choice``) from its stream.
 
 A population lives on disk as a CSV with header ``ncs,top10`` and one
 ``score,flag`` row per record.
@@ -159,26 +161,11 @@ class Sample:
         return self.n / self.population_size
 
 
-def _partial_permutation(gen: np.random.Generator, n_take: int, pool_size: int) -> np.ndarray:
-    """First ``n_take`` entries of a uniform permutation of range(pool_size).
-
-    Sparse partial Fisher-Yates: only the touched positions are stored, so
-    extra space is O(n_take) regardless of pool size.
-    """
-    js = gen.integers(np.arange(n_take, dtype=np.int64), pool_size)
-    state: dict[int, int] = {}
-    picked = []
-    # Python ints throughout: numpy scalars make each step several times dearer
-    for i, j in enumerate(js.tolist()):
-        vi = state.get(i, i)
-        picked.append(state.get(j, j))
-        state[j] = vi
-    return np.array(picked, dtype=np.int64)
-
-
 def srswor(pop: Population, n: int, rng: RngStream) -> Sample:
     """Simple random sample without replacement: every size-n subset equally likely.
 
+    The draw is numpy's ``Generator.choice(replace=False)``, which runs in
+    C (Floyd's algorithm, or a partial shuffle of a large population).
     Indices are reported sorted in population order (the draw is uniform
     over subsets, so the ordering carries no information; keeping
     population order makes the census case n = N reproduce the population
@@ -187,6 +174,6 @@ def srswor(pop: Population, n: int, rng: RngStream) -> Sample:
     N = pop.size
     if not 1 <= n <= N:
         raise ValueError(f"sample size must satisfy 1 <= n <= {N}, got {n}")
-    idx = np.sort(_partial_permutation(rng.generator, n, N))
+    idx = np.sort(rng.generator.choice(N, n, replace=False, shuffle=False))
     return Sample(idx, pop.ncs[idx], pop.top10[idx], N)
 

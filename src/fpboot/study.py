@@ -146,7 +146,11 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class CellReport:
-    """Aggregated results for one (n, method, CI type, estimator) cell."""
+    """Aggregated results for one (n, method, CI type, estimator) cell.
+
+    ``coverage`` and ``avg_length`` are NaN (null in a JSON report) when no
+    replication formed an interval (``r_effective`` = 0): undefined, not zero.
+    """
 
     n: int
     method: Method
@@ -172,7 +176,11 @@ class StudyReport:
             "config": config_dict(self.config),
             "population": dict(self.population_info),
             "true_values": dict(self.true_values),
-            "cells": [_cell_row(c) for c in self.cells],
+            # NaN (an undefined cell value) is null, so the JSON stays strict
+            "cells": [
+                {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in _cell_row(c).items()}
+                for c in self.cells
+            ],
         }
 
 
@@ -330,7 +338,7 @@ def emit_report(report: StudyReport, fmt: str, path):
     if fmt == "csv":
         text = _csv(map(_cell_row, report.cells), _REPORT_COLUMNS)
     elif fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
     _write(text, path)
@@ -465,7 +473,12 @@ def _run_replications(task):
 
 
 def _execute(tasks, pop: Population, workers: int) -> list:
-    """Run every task; results come back in task order."""
+    """Run every task; results come back in task order.
+
+    No more workers start than there are tasks: a fork-context pool forks
+    all of its workers up front.
+    """
+    workers = min(workers, len(tasks))
     if workers <= 1:
         _init_worker(pop.ncs, pop.top10)
         return [_run_replications(t) for t in tasks]
@@ -490,7 +503,7 @@ def _cells(n, method, cis, kinds, truths, v_hats, bounds) -> list[CellReport]:
         avg_variance = float(v_hats[e].mean())
         for i, ci in enumerate(cis):
             r_eff = int(np.count_nonzero(formed[e, i]))
-            coverage = avg_length = 0.0
+            coverage = avg_length = math.nan
             if r_eff:
                 coverage = int(np.count_nonzero(contained[e, i])) / r_eff
                 avg_length = float(lengths[e, i][formed[e, i]].mean())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,50 @@ class TestMirrorMatchPlan:
         with pytest.raises(ValueError):
             mirror_match_plan(10, 9)
 
+    @pytest.mark.parametrize(
+        "n,N,n_prime,k",
+        [
+            (60, 300, 12, 5),  # target (48 * 300) / (12 * 240) = 5 exactly
+            (3333, 9999, 1111, 3),  # target (2222 * 9999) / (1111 * 6666) = 3 exactly
+        ],
+    )
+    def test_whole_target_fixes_k(self, n, N, n_prime, k):
+        plan = mirror_match_plan(n, N)
+        assert plan.n_prime == n_prime
+        assert plan.k_low == plan.k_high == k
+        assert plan.k_target == float(k)
+        assert plan.p_high == 0.0
+
+    def test_n_prime_rounds_half_up(self):
+        # n**2 / N = 122.5
+        plan = mirror_match_plan(350, 1000)
+        assert plan.n_prime == 123
+        assert (plan.k_low, plan.k_high) == (2, 3)
+
+    def test_plans_match_exact_rationals(self):
+        # every 2 <= n < N <= 300 against rational arithmetic: n' is
+        # n**2 / N rounded half up, and k is randomized exactly when the
+        # target (n - n') * N / (n' * (N - n)) is above 1 and not whole,
+        # that is when n' * (N - n) does not divide (n - n') * N
+        half = Fraction(1, 2)
+        for N in range(2, 301):
+            for n in range(2, N):
+                plan = mirror_match_plan(n, N)
+                n_prime = max(1, math.floor(Fraction(n * n, N) + half))
+                num, den = (n - n_prime) * N, n_prime * (N - n)
+                target = Fraction(num, den)
+                assert plan.n_prime == n_prime, (n, N)
+                assert plan.k_low == max(1, math.floor(target)), (n, N)
+                assert plan.k_high == max(1, math.ceil(target)), (n, N)
+                assert (plan.k_low == plan.k_high) == (num % den == 0 or num < den), (n, N)
+                assert plan.k_target == max(1.0, float(target)), (n, N)
+                if plan.k_high > plan.k_low:
+                    # E[1/k] = 1/k_target exactly, rounded once
+                    lo, hi = Fraction(1, plan.k_low), Fraction(1, plan.k_high)
+                    assert plan.p_high == float((lo - 1 / target) / (lo - hi)), (n, N)
+                else:
+                    assert plan.p_high == 0.0, (n, N)
+
     def test_whole_sample_subsample_only_at_census(self):
         # n' = n needs N >= 2n(N - n), which fails for every 2 <= n < N, so
         # the engines' census path (n = N) is the only n' = n case
@@ -251,7 +296,7 @@ class TestMirrorMatchPlan:
         N = n + extra
         plan = mirror_match_plan(n, N)
         assert 1 <= plan.n_prime <= n
-        assert plan.k_low <= plan.k_target <= plan.k_high + 1e-9
+        assert plan.k_low <= plan.k_target <= plan.k_high
         assert 0.0 <= plan.p_high <= 1.0
         inverse_mean = plan.p_high / plan.k_high + (1 - plan.p_high) / plan.k_low
         assert inverse_mean == pytest.approx(1 / plan.k_target, rel=1e-9)
@@ -491,7 +536,8 @@ def reference_standard(s, B, kinds, rng, with_t):
             m = v[idx]
             est[lo:hi] = m.mean(axis=1)
             if tvar is not None:
-                tvar[lo:hi] = m.var(axis=1, ddof=1) * (n - 1) / (n * n)
+                d = m - est[lo:hi, None]
+                tvar[lo:hi] = (d * d).sum(axis=1) / (n * n)
     return runs
 
 
@@ -510,8 +556,8 @@ def reference_mirror_counts(gen, rows, n, plan):
 
 
 def block_rows(B, n):
-    # replicates per block: at most 2**16 cells and at most 512 rows
-    step = max(1, min(512, 2**16 // n))
+    # replicates per block: at most 2**16 cells, and at least one replicate
+    step = max(1, 2**16 // n)
     return [min(step, B - lo) for lo in range(0, B, step)]
 
 

@@ -1,8 +1,11 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fpboot import Population, Sample, make_rng, srswor
-from fpboot.sampling import _partial_permutation
 
 
 def small_pop(n=10):
@@ -64,17 +67,16 @@ class TestSrswor:
         b = srswor(pop, 20, make_rng(5, 77))
         assert np.array_equal(a.indices, b.indices)
 
-    @pytest.mark.parametrize("n_take,pool", [(1, 1), (7, 7), (50, 1000), (300, 301)])
-    def test_partial_permutation_matches_dense_shuffle(self, n_take, pool):
-        # the sparse shuffle picks what swaps on a full range(pool) pick
-        for stream in range(10):
-            picked = _partial_permutation(make_rng(21, stream).generator, n_take, pool)
-            js = make_rng(21, stream).generator.integers(np.arange(n_take, dtype=np.int64), pool)
-            perm = np.arange(pool)
-            for i, j in enumerate(js):
-                perm[[i, j]] = perm[[j, i]]
-            assert picked.dtype == np.int64
-            assert np.array_equal(picked, perm[:n_take])
+    def test_pairs_equally_likely(self):
+        # every one of the C(5, 2) = 10 two-subsets of N = 5 is drawn, each
+        # within 5 Monte Carlo standard deviations of K / 10 times
+        pop = small_pop(5)
+        rng = make_rng(21, 0)
+        K, p = 20_000, 0.1
+        counts = Counter(tuple(srswor(pop, 2, rng).indices.tolist()) for _ in range(K))
+        assert sorted(counts) == list(itertools.combinations(range(5), 2))
+        sd = math.sqrt(K * p * (1 - p))
+        assert all(abs(c - K * p) <= 5 * sd for c in counts.values()), counts
 
     @pytest.mark.parametrize("n", [0, 11])
     def test_bad_size_rejected(self, n):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -285,12 +287,66 @@ class TestCoverageStudy:
                     avg_variance = float(np.mean(variances[kind]))
                     for ci in ALL_CIS:
                         ivs = formed[kind, ci]
-                        coverage = sum(iv.contains(truth) for iv in ivs) / len(ivs) if ivs else 0.0
-                        avg_length = float(np.mean([iv.length for iv in ivs])) if ivs else 0.0
+                        coverage = sum(iv.contains(truth) for iv in ivs) / len(ivs) if ivs else math.nan
+                        avg_length = float(np.mean([iv.length for iv in ivs])) if ivs else math.nan
                         expected.append(CellReport(n, method, ci, kind, coverage, avg_length, avg_variance, len(ivs)))
         cells = coverage_study(config, workers=2).cells  # four tasks per (n, method)
         assert cells == tuple(expected)
         assert any(c.r_effective < R for c in cells)  # some replications formed no interval
+
+    def test_cell_without_intervals_is_undefined(self, tmp_path):
+        # at n = 2 about half of the standard resamples repeat one unit and
+        # have zero variance, so bootstrap-t never forms an interval: R = 0
+        # reads as undefined (null / nan), never as a zero-length interval
+        cfg = self.config(
+            sample_sizes=(2,), methods=(Method.STANDARD,), ci_types=(CiType.BOOTSTRAP_T,), ci_pairing="all"
+        )
+        report = coverage_study(cfg)
+        (cell,) = report.cells
+        assert cell.r_effective == 0
+        assert math.isnan(cell.coverage) and math.isnan(cell.avg_length)
+        assert cell.avg_variance > 0.0
+
+        def no_constants(token):
+            raise AssertionError(f"non-strict JSON constant {token}")
+
+        paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            emit_report(report, fmt, path)
+        (row,) = json.loads(paths["json"].read_text(), parse_constant=no_constants)["cells"]
+        assert (row["coverage"], row["avg_length"], row["R"]) == (None, None, 0)
+        assert paths["csv"].read_text().splitlines()[1].split(",")[4:6] == ["nan", "nan"]
+        (sweep_row,) = length_sweep(cfg)
+        assert math.isnan(sweep_row["avg_length"])
+        emit_sweep([sweep_row], tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1].endswith(",nan")
+
+    def test_no_more_workers_than_tasks(self, monkeypatch):
+        # a fork-context pool forks all of its workers up front; a stand-in
+        # executor records the pool size and runs the tasks in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("fpboot.study.ProcessPoolExecutor", RecordingPool)
+        one_task = self.config(methods=(Method.STANDARD,), repetitions=1)
+        assert coverage_study(one_task, workers=64).to_dict() == coverage_study(one_task).to_dict()
+        assert sizes == []  # one task runs serially
+        six_tasks = self.config(repetitions=3)  # 2 methods x 3 one-replication chunks
+        assert coverage_study(six_tasks, workers=64).to_dict() == coverage_study(six_tasks).to_dict()
+        assert sizes == [6]
 
     def test_population_info_embedded(self):
         report = coverage_study(self.config())
@@ -426,24 +482,24 @@ class TestSharedPath:
 
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
 # JSON writes every float with repr, so a replicate value that moves by an
-# ulp shows. At n = 60 the population is exactly 5 copies of the sample; at
-# n = 70 the pseudo-population needs a completion and mirror-match's k is
-# 4 or 5, while at n = 60 it is 5 in every replicate. A change that
+# ulp shows. At n = 60 the population is exactly 5 copies of the sample and
+# mirror-match's k is 5 in every replicate; at n = 70 the pseudo-population
+# needs a completion and mirror-match's k is 4 or 5. A change that
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "f7f43dcdd89501f0513c5d858d96a173f882eb5f18d087a9ce3dfb74ef55ff78",
-    70: "02940b74f908764be612732f1f9158705e2a955040ef28e556f6c8d84c4fe424",
+    60: "fc374ee151e9d36c1766bc05274d02f831bac8e8b7c343a2845c2cb12ac51264",
+    70: "1fe0b58b47a8e349d91dbbd5921d8ed63c9800c8dbb05194e520b9429c322c8d",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
 GOLDEN_CSV_SHA256 = {
-    60: "20d3fd4880280e76777ae9cd61939072998ab7c9ea92c9c0302fc4c4a0e1c32e",
-    70: "fabad08eae737e0d87b32df81be8dfb2879b093af652bcc0e4a2792f687338c8",
+    60: "8f4088451de62b165c2ef58d98e9394802ffef03e3f433ff9ed60de1d2f00cb4",
+    70: "dd82f979d3afae3fd83f89dce54ad0a88afd2a014d976d11a5657566b03588d7",
 }
 GOLDEN_SWEEP_SHA256 = {
-    60: "05e8a5cd59bf6d637e94bdcb83ef01c93cc2dc1367ae3fd61f941ee1f3943fbb",
-    70: "668b6f8a7af6d315fe6c0de37189e94d6b7b56015ff502bae5b2600a682984c2",
+    60: "e71823795f6b27425a551eb7f3f2e2232e5bd355e9af2b73138a405d97aa485e",
+    70: "a3e01ae5d87be750c619fdb9cff2454e88e56230008fa70af58a4c3d44453822",
 }
 
 
