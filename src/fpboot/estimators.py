@@ -27,9 +27,10 @@ def unit_values(kind: EstimatorKind, records) -> np.ndarray:
     ``records`` is a :class:`Population`, a :class:`Sample`, or a sequence
     of scores (MNCS) or flags (PP(top 10%)). MNCS: the citation scores.
     PP(top 10%): 100.0 for flagged records and 0.0 otherwise, so the mean
-    is already in percent. Every resampling engine evaluates statistics
-    through this array, which keeps the indicator, its bootstrap
-    replicates, and the population truth on one numeric path.
+    is already in percent. The indicator, the population truth and the
+    MNCS bootstrap replicates are means of this array. The engines take a
+    PP(top 10%) replicate from its integer count c of flagged units as
+    100.0 * c / size, which is the mean of its 0/100 values bit for bit.
     """
     whole = isinstance(records, (Population, Sample))
     if kind is EstimatorKind.MNCS:

@@ -11,17 +11,21 @@ finite population:
 * mirror-match: concatenate k small without-replacement subsamples whose
   own sampling fraction mirrors the original design.
 
-All engines evaluate the statistic through ``unit_values`` so both
-indicators ride the same mean-of-values path, and consume their stream in
-blocks whose size depends on n alone, so results never depend on caller
-memory or threading. A block holds 2**16 // n replicates, at least one:
-at most 2**16 cells (512 KB of float64 or int64) whatever n is.
+Every statistic is a mean of unit values (``unit_values``). PP(top 10%)'s
+values are 0 and 100, so its replicates come from one integer per
+replicate, the number of flagged units drawn: an estimate is
+100.0 * count / size, rounded once like the sample estimate, so a
+replicate tied with the sample equals its estimate bit for bit. MNCS
+replicates are means of the drawn units' scores. Engines consume their
+stream in blocks whose size depends on n alone, so results never depend
+on caller memory or threading. A block holds 2**16 // n replicates, at
+least one: at most 2**16 cells (512 KB of float64 or int64) whatever n is.
 Stream consumption does not depend on the estimator either: given a tuple
 of kinds, an engine reads every kind off the same resamples and returns
 one set of replicates per kind, each equal bit for bit to a single-kind
 call on the same stream.
 
-Every statistic is a mean of unit values, so a pseudo-population or
+Since every statistic is a mean of unit values, a pseudo-population or
 mirror-match replicate is fully described by how often it draws each of
 the n sample units. Those two engines sample a block of such count vectors
 at once with ``Generator.multivariate_hypergeometric(method="count")``, a
@@ -31,11 +35,18 @@ avoids BLAS (``@``, ``np.dot``): BLAS threads started in every worker of a
 study's process pool oversubscribe the cores and cancel the pool's
 speed-up.
 
-The standard engine's gathered values and mirror-match's unit counts are
-built in block buffers that each thread keeps between blocks and calls, so
-a block does not fault fresh pages in: each thread holds at most one
-float64 and one int64 block between calls. No array an engine returns
-views a buffer.
+The standard engine draws its indices 16-bit while n <= 2**16 (numpy's
+bounded sampler takes two from each 32-bit generator word, Lemire's
+exact multiply-and-reject, so a block needs half the words of an int64
+draw) and int64 above that. The indices point into the sample's units
+reordered flagged first, so a resample's flagged count is its number of
+indices below the sample's flagged count t, and needs no gather.
+
+The standard engine's widened indices and gathered values and
+mirror-match's unit counts are built in block buffers that each thread
+keeps between blocks and calls, so a block does not fault fresh pages in:
+each thread holds at most one float64 and one int64 block between calls.
+No array an engine returns views a buffer.
 """
 
 import enum
@@ -181,29 +192,38 @@ def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with
     ``draw(rows)`` returns a rows x n count matrix and its row sums m. Each
     block is reduced against every array of unit values in ``vals``, and
     one (estimates, t_variances) pair is returned per array. Each array
-    gets its own 1-D einsum: on numpy 2.4 one stacked "rn,ne->re" call
-    takes several times as long as the 1-D calls together.
+    other than PP's gets its own 1-D einsum: on numpy 2.4 one stacked
+    "rn,ne->re" call takes several times as long as the 1-D calls together.
 
-    Integer values (PP's 0 and 100) are summed as they are: their sums are
-    exact, so a replicate mean is rounded once, like the sample estimate,
-    and a replicate tied with the sample equals its estimate bit for bit.
-    Other values are centred on their mean, which keeps the one-pass
-    variance clear of cancellation and a constant sample's replicates exact.
-    The reductions use einsum, not ``@``, to stay out of BLAS threads (see
-    the module docstring).
+    Integer values are summed as they are: their sums are exact, so a
+    replicate mean is rounded once, like the sample estimate, and a
+    replicate tied with the sample equals its estimate bit for bit. PP's
+    0/100 values need no einsum: a replicate's sum is 100 times its count
+    of flagged units, and its sum of squares 100 times that sum, the same
+    exact integers, from one integer column sum that takes a quarter of
+    the time of two mixed int64 x float64 einsums or less. Other values
+    are centred on their mean, which keeps the one-pass variance clear of
+    cancellation and a constant sample's replicates exact. The reductions
+    use einsum, not ``@``, to stay out of BLAS threads (see the module
+    docstring).
     """
     t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
+    flags = [np.flatnonzero(v) if np.all((v == 0) | (v == 100)) else None for v in vals]
     centres = [0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean()) for v in vals]
     ds = [v - c for v, c in zip(vals, centres)]
     d2s = [d * d for d in ds]
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B, n):
         counts, m = draw(hi - lo)
-        for centre, d, d2, (est, tvar) in zip(centres, ds, d2s, runs):
-            s1 = np.einsum("rn,n->r", counts, d)
+        for flagged, centre, d, d2, (est, tvar) in zip(flags, centres, ds, d2s, runs):
+            if flagged is None:
+                s1 = np.einsum("rn,n->r", counts, d)
+            else:
+                s1 = 100.0 * counts[:, flagged].sum(axis=1)
             est[lo:hi] = centre + s1 / m
             if tvar is not None:
-                ss = np.einsum("rn,n->r", counts, d2) - s1 * s1 / m
+                sq = np.einsum("rn,n->r", counts, d2) if flagged is None else 100.0 * s1
+                ss = sq - s1 * s1 / m
                 s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
                 tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
     return runs
@@ -223,6 +243,15 @@ def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
     return copies
 
 
+def _resample_indices(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A rows x n block of uniform indices into [0, n).
+
+    16-bit while n <= 2**16, so each 32-bit generator word yields two
+    indices; int64 above that. Part of the reproducibility contract.
+    """
+    return gen.integers(0, n, size=(rows, n), dtype=np.uint16 if n <= 2**16 else np.int64)
+
+
 def standard_bootstrap(
     sample: Sample,
     B: int,
@@ -236,20 +265,44 @@ def standard_bootstrap(
     and re-evaluates the statistic. When requested, the replicates' variance
     estimates use the analytic form for a mean, s2_b * (n - 1) / n**2.
     A tuple of kinds gives a tuple of replicates, all read off one block
-    of resampled indices.
+    of resampled indices. The indices point into the sample's units
+    ordered flagged first, so a PP(top 10%) replicate is counted, not
+    gathered (see the module docstring).
     """
     n = sample.n
     if n < 2:
         raise ValueError("standard_bootstrap requires a sample of size >= 2")
     if B < 1:
         raise ValueError("B must be >= 1")
-    vals = [unit_values(k, sample) for k in _kinds(kind)]
+    kinds = _kinds(kind)
+    # flagged units first, in an order that depends on the sample alone
+    order = np.argsort(~sample.top10, kind="stable")
+    t = int(np.count_nonzero(sample.top10))
+    vals = [None if k is EstimatorKind.PP_TOP10 else unit_values(k, sample)[order] for k in kinds]
+    gathers = any(v is not None for v in vals)
     gen = rng.generator
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B, n):
-        idx = gen.integers(0, n, size=(hi - lo, n))
-        m = _workspace.block(np.float64, hi - lo, n)
+        drawn = _resample_indices(gen, hi - lo, n)
+        if gathers:
+            # widened once per block: np.take would cast uint16 indices
+            # into a fresh int64 temporary for every kind
+            idx = _workspace.block(np.int64, hi - lo, n)
+            idx[...] = drawn
+            m = _workspace.block(np.float64, hi - lo, n)
         for v, (est, tvar) in zip(vals, runs):
+            if v is None:
+                # an int32 sum takes ~2/3 of the time of count_nonzero's intp
+                c = np.add.reduce(drawn < t, axis=1, dtype=np.int32)
+                # 100 * c / n, multiplied first: the float mean of the drawn
+                # 0/100 values bit for bit
+                mean = np.multiply(c, 100.0, out=est[lo:hi])
+                mean /= n
+                if tvar is not None:
+                    # sum((x - mean)**2) / n**2 over c hundreds and n - c
+                    # zeros, exactly 0 when c is 0 or n
+                    tvar[lo:hi] = (c * (100.0 - mean) ** 2 + (n - c) * mean**2) / (n * n)
+                continue
             # Indices lie in [0, n) by construction, so "clip" never clips;
             # the default "raise" would gather into a fresh temporary and
             # copy it to ``out``.
@@ -265,7 +318,7 @@ def standard_bootstrap(
         # Free the indices before the next block draws its own: two blocks'
         # indices freed together can make the allocator trim the heap, and
         # the next call would fault their pages in again.
-        del idx
+        del drawn
     return _replicates(kind, Method.STANDARD, B, runs)
 
 

@@ -30,7 +30,7 @@ from fpboot import (
     standard_bootstrap,
     unit_values,
 )
-from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population, _workspace
+from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population, _resample_indices, _workspace
 
 
 def lognormal_sample(n, N, seed=0):
@@ -522,22 +522,39 @@ class TestVarianceOrdering:
 
 # Reference block code with fresh temporaries per block: the same stream
 # reads and arithmetic as the engines, so they must match it bit for bit.
-# The standard engine's index draws are contiguous in the stream, so its
-# replicates do not depend on the block size: the reference keeps the
-# 512-row blocks at every n.
+# The standard engine draws 16-bit indices while n <= 2**16 and int64
+# above, into the sample's units ordered flagged first. A 16-bit call
+# drops the half word it leaves over, so its replicates follow the block
+# rule too.
+def index_dtype(n):
+    return np.uint16 if n <= 2**16 else np.int64
+
+
 def reference_standard(s, B, kinds, rng, with_t):
     n, gen = s.n, rng.generator
-    vals = [unit_values(k, s) for k in kinds]
-    runs = [(np.empty(B), np.empty(B) if with_t else None) for _ in vals]
-    for lo in range(0, B, 512):
-        hi = min(lo + 512, B)
-        idx = gen.integers(0, n, size=(hi - lo, n))
-        for v, (est, tvar) in zip(vals, runs):
-            m = v[idx]
+    order = np.argsort(~s.top10, kind="stable")
+    t = int(s.top10.sum())
+    runs = [(np.empty(B), np.empty(B) if with_t else None) for _ in kinds]
+    lo = 0
+    for rows in block_rows(B, n):
+        hi = lo + rows
+        idx = gen.integers(0, n, size=(rows, n), dtype=index_dtype(n))
+        for kind, (est, tvar) in zip(kinds, runs):
+            if kind is EstimatorKind.PP_TOP10:
+                # c flagged units drawn: the mean of the 0/100 values, and
+                # sum((x - mean)**2) / n**2 in closed form
+                c = (idx < t).sum(axis=1)
+                est[lo:hi] = 100.0 * c / n
+                if with_t:
+                    mean = est[lo:hi]
+                    tvar[lo:hi] = (c * (100.0 - mean) ** 2 + (n - c) * mean**2) / n**2
+                continue
+            m = unit_values(kind, s)[order][idx]
             est[lo:hi] = m.mean(axis=1)
             if tvar is not None:
                 d = m - est[lo:hi, None]
                 tvar[lo:hi] = (d * d).sum(axis=1) / (n * n)
+        lo = hi
     return runs
 
 
@@ -695,6 +712,111 @@ class TestBlockBuffers:
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             assert pool.submit(peak).result(timeout=120) <= 4 * 2**16 * 8
+
+
+def philox_words(gen):
+    # 64-bit words the Philox generator has handed out so far
+    state = gen.bit_generator.state
+    assert state["bit_generator"] == "Philox"
+    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
+    return 4 * counter + int(state["buffer_pos"])
+
+
+class TestIndexDraws:
+    # The standard engine's draw rule: uniform 16-bit indices while
+    # n <= 2**16, int64 above, two indices per 32-bit generator word.
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 2**16])
+    def test_16bit_draws_uniform(self, n):
+        # each unit's count over D draws is Binomial(D, 1/n): within 5 Monte
+        # Carlo standard deviations of D / n, with D / n >= 200
+        gen = make_rng(21, n).generator
+        rows = max(1, 2**16 // n)
+        calls = -(-max(400_000, 200 * n) // (rows * n))
+        idx = np.concatenate([_resample_indices(gen, rows, n).ravel() for _ in range(calls)])
+        assert idx.dtype == np.uint16
+        D = idx.size
+        counts = np.bincount(idx, minlength=n)
+        assert counts.size == n
+        assert np.all(np.abs(counts - D / n) <= 5 * math.sqrt(D * (1 / n) * (1 - 1 / n)))
+
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    def test_engine_matches_reference_across_dtype_switch(self, n):
+        N = 3 * n
+        s = lognormal_sample(n, N, seed=67)
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+        assert _resample_indices(make_rng(22, 0).generator, 1, n).dtype == index_dtype(n)
+        rng, ref_rng = make_rng(22, n), make_rng(22, n)
+        reps = standard_bootstrap(s, 2, kinds, rng, with_t_variances=True)
+        assert_same_bits(reps, reference_standard(s, 2, kinds, ref_rng, True), True)
+        assert rng.generator.random() == ref_rng.generator.random()
+
+    def test_draw_uses_a_quarter_word_per_index(self):
+        # n = 100, B = 1000: 100,000 indices take 25,000 words plus a few
+        # Lemire rejections; int64 indices would take 100,000
+        n, B = 100, 1000
+        s = lognormal_sample(n, POP, seed=71)
+        rng = make_rng(23, 0)
+        before = philox_words(rng.generator)
+        standard_bootstrap(s, B, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10), rng, with_t_variances=True)
+        assert philox_words(rng.generator) - before <= 0.26 * n * B
+
+
+class TestPpCountPath:
+    # The standard engine reads PP(top 10%) off the count of flagged units
+    # a resample draws, not off gathered 0/100 values.
+    @pytest.mark.parametrize("n,B", [(7, 5000), (100, 1000), (1000, 300), (2000, 100), (4000, 40)])
+    def test_count_path_equals_gather_path(self, n, B):
+        # the same indices (a copy of the stream, the same blocks) reduced as
+        # gathered 0/100 values in the flagged-first order give the same
+        # estimates bit for bit. The t-variances are held to the exact value
+        # 100**2 * c * (n - c) / n**3 instead: within 4 ulps, where the
+        # gathered pairwise sum is itself up to 5 ulps off at n = 2000.
+        s = lognormal_sample(n, POP, seed=73)
+        reps = standard_bootstrap(s, B, EstimatorKind.PP_TOP10, make_rng(24, n), with_t_variances=True)
+        gen = make_rng(24, n).generator
+        t = int(s.top10.sum())
+        v = unit_values(EstimatorKind.PP_TOP10, s)[np.argsort(~s.top10, kind="stable")]
+        idx = np.concatenate([gen.integers(0, n, size=(rows, n), dtype=np.uint16) for rows in block_rows(B, n)])
+        assert reps.estimates.tobytes() == v[idx].mean(axis=1).tobytes()
+        exact = [float(Fraction(100**2 * c * (n - c), n**3)) for c in (idx < t).sum(axis=1).tolist()]
+        assert np.all(np.abs(reps.t_variances - exact) <= 4 * np.spacing(exact))
+
+    @pytest.mark.parametrize("flagged", [1, 3])
+    def test_all_or_none_flagged_has_zero_variance(self, flagged):
+        # n = 4 with one or three flagged units: about a third of the
+        # resamples draw no flagged unit, or only flagged ones
+        n = 4
+        s = Sample(np.arange(n), np.ones(n), np.arange(n) < flagged, 40)
+        reps = standard_bootstrap(s, 2000, EstimatorKind.PP_TOP10, make_rng(25, flagged), with_t_variances=True)
+        pure = (reps.estimates == 0.0) | (reps.estimates == 100.0)
+        assert 400 < pure.sum() < 1600
+        assert np.all(reps.t_variances[pure] == 0.0)
+        assert np.all(reps.t_variances[~pure] > 0.0)
+
+    def test_tie_equals_sample_estimate(self):
+        # 2 flagged units of 300: the estimate 2/3 has no exact binary form;
+        # a resample drawing 2 flagged units equals it bit for bit (BCa
+        # counts only replicates strictly below it)
+        n = 300
+        s = Sample(np.arange(n), np.ones(n), np.arange(n) >= n - 2, 6000)
+        theta_hat = estimate(EstimatorKind.PP_TOP10, s)
+        reps = standard_bootstrap(s, 2000, EstimatorKind.PP_TOP10, make_rng(26, 0), with_t_variances=True)
+        tied = np.abs(reps.estimates - theta_hat) < 1e-9
+        assert tied.sum() > 100
+        assert np.all(reps.estimates[tied] == theta_hat)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_single_kind_calls_equal_reversed_pair(self, engine):
+        # PP first: the flagged-first order and the count path do not depend
+        # on which kinds are asked for, or in which order
+        run, N = ENGINES[engine], 203
+        s = lognormal_sample(40, N, seed=79)
+        kinds = (EstimatorKind.PP_TOP10, EstimatorKind.MNCS)
+        pair = run(s, N, 700, kinds, make_rng(27, 0), True)
+        for kind, reps in zip(kinds, pair):
+            single = run(s, N, 700, kind, make_rng(27, 0), True)
+            assert reps.estimates.tobytes() == single.estimates.tobytes()
+            assert reps.t_variances.tobytes() == single.t_variances.tobytes()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read as on Linux")

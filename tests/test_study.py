@@ -488,18 +488,18 @@ class TestSharedPath:
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "fc374ee151e9d36c1766bc05274d02f831bac8e8b7c343a2845c2cb12ac51264",
-    70: "1fe0b58b47a8e349d91dbbd5921d8ed63c9800c8dbb05194e520b9429c322c8d",
+    60: "18a85d93a31a8d70c38f23c27585b1da1baaa1e67a105665c9bdf6cadd8f6646",
+    70: "c9e4ef987ab0295913c941e52e70f8b2bd15d0ce06eed3e8d313f79254f2cbad",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
 GOLDEN_CSV_SHA256 = {
-    60: "8f4088451de62b165c2ef58d98e9394802ffef03e3f433ff9ed60de1d2f00cb4",
-    70: "dd82f979d3afae3fd83f89dce54ad0a88afd2a014d976d11a5657566b03588d7",
+    60: "a988b434233cf0c9673b85ef22eb98bc813d6d635f3f02586acd65b25ebf25c0",
+    70: "0ed2102e30ec653649177c6d25509b5a6a785a11dab74d7a867cb72844a31db1",
 }
 GOLDEN_SWEEP_SHA256 = {
-    60: "e71823795f6b27425a551eb7f3f2e2232e5bd355e9af2b73138a405d97aa485e",
-    70: "a3e01ae5d87be750c619fdb9cff2454e88e56230008fa70af58a4c3d44453822",
+    60: "7f7a43cc923c12ba2b04f0211c96f1d6512b4d0eb29d3587ae8b2ff7381b8b85",
+    70: "f9b289ff8888fec86a3597c8777dcd1c88b0aab4c682d6ea0fa9961bcd652e56",
 }
 
 
