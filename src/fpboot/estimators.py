@@ -67,9 +67,14 @@ def sample_variance(values) -> float:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("sample_variance requires at least two values")
-    if np.all(arr == arr[0]):
-        return 0.0
-    return float(arr.var(ddof=1))
+    return float(_row_variances(arr.reshape(1, -1))[0])
+
+
+def _row_variances(rows: np.ndarray) -> np.ndarray:
+    """``sample_variance`` of each row of a 2-D array."""
+    var = rows.var(axis=1, ddof=1)
+    var[rows.min(axis=1) == rows.max(axis=1)] = 0.0
+    return var
 
 
 def se_mean_fpc(s2: float, n: int, N: int) -> float:

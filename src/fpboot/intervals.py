@@ -8,6 +8,16 @@ The standard normal comes from the standard library: the quantile is
 ``statistics.NormalDist().inv_cdf`` (Wichura's AS241) and the CDF is
 ``0.5 * math.erfc(-x / sqrt(2))``, which keeps full relative precision in
 the lower tail, where ``1 + erf(x / sqrt(2))`` cancels.
+
+Each constructor works row-wise on a batch of replications of one
+estimator. ``_interval_batch`` builds every CI type a study asks for on a
+batch in one vectorised pass, with one sort shared by percentile and BCa;
+the ``ci_*`` constructors, ``bias_correction`` and
+``jackknife_acceleration`` are its one-row case. The steps through the
+standard normal (BCa's z0 and its adjusted tail probabilities) run per
+row in Python floats, and every other step is an elementwise operation or
+a reduction along the row, so a row's bounds do not depend on the batch
+it is in.
 """
 
 import enum
@@ -18,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateDistributionError
-from .estimators import EstimatorKind, unit_values
+from .estimators import EstimatorKind, _row_variances, unit_values
 from .resampling import BootstrapReplicates
 from .sampling import Sample
 
@@ -74,33 +84,205 @@ def _check_level(level: float):
 _RANK_TOL = 1e-9
 
 
-def _rank(q: float, B: int) -> int:
-    return min(B, max(1, math.ceil(q * B - _RANK_TOL)))
+def _quantiles(srt: np.ndarray, q, sizes=None) -> np.ndarray:
+    """Each row's ceil(q * size)-th order statistic, the rank clamped to [1, size].
+
+    ``srt`` holds rows sorted ascending; ``q`` and ``sizes`` are scalars or
+    one value per row, and a row's size (default: the row length) counts
+    the leading values its quantile is taken over.
+    """
+    rows, B = srt.shape
+    sizes = B if sizes is None else sizes
+    ranks = np.minimum(np.maximum(np.ceil(q * sizes - _RANK_TOL), 1), sizes).astype(np.intp)
+    return srt[np.arange(rows), ranks - 1]
 
 
 def _quantile_sorted(sorted_values: np.ndarray, q: float) -> float:
-    return float(sorted_values[_rank(q, sorted_values.size) - 1])
+    return float(_quantiles(sorted_values[None], q)[0])
+
+
+def _tails(level: float) -> tuple[float, float]:
+    """The lower and upper tail probabilities of a two-sided interval."""
+    return (1.0 - level) / 2.0, 0.5 + level / 2.0
+
+
+def _check_replicates(B: int, what: str):
+    if B < 2:
+        raise ValueError(f"{what} requires at least two replicates")
+
+
+def _check_variances(v: np.ndarray, what: str = "variance"):
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise ValueError(f"{what} must be finite and >= 0, got {v.tolist()!r}")
+
+
+# Row kernels. Each takes a batch of R replications of one estimator, one
+# row each (``est`` is R x B, ``theta``, ``v_hat`` and ``accel`` hold one
+# value per row), and returns the (lower, upper) bounds per row. The ci_*
+# constructors below are their one-row case, and ``_interval_batch`` runs a
+# batch through every CI type a study asks for.
+
+
+def _normal(theta: np.ndarray, v_hat: np.ndarray, level: float):
+    half = _norm_ppf(0.5 + level / 2.0) * np.sqrt(v_hat)
+    return theta - half, theta + half
+
+
+def _percentile(srt: np.ndarray, level: float):
+    q_lo, q_hi = _tails(level)
+    return _quantiles(srt, q_lo), _quantiles(srt, q_hi)
+
+
+def _bias_corrections(est: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """z0 = Phi^-1(#{theta* < theta_hat} / B) per row; NaN where every replicate is on one side.
+
+    Only replicates strictly below the estimate count; ties do not.
+    """
+    B = est.shape[1]
+    below = (est < theta[:, None]).sum(axis=1)
+    return np.array([_norm_ppf(float(c) / B) if 0 < c < B else math.nan for c in below.tolist()])
+
+
+def _bca(srt: np.ndarray, est: np.ndarray, theta: np.ndarray, accel: np.ndarray, level: float):
+    """BCa bounds per row, and z0 per row: NaN where the row is one-sided.
+
+    A one-sided row gets the percentile bounds, which are BCa's with
+    z0 = 0 and accel = 0.
+    """
+    if not np.isfinite(accel).all():
+        raise ValueError(f"accel must be finite, got {accel.tolist()!r}")
+    z0s = _bias_corrections(est, theta)
+    q_lo, q_hi = _tails(level)
+    # 1 - alpha/2, not q_hi: the two roundings can differ by an ulp
+    z_lo, z_hi = _norm_ppf(q_lo), _norm_ppf(1.0 - q_lo)
+    q1, q2 = np.full(len(z0s), q_lo), np.full(len(z0s), q_hi)
+    for r in np.flatnonzero(~np.isnan(z0s)).tolist():
+        z0, a = float(z0s[r]), float(accel[r])
+
+        def adjusted(z: float) -> float:
+            t = z0 + z
+            den = 1.0 - a * t
+            if den <= 0.0:
+                # acceleration pathologically large: saturate toward the tail
+                den = 1e-12
+            q = _norm_cdf(z0 + t / den)
+            return min(max(q, 1e-12), 1.0 - 1e-12)
+
+        q1[r], q2[r] = sorted((adjusted(z_lo), adjusted(z_hi)))
+    return (_quantiles(srt, q1), _quantiles(srt, q2)), z0s
+
+
+def _bootstrap_t(est: np.ndarray, tvar: np.ndarray, theta: np.ndarray, v_hat: np.ndarray, level: float):
+    """Studentized bounds per row, and each row's count of zero-variance replicates.
+
+    Replicates with zero variance are dropped; a row that drops more than
+    1% of them gets NaN bounds.
+    """
+    B = est.shape[1]
+    keep = tvar > 0.0
+    kept = keep.sum(axis=1)
+    q_lo, q_hi = _tails(level)
+    s = np.sqrt(v_hat)
+    sizes = np.maximum(kept, 1)
+    # a row with no kept replicate reads inf, and its bounds are NaN below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = est - theta[:, None]
+        t /= np.sqrt(tvar)
+        t[~keep] = np.inf  # dropped replicates sort after every kept one
+        t.sort(axis=1)
+        lower = theta - _quantiles(t, q_hi, sizes) * s
+        upper = theta - _quantiles(t, q_lo, sizes) * s
+    dropped = B - kept
+    too_many = dropped > 0.01 * B
+    lower[too_many] = upper[too_many] = math.nan
+    return (lower, upper), dropped
+
+
+def _accelerations(values: np.ndarray) -> np.ndarray:
+    """Jackknife acceleration per row of sample unit values (R x n)."""
+    n = values.shape[1]
+    loo = (values.sum(axis=1, keepdims=True) - values) / (n - 1)
+    dev = loo.mean(axis=1, keepdims=True) - loo
+    denom = np.array([float(x) ** 1.5 for x in (dev * dev).sum(axis=1)])
+    num = (dev**3).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, num / (6.0 * denom))
+
+
+def _interval_batch(
+    cis,
+    level: float,
+    est: np.ndarray,
+    theta: np.ndarray,
+    *,
+    t_variances: np.ndarray | None = None,
+    values: np.ndarray | None = None,
+    v_hat: np.ndarray | None = None,
+    accel: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap variances and the bounds of every CI type in ``cis`` for a batch of replications.
+
+    Row r of ``est`` (R x B) holds replication r's replicate estimates and
+    ``theta[r]`` its sample estimate; ``t_variances`` (R x B) is read for
+    bootstrap-t. ``v_hat`` defaults to each row's sample variance and
+    ``accel`` (read for BCa) to the jackknife acceleration of each row of
+    ``values``, the samples' unit values (R x n). Returns ``v_hat`` and
+    ``bounds[ci, r, (lower, upper)]``, with NaN where no interval forms:
+
+    * BCa on a one-sided row falls back to the percentile interval;
+    * bootstrap-t gives the point interval at theta_hat when v_hat is 0
+      (the census limit), and no interval when more than 1% of the row's
+      replicates have zero variance.
+
+    Percentile and BCa share one sort of the rows.
+    """
+    _check_level(level)
+    rows, B = est.shape
+    theta = np.asarray(theta, dtype=np.float64)
+    v_hat = _row_variances(est) if v_hat is None else np.asarray(v_hat, dtype=np.float64)
+    bounds = np.empty((len(cis), rows, 2))
+    srt = np.sort(est, axis=1) if {CiType.PERCENTILE, CiType.BCA} & set(cis) else None
+    for i, ci in enumerate(cis):
+        if ci is CiType.NORMAL:
+            _check_variances(v_hat)
+            lower, upper = _normal(theta, v_hat, level)
+        elif ci is CiType.PERCENTILE:
+            _check_replicates(B, "a percentile interval")
+            lower, upper = _percentile(srt, level)
+        elif ci is CiType.BCA:
+            _check_replicates(B, "a BCa interval")
+            if accel is None:
+                accel = _accelerations(values)
+            (lower, upper), _ = _bca(srt, est, theta, np.asarray(accel, dtype=np.float64), level)
+        elif ci is CiType.BOOTSTRAP_T:
+            _check_replicates(B, "a bootstrap-t interval")
+            if t_variances is None:
+                raise ValueError("bootstrap-t requires replicates with their variance estimates")
+            _check_variances(v_hat, "v_hat")
+            (lower, upper), _ = _bootstrap_t(est, t_variances, theta, v_hat, level)
+            census = v_hat == 0.0
+            lower[census] = upper[census] = theta[census]
+        else:
+            raise ValueError(f"unknown CI type: {ci!r}")
+        bounds[i, :, 0], bounds[i, :, 1] = lower, upper
+    return v_hat, bounds
 
 
 def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
     """Asymptotic interval: theta_hat +/- z_{1-alpha/2} * sqrt(variance)."""
     _check_level(level)
-    if not np.isfinite(variance) or variance < 0:
-        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
-    z = _norm_ppf(0.5 + level / 2.0)
-    half = z * math.sqrt(variance)
-    return ConfidenceInterval(CiType.NORMAL, level, theta_hat - half, theta_hat + half)
+    v = np.array([variance], dtype=np.float64)
+    _check_variances(v)
+    lower, upper = _normal(np.array([theta_hat]), v, level)
+    return ConfidenceInterval(CiType.NORMAL, level, float(lower[0]), float(upper[0]))
 
 
 def ci_percentile(reps: BootstrapReplicates, level: float = 0.95) -> ConfidenceInterval:
     """Percentile interval: the alpha/2 and 1 - alpha/2 bootstrap quantiles."""
     _check_level(level)
-    if reps.B < 2:
-        raise ValueError("ci_percentile requires at least two replicates")
-    srt = np.sort(reps.estimates)
-    q_lo = (1.0 - level) / 2.0
-    q_hi = 0.5 + level / 2.0
-    return ConfidenceInterval(CiType.PERCENTILE, level, _quantile_sorted(srt, q_lo), _quantile_sorted(srt, q_hi))
+    _check_replicates(reps.B, "ci_percentile")
+    lower, upper = _percentile(np.sort(reps.estimates[None], axis=1), level)
+    return ConfidenceInterval(CiType.PERCENTILE, level, float(lower[0]), float(upper[0]))
 
 
 def bias_correction(reps: BootstrapReplicates, theta_hat: float) -> float:
@@ -108,12 +290,10 @@ def bias_correction(reps: BootstrapReplicates, theta_hat: float) -> float:
 
     Only replicates strictly below the estimate count; ties do not.
     """
-    p0 = float(np.count_nonzero(reps.estimates < theta_hat)) / reps.B
-    if not 0.0 < p0 < 1.0:
-        raise DegenerateDistributionError(
-            f"all bootstrap estimates on one side of the point estimate (p0 = {p0})"
-        )
-    return _norm_ppf(p0)
+    z0 = float(_bias_corrections(reps.estimates[None], np.array([theta_hat]))[0])
+    if math.isnan(z0):
+        raise DegenerateDistributionError("all bootstrap estimates on one side of the point estimate")
+    return z0
 
 
 def jackknife_acceleration(sample: Sample, kind: EstimatorKind) -> float:
@@ -124,15 +304,9 @@ def jackknife_acceleration(sample: Sample, kind: EstimatorKind) -> float:
     vanish.
     """
     vals = unit_values(kind, sample)
-    n = vals.size
-    if n < 3:
+    if vals.size < 3:
         raise ValueError("jackknife_acceleration requires n >= 3")
-    loo = (vals.sum() - vals) / (n - 1)
-    dev = loo.mean() - loo
-    denom = float((dev * dev).sum()) ** 1.5
-    if denom == 0.0:
-        return 0.0
-    return float((dev**3).sum() / (6.0 * denom))
+    return float(_accelerations(vals[None])[0])
 
 
 def ci_bca(
@@ -145,31 +319,16 @@ def ci_bca(
 
     Percentile ranks are shifted by the bias correction z0 and the
     acceleration ``accel``; with z0 = 0 and accel = 0 this reduces to the
-    plain percentile interval.
+    plain percentile interval. A one-sided bootstrap distribution raises
+    DegenerateDistributionError.
     """
     _check_level(level)
-    if reps.B < 2:
-        raise ValueError("ci_bca requires at least two replicates")
-    if not np.isfinite(accel):
-        raise ValueError(f"accel must be finite, got {accel!r}")
-    z0 = bias_correction(reps, theta_hat)
-    alpha = 1.0 - level
-
-    def adjusted(z: float) -> float:
-        t = z0 + z
-        den = 1.0 - accel * t
-        if den <= 0.0:
-            # acceleration pathologically large: saturate toward the tail
-            den = 1e-12
-        q = _norm_cdf(z0 + t / den)
-        return min(max(q, 1e-12), 1.0 - 1e-12)
-
-    q1 = adjusted(_norm_ppf(alpha / 2.0))
-    q2 = adjusted(_norm_ppf(1.0 - alpha / 2.0))
-    srt = np.sort(reps.estimates)
-    lo = _quantile_sorted(srt, min(q1, q2))
-    hi = _quantile_sorted(srt, max(q1, q2))
-    return ConfidenceInterval(CiType.BCA, level, lo, hi)
+    _check_replicates(reps.B, "ci_bca")
+    est = reps.estimates[None]
+    (lower, upper), z0s = _bca(np.sort(est, axis=1), est, np.array([theta_hat]), np.array([accel], float), level)
+    if math.isnan(z0s[0]):
+        raise DegenerateDistributionError("all bootstrap estimates on one side of the point estimate")
+    return ConfidenceInterval(CiType.BCA, level, float(lower[0]), float(upper[0]))
 
 
 def ci_bootstrap_t(
@@ -188,21 +347,12 @@ def ci_bootstrap_t(
     _check_level(level)
     if reps.t_variances is None:
         raise ValueError("bootstrap-t requires replicates with their variance estimates")
-    if reps.B < 2:
-        raise ValueError("ci_bootstrap_t requires at least two replicates")
+    _check_replicates(reps.B, "ci_bootstrap_t")
     if not np.isfinite(v_hat) or v_hat <= 0:
         raise ValueError(f"v_hat must be finite and > 0, got {v_hat!r}")
-    keep = reps.t_variances > 0.0
-    dropped = reps.B - int(np.count_nonzero(keep))
-    if dropped > 0.01 * reps.B:
-        raise DegenerateDistributionError(
-            f"{dropped} of {reps.B} replicates have zero variance estimates"
-        )
-    t = (reps.estimates[keep] - theta_hat) / np.sqrt(reps.t_variances[keep])
-    srt = np.sort(t)
-    q_lo = (1.0 - level) / 2.0
-    q_hi = 0.5 + level / 2.0
-    s = math.sqrt(v_hat)
-    lower = theta_hat - _quantile_sorted(srt, q_hi) * s
-    upper = theta_hat - _quantile_sorted(srt, q_lo) * s
-    return ConfidenceInterval(CiType.BOOTSTRAP_T, level, lower, upper)
+    (lower, upper), dropped = _bootstrap_t(
+        reps.estimates[None], reps.t_variances[None], np.array([theta_hat]), np.array([v_hat], float), level
+    )
+    if math.isnan(lower[0]):
+        raise DegenerateDistributionError(f"{dropped[0]} of {reps.B} replicates have zero variance estimates")
+    return ConfidenceInterval(CiType.BOOTSTRAP_T, level, float(lower[0]), float(upper[0]))

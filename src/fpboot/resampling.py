@@ -35,17 +35,19 @@ avoids BLAS (``@``, ``np.dot``): BLAS threads started in every worker of a
 study's process pool oversubscribe the cores and cancel the pool's
 speed-up.
 
-The standard engine draws its indices 16-bit while n <= 2**16 (numpy's
-bounded sampler takes two from each 32-bit generator word, Lemire's
-exact multiply-and-reject, so a block needs half the words of an int64
-draw) and int64 above that. The indices point into the sample's units
-reordered flagged first, so a resample's flagged count is its number of
-indices below the sample's flagged count t, and needs no gather.
+The standard engine draws each index from a 16-bit chunk of the raw
+64-bit generator words while n <= 2**16, four chunks per word, by
+Lemire's exact multiply-and-reject (``_multiply_reject``), and int64 with
+``Generator.integers`` above that. The indices point into the sample's
+units reordered flagged first, so a resample's flagged count is its
+number of indices below the sample's flagged count t, and needs no
+gather. Other values are gathered already centred (``_centre``) and
+reduced in one pass, like the count engines' values.
 
-The standard engine's widened indices and gathered values and
-mirror-match's unit counts are built in block buffers that each thread
-keeps between blocks and calls, so a block does not fault fresh pages in:
-each thread holds at most one float64 and one int64 block between calls.
+The standard engine's indices and gathered values and mirror-match's unit
+counts are built in block buffers that each thread keeps between blocks
+and calls, so a block does not fault fresh pages in: each thread holds at
+most one float64 and one int64 block between calls.
 No array an engine returns views a buffer.
 """
 
@@ -186,6 +188,17 @@ def _census(kind, method: Method, B: int, vals: list[np.ndarray], with_t_varianc
     return _replicates(kind, method, B, runs)
 
 
+def _centre(v: np.ndarray) -> float:
+    """The value an engine centres unit values on before it sums them.
+
+    Integer values are summed as they are: their sums are exact, so a
+    replicate mean is rounded once, like the sample estimate. Other values
+    are centred on their mean, which keeps the one-pass variance clear of
+    cancellation and a constant sample's replicates exact.
+    """
+    return 0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean())
+
+
 def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with_t_variances: bool):
     """Replicate means and t-variances from blocks of unit counts.
 
@@ -195,21 +208,17 @@ def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with
     other than PP's gets its own 1-D einsum: on numpy 2.4 one stacked
     "rn,ne->re" call takes several times as long as the 1-D calls together.
 
-    Integer values are summed as they are: their sums are exact, so a
-    replicate mean is rounded once, like the sample estimate, and a
-    replicate tied with the sample equals its estimate bit for bit. PP's
-    0/100 values need no einsum: a replicate's sum is 100 times its count
-    of flagged units, and its sum of squares 100 times that sum, the same
-    exact integers, from one integer column sum that takes a quarter of
-    the time of two mixed int64 x float64 einsums or less. Other values
-    are centred on their mean, which keeps the one-pass variance clear of
-    cancellation and a constant sample's replicates exact. The reductions
-    use einsum, not ``@``, to stay out of BLAS threads (see the module
-    docstring).
+    Values are summed centred (``_centre``), so a replicate tied with the
+    sample equals its estimate bit for bit. PP's 0/100 values need no
+    einsum: a replicate's sum is 100 times its count of flagged units, and
+    its sum of squares 100 times that sum, the same exact integers, from
+    one integer column sum that takes a quarter of the time of two mixed
+    int64 x float64 einsums or less. The reductions use einsum, not ``@``,
+    to stay out of BLAS threads (see the module docstring).
     """
     t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
     flags = [np.flatnonzero(v) if np.all((v == 0) | (v == 100)) else None for v in vals]
-    centres = [0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean()) for v in vals]
+    centres = [_centre(v) for v in vals]
     ds = [v - c for v, c in zip(vals, centres)]
     d2s = [d * d for d in ds]
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
@@ -243,13 +252,62 @@ def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
     return copies
 
 
-def _resample_indices(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """A rows x n block of uniform indices into [0, n).
+# 16-bit chunks per 64-bit generator word, and the 16-bit draw's range
+_CHUNKS = 4
+_CHUNK = 2**16
 
-    16-bit while n <= 2**16, so each 32-bit generator word yields two
-    indices; int64 above that. Part of the reproducibility contract.
+
+def _chunks(gen: np.random.Generator, k: int) -> np.ndarray:
+    """The next k 16-bit chunks of the stream's raw 64-bit words, lowest chunk first.
+
+    The explicit little-endian views keep the chunk order the same on every
+    host. The unused chunks of the last word are dropped.
     """
-    return gen.integers(0, n, size=(rows, n), dtype=np.uint16 if n <= 2**16 else np.int64)
+    words = gen.bit_generator.random_raw(-(-k // _CHUNKS))
+    return words.astype("<u8", copy=False).view("<u2")[:k]
+
+
+def _multiply_reject(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Lemire's multiply-and-reject step for 16-bit chunks ``x`` and n <= 2**16.
+
+    Writes the products x * n to the int64 array ``out``, whose high bits
+    (x * n) >> 16 are the indices, and returns the positions of the chunks
+    the rule rejects: those with (x * n) mod 2**16 < 2**16 mod n. Every
+    index in [0, n) is then accepted from exactly floor(2**16 / n) chunk
+    values.
+    """
+    # the product in int64: a uint16 product would wrap
+    np.multiply(x, n, out=out, dtype=np.int64)
+    threshold = _CHUNK % n
+    if not threshold:
+        return np.empty(0, dtype=np.intp)
+    # a uint16 product wraps to exactly (x * n) mod 2**16
+    return np.flatnonzero(np.multiply(x, np.uint16(n)) < threshold)
+
+
+def _resample_indices(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A rows x n int64 block of uniform indices into [0, n).
+
+    While n <= 2**16 each index comes from one 16-bit chunk of the raw
+    generator words (``_chunks``), by ``_multiply_reject``. The rejected
+    cells are redrawn, in order, one chunk each from the following words,
+    until every cell is accepted. The block is this thread's int64 block
+    buffer, valid until its next request. Above 2**16 the block is
+    ``Generator.integers``' int64 draw. Part of the reproducibility
+    contract.
+    """
+    if n > _CHUNK:
+        return gen.integers(0, n, size=(rows, n))
+    idx = _workspace.block(np.int64, rows, n)
+    cells = idx.reshape(-1)
+    pending = _multiply_reject(_chunks(gen, cells.size), n, cells)
+    while pending.size:
+        prod = np.empty(pending.size, dtype=np.int64)
+        rejected = _multiply_reject(_chunks(gen, pending.size), n, prod)
+        cells[pending] = prod  # a cell rejected again is overwritten next round
+        pending = pending[rejected]
+    np.right_shift(cells, 16, out=cells)
+    return idx
 
 
 def standard_bootstrap(
@@ -267,7 +325,10 @@ def standard_bootstrap(
     A tuple of kinds gives a tuple of replicates, all read off one block
     of resampled indices. The indices point into the sample's units
     ordered flagged first, so a PP(top 10%) replicate is counted, not
-    gathered (see the module docstring).
+    gathered. Other replicates come from one centred pass over the
+    gathered values d = v - centre: the estimate is centre + sum(d) / n and
+    the t-variance max(sum(d**2) - sum(d)**2 / n, 0) / n**2 (see the
+    module docstring).
     """
     n = sample.n
     if n < 2:
@@ -279,46 +340,43 @@ def standard_bootstrap(
     order = np.argsort(~sample.top10, kind="stable")
     t = int(np.count_nonzero(sample.top10))
     vals = [None if k is EstimatorKind.PP_TOP10 else unit_values(k, sample)[order] for k in kinds]
-    gathers = any(v is not None for v in vals)
+    centres = [None if v is None else _centre(v) for v in vals]
+    ds = [None if v is None else v - c for v, c in zip(vals, centres)]
     gen = rng.generator
     runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
     for lo, hi in _blocks(B, n):
-        drawn = _resample_indices(gen, hi - lo, n)
-        if gathers:
-            # widened once per block: np.take would cast uint16 indices
-            # into a fresh int64 temporary for every kind
-            idx = _workspace.block(np.int64, hi - lo, n)
-            idx[...] = drawn
-            m = _workspace.block(np.float64, hi - lo, n)
-        for v, (est, tvar) in zip(vals, runs):
-            if v is None:
+        idx = _resample_indices(gen, hi - lo, n)
+        for centre, d, (est, tvar) in zip(centres, ds, runs):
+            if d is None:
                 # an int32 sum takes ~2/3 of the time of count_nonzero's intp
-                c = np.add.reduce(drawn < t, axis=1, dtype=np.int32)
+                c = np.add.reduce(idx < t, axis=1, dtype=np.int32)
                 # 100 * c / n, multiplied first: the float mean of the drawn
                 # 0/100 values bit for bit
                 mean = np.multiply(c, 100.0, out=est[lo:hi])
                 mean /= n
                 if tvar is not None:
                     # sum((x - mean)**2) / n**2 over c hundreds and n - c
-                    # zeros, exactly 0 when c is 0 or n
-                    tvar[lo:hi] = (c * (100.0 - mean) ** 2 + (n - c) * mean**2) / (n * n)
+                    # zeros is 100**2 * c * (n - c) / n**3: an exact
+                    # integer times one constant, and exactly 0 when c is
+                    # 0 or n
+                    cf = c.astype(np.float64)
+                    np.multiply(cf * (n - cf), 1e4 / n**3, out=tvar[lo:hi])
                 continue
-            # Indices lie in [0, n) by construction, so "clip" never clips;
-            # the default "raise" would gather into a fresh temporary and
-            # copy it to ``out``.
-            np.take(v, idx, out=m, mode="clip")
-            # m.mean(axis=1) and sum((m - mean)**2) / n**2, in place
-            mean = np.add.reduce(m, axis=1, out=est[lo:hi])
-            mean /= n
+            # The centred values of the drawn units. Indices lie in [0, n)
+            # by construction, so "clip" never clips; the default "raise"
+            # would gather into a fresh temporary and copy it to ``out``.
+            m = np.take(d, idx, out=_workspace.block(np.float64, hi - lo, n), mode="clip")
+            # row sums by einsum, which takes half the time of add.reduce
+            s1 = np.einsum("rn->r", m)
+            np.add(centre, s1 / n, out=est[lo:hi])
             if tvar is not None:
-                m -= mean[:, None]
-                m *= m
-                var = np.add.reduce(m, axis=1, out=tvar[lo:hi])
-                var /= n * n
-        # Free the indices before the next block draws its own: two blocks'
-        # indices freed together can make the allocator trim the heap, and
-        # the next call would fault their pages in again.
-        del drawn
+                # (sum(d**2) - sum(d)**2 / n) / n**2
+                ss = np.einsum("rn,rn->r", m, m) - s1 * s1 / n
+                np.divide(np.maximum(ss, 0.0), n * n, out=tvar[lo:hi])
+        # Above 2**16 the indices are a fresh int64 draw: free it before the
+        # next block draws its own, since two blocks' indices freed
+        # together can make the allocator trim the heap.
+        del idx
     return _replicates(kind, Method.STANDARD, B, runs)
 
 

@@ -14,18 +14,27 @@ subset of cells, any worker count, and any scheduling order produce
 identical cells.
 
 Data path: a task is ``(config, n, method, lo, hi)``, replications
-[lo, hi) of one (n, method) group. It returns ``v_hats[estimator, rep]``,
-the bootstrap variances, and ``bounds[estimator, ci, rep, (lower, upper)]``,
-the interval endpoints, with NaN meaning "no interval" (a real interval
-never has a NaN endpoint). A group's task results are joined in
-replication order and reduced to cells in one vectorised step; one row
-definition (``_cell_row``) feeds the JSON report, the CSV report and the
-length sweep.
+[lo, hi) of one (n, method) group. Each replication makes one ``make_rng``
+-> ``srswor`` -> ``bootstrap`` call; its replicates are stacked in batches
+of at most max(1, 2**16 // B) replications, and each batch gets one
+vectorised interval pass per estimator (``_interval_batch``):
+the bootstrap variances, the jackknife accelerations and every CI type,
+with one sort shared by percentile and BCa. A task returns
+``v_hats[estimator, rep]``, the bootstrap variances, and
+``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
+with NaN meaning "no interval" (a real interval never has a NaN endpoint).
+A group's task results are joined in replication order and reduced to
+cells in one vectorised step; one row definition (``_cell_row``) feeds the
+JSON report, the CSV report and the length sweep.
 
 ``bootstrap`` (engine dispatch) and ``build_interval`` (one CI type from
-one set of replicates) are the single path for both steps; the CLI's
-``estimate`` command calls them too. They call the engines and interval
-constructors as names of this module, so tracing can wrap those names.
+one set of replicates, the one-row case of the interval pass) are the
+single path for both steps; the CLI's ``estimate`` command calls them
+too. The study calls the engines, ``make_rng``, ``srswor`` and
+``estimate`` as names of this module, so tracing can wrap those names.
+``bootstrap_variance``, ``jackknife_acceleration`` and the ``ci_*``
+constructors are one-row cases of the interval pass; they stay names of
+this module for tracing, though a study no longer calls them.
 """
 
 import hashlib
@@ -37,18 +46,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDistributionError
-from .estimators import EstimatorKind, estimate
-from .intervals import (
+from .estimators import EstimatorKind, estimate, unit_values
+from .intervals import (  # noqa: F401 -- ci_* and jackknife_acceleration: see the module docstring
     CiType,
     ConfidenceInterval,
+    _interval_batch,
     ci_bca,
     ci_bootstrap_t,
     ci_normal,
     ci_percentile,
     jackknife_acceleration,
 )
-from .resampling import (
+from .resampling import (  # noqa: F401 -- bootstrap_variance: see the module docstring
     BootstrapReplicates,
     Method,
     bootstrap_variance,
@@ -61,6 +70,10 @@ from .sampling import Population, RngStream, Sample, load_population, make_rng, 
 # Stream id reserved for synthetic population generation; cell streams are
 # hash * 2**32 + r with r far below 2**32, so they cannot collide with it.
 SYNTH_STREAM_ID = 2**64 - 1
+
+# A batch of replications stacks at most this many replicate estimates
+# (replications x B) per estimator for the interval pass.
+_BATCH_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -410,30 +423,18 @@ def build_interval(
 ) -> ConfidenceInterval | None:
     """One interval from one set of replicates; None when it cannot be formed.
 
+    The one-row case of the study's interval pass (``_interval_batch``):
     BCa on a one-sided bootstrap distribution falls back to the percentile
-    interval; bootstrap-t with more than 1% zero-variance replicates gives
-    None. ``accel`` is only read for BCa.
+    interval; bootstrap-t gives a point at ``theta_hat`` when ``v_hat`` is 0
+    and None with more than 1% zero-variance replicates. ``accel`` is only
+    read for BCa.
     """
-    if ci is CiType.NORMAL:
-        return ci_normal(theta_hat, v_hat, level)
-    if ci is CiType.PERCENTILE:
-        return ci_percentile(reps, level)
-    if ci is CiType.BCA:
-        try:
-            return ci_bca(reps, theta_hat, accel, level)
-        except DegenerateDistributionError:
-            # one-sided bootstrap distribution: fall back to the percentile rule
-            p = ci_percentile(reps, level)
-            return ConfidenceInterval(CiType.BCA, level, p.lower, p.upper)
-    if ci is CiType.BOOTSTRAP_T:
-        if v_hat == 0.0:
-            # census limit: the studentized interval degenerates to a point
-            return ConfidenceInterval(CiType.BOOTSTRAP_T, level, theta_hat, theta_hat)
-        try:
-            return ci_bootstrap_t(reps, theta_hat, v_hat, level)
-        except DegenerateDistributionError:
-            return None
-    raise ValueError(f"unknown CI type: {ci!r}")
+    t_variances = None if reps.t_variances is None else reps.t_variances[None]
+    _, bounds = _interval_batch(
+        (ci,), level, reps.estimates[None], [theta_hat], t_variances=t_variances, v_hat=[v_hat], accel=[accel]
+    )
+    lower, upper = bounds[0, 0].tolist()
+    return None if math.isnan(lower) else ConfidenceInterval(ci, level, lower, upper)
 
 
 def _run_replications(task):
@@ -441,7 +442,9 @@ def _run_replications(task):
 
     ``task`` is ``(config, n, method, lo, hi)``. Each replication draws one
     sample and makes one engine call that returns replicates for every
-    estimator. Returns ``v_hats[estimator, rep]`` and
+    estimator. The replicates are stacked in batches of at most
+    max(1, 2**16 // B) replications, and each batch gets one interval pass
+    per estimator. Returns ``v_hats[estimator, rep]`` and
     ``bounds[estimator, ci, rep, (lower, upper)]``, NaN where no interval
     could be formed.
     """
@@ -451,24 +454,38 @@ def _run_replications(task):
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
     base = cell_stream_base(n, method)
     v_hats = np.empty((len(kinds), hi - lo))
-    bounds = np.full((len(kinds), len(cis), hi - lo, 2), np.nan)
+    bounds = np.empty((len(kinds), len(cis), hi - lo, 2))
     need_t = CiType.BOOTSTRAP_T in cis
     need_a = CiType.BCA in cis
+    rows = min(hi - lo, max(1, _BATCH_CELLS // config.B))
+    est = np.empty((len(kinds), rows, config.B))
+    tvar = np.empty((len(kinds), rows, config.B)) if need_t else None
+    theta = np.empty((len(kinds), rows))
+    values = np.empty((len(kinds), rows, n)) if need_a else None
 
     for t, r in enumerate(range(lo, hi)):
+        j = t % rows
         rng = make_rng(config.master_seed, base + r)
         sample = srswor(pop, n, rng)
         runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=need_t)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
-            theta_hat = estimate(kind, sample)
-            v_hat = v_hats[e, t] = bootstrap_variance(reps)
-            accel = jackknife_acceleration(sample, kind) if need_a else 0.0
-            for i, ci in enumerate(cis):
-                interval = build_interval(
-                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=config.level
+            theta[e, j] = estimate(kind, sample)
+            est[e, j] = reps.estimates
+            if need_t:
+                tvar[e, j] = reps.t_variances
+            if need_a:
+                values[e, j] = unit_values(kind, sample)
+        if j == rows - 1 or r == hi - 1:
+            batch = slice(t - j, t + 1)
+            for e in range(len(kinds)):
+                v_hats[e, batch], bounds[e, :, batch] = _interval_batch(
+                    cis,
+                    config.level,
+                    est[e, : j + 1],
+                    theta[e, : j + 1],
+                    t_variances=None if tvar is None else tvar[e, : j + 1],
+                    values=None if values is None else values[e, : j + 1],
                 )
-                if interval is not None:
-                    bounds[e, i, t] = interval.lower, interval.upper
     return v_hats, bounds
 
 

@@ -30,7 +30,15 @@ from fpboot import (
     standard_bootstrap,
     unit_values,
 )
-from fpboot.resampling import _count_replicates, _mirror_counts, _pseudo_population, _resample_indices, _workspace
+from fpboot.resampling import (
+    _chunks,
+    _count_replicates,
+    _mirror_counts,
+    _multiply_reject,
+    _pseudo_population,
+    _resample_indices,
+    _workspace,
+)
 
 
 def lognormal_sample(n, N, seed=0):
@@ -460,12 +468,14 @@ class TestExactReplicates:
         assert np.all(reps.estimates[empty] == 0.0)
         assert np.all(reps.t_variances[empty] == 0.0)
 
-    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap])
+    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap, standard_bootstrap])
     def test_constant_sample_is_exact(self, engine):
         # 0.1 has no exact binary form and its sample mean is off by an ulp;
-        # N = 60 randomizes mirror-match's k, so row sums differ
+        # N = 60 randomizes mirror-match's k, so row sums differ. The
+        # standard engine's replicates come from the same centred sums.
         s = constant_sample(37, 60, value=0.1)
-        reps = engine(s, 60, 600, EstimatorKind.MNCS, make_rng(12, 1), with_t_variances=True)
+        args = (600,) if engine is standard_bootstrap else (60, 600)
+        reps = engine(s, *args, EstimatorKind.MNCS, make_rng(12, 1), with_t_variances=True)
         assert np.all(reps.estimates == 0.1)
         assert np.all(reps.t_variances == 0.0)
 
@@ -522,12 +532,51 @@ class TestVarianceOrdering:
 
 # Reference block code with fresh temporaries per block: the same stream
 # reads and arithmetic as the engines, so they must match it bit for bit.
-# The standard engine draws 16-bit indices while n <= 2**16 and int64
-# above, into the sample's units ordered flagged first. A 16-bit call
-# drops the half word it leaves over, so its replicates follow the block
-# rule too.
-def index_dtype(n):
-    return np.uint16 if n <= 2**16 else np.int64
+# While n <= 2**16 the standard engine draws each index from a 16-bit chunk
+# of the raw 64-bit generator words, lowest chunk first, by Lemire's
+# multiply-and-reject rule, and int64 indices from ``integers`` above. The
+# indices point into the sample's units ordered flagged first. A block's
+# unused chunks are dropped, so its replicates follow the block rule too.
+def python_loop_indices(gen, rows, n):
+    # The draw rule, one cell and one chunk at a time in Python integers:
+    # a chunk x gives the index (x * n) >> 16 and is accepted iff
+    # (x * n) mod 2**16 >= 2**16 mod n; the rejected cells are redrawn, in
+    # order, from the following words, a round at a time.
+    threshold = 2**16 % n
+    cells = [0] * (rows * n)
+    pending = list(range(rows * n))
+    while pending:
+        words = gen.bit_generator.random_raw(-(-len(pending) // 4)).tolist()
+        chunks = [(w >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
+        again = []
+        for cell, x in zip(pending, chunks):
+            if (x * n) & 0xFFFF >= threshold:
+                cells[cell] = (x * n) >> 16
+            else:
+                again.append(cell)
+        pending = again
+    return np.array(cells, dtype=np.int64).reshape(rows, n)
+
+
+def reference_indices(gen, rows, n):
+    # the same rule on whole arrays, for the block references below
+    if n > 2**16:
+        return gen.integers(0, n, size=(rows, n))
+    cells = np.empty(rows * n, dtype=np.int64)
+    pending = np.arange(rows * n)
+    while pending.size:
+        words = gen.bit_generator.random_raw(-(-pending.size // 4))
+        chunks = ((words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & 0xFFFF).ravel()[: pending.size]
+        prod = chunks.astype(np.int64) * n
+        ok = prod % 2**16 >= 2**16 % n
+        cells[pending[ok]] = prod[ok] // 2**16
+        pending = pending[~ok]
+    return cells.reshape(rows, n)
+
+
+def reference_centre(v):
+    # integer values are summed as they are, others centred on their mean
+    return 0.0 if np.all(v == np.trunc(v)) else float(v.mean())
 
 
 def reference_standard(s, B, kinds, rng, with_t):
@@ -538,22 +587,25 @@ def reference_standard(s, B, kinds, rng, with_t):
     lo = 0
     for rows in block_rows(B, n):
         hi = lo + rows
-        idx = gen.integers(0, n, size=(rows, n), dtype=index_dtype(n))
+        idx = reference_indices(gen, rows, n)
         for kind, (est, tvar) in zip(kinds, runs):
             if kind is EstimatorKind.PP_TOP10:
                 # c flagged units drawn: the mean of the 0/100 values, and
-                # sum((x - mean)**2) / n**2 in closed form
+                # sum((x - mean)**2) / n**2 = 100**2 * c * (n - c) / n**3
                 c = (idx < t).sum(axis=1)
                 est[lo:hi] = 100.0 * c / n
                 if with_t:
-                    mean = est[lo:hi]
-                    tvar[lo:hi] = (c * (100.0 - mean) ** 2 + (n - c) * mean**2) / n**2
+                    tvar[lo:hi] = (c * (n - c)).astype(float) * (1e4 / n**3)
                 continue
-            m = unit_values(kind, s)[order][idx]
-            est[lo:hi] = m.mean(axis=1)
+            # one centred pass: d = v - centre, est = centre + sum(d) / n,
+            # tvar = max(sum(d**2) - sum(d)**2 / n, 0) / n**2
+            v = unit_values(kind, s)[order]
+            centre = reference_centre(v)
+            d = (v - centre)[idx]
+            s1 = np.einsum("rn->r", d)
+            est[lo:hi] = centre + s1 / n
             if tvar is not None:
-                d = m - est[lo:hi, None]
-                tvar[lo:hi] = (d * d).sum(axis=1) / (n * n)
+                tvar[lo:hi] = np.maximum(np.einsum("rn,rn->r", d, d) - s1 * s1 / n, 0.0) / (n * n)
         lo = hi
     return runs
 
@@ -723,8 +775,58 @@ def philox_words(gen):
 
 
 class TestIndexDraws:
-    # The standard engine's draw rule: uniform 16-bit indices while
-    # n <= 2**16, int64 above, two indices per 32-bit generator word.
+    # The standard engine's draw rule: 16-bit chunks of the raw generator
+    # words by Lemire's multiply-and-reject while n <= 2**16, four chunks
+    # per 64-bit word; int64 ``integers`` above.
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 6224, 2**16])
+    def test_every_index_accepted_equally_often(self, n):
+        # over all 2**16 chunk values every index in [0, n) is accepted
+        # exactly floor(2**16 / n) times, and 2**16 mod n values are rejected
+        x = np.arange(2**16, dtype=np.uint16)
+        prod = np.empty(x.size, dtype=np.int64)
+        rejected = _multiply_reject(x, n, prod)
+        accepted = np.ones(x.size, dtype=bool)
+        accepted[rejected] = False
+        assert rejected.size == 2**16 % n
+        assert np.array_equal(prod, x.astype(np.int64) * n)
+        counts = np.bincount(prod[accepted] >> 16, minlength=n)
+        assert counts.size == n
+        assert np.all(counts == 2**16 // n)
+
+    def test_chunks_are_read_lowest_first(self):
+        # chunk j of word w is (w >> 16*j) & 0xFFFF whatever the host's byte
+        # order; a partial word's unused chunks are dropped
+        words = make_rng(28, 0).generator.bit_generator.random_raw(5)
+        gen = make_rng(28, 0).generator
+        chunks = _chunks(gen, 18)
+        assert chunks.dtype == np.dtype("<u2")
+        expected = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
+        assert chunks.tolist() == expected[:18]
+        assert gen.bit_generator.random_raw() == make_rng(28, 0).generator.bit_generator.random_raw(6)[5]
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 6224, 2**16])
+    def test_engine_draw_matches_python_loop(self, n):
+        # three blocks from the engine, the pure-Python loop and the array
+        # reference on copies of one stream: the same indices, the same
+        # stream position after
+        rows = max(1, 2**16 // n)
+        gens = [make_rng(29, n).generator for _ in range(3)]
+        for _ in range(3):
+            engine = _resample_indices(gens[0], rows, n)
+            assert engine.dtype == np.int64 and engine.shape == (rows, n)
+            assert np.array_equal(engine, python_loop_indices(gens[1], rows, n))
+            assert np.array_equal(engine, reference_indices(gens[2], rows, n))
+        assert gens[0].random() == gens[1].random() == gens[2].random()
+
+    def test_rejected_cells_are_redrawn_in_order(self):
+        # at n = 3 * 2**14 a third of the chunk values are rejected, so most
+        # blocks need several redraw rounds
+        n = 3 * 2**14
+        gens = [make_rng(30, k).generator for k in (0, 0)]
+        for _ in range(4):
+            assert np.array_equal(_resample_indices(gens[0], 1, n), python_loop_indices(gens[1], 1, n))
+        assert gens[0].random() == gens[1].random()
+
     @pytest.mark.parametrize("n", [2, 3, 100, 1000, 2**16])
     def test_16bit_draws_uniform(self, n):
         # each unit's count over D draws is Binomial(D, 1/n): within 5 Monte
@@ -732,8 +834,9 @@ class TestIndexDraws:
         gen = make_rng(21, n).generator
         rows = max(1, 2**16 // n)
         calls = -(-max(400_000, 200 * n) // (rows * n))
-        idx = np.concatenate([_resample_indices(gen, rows, n).ravel() for _ in range(calls)])
-        assert idx.dtype == np.uint16
+        # each block is the thread's buffer until the next draw: copy it
+        idx = np.concatenate([_resample_indices(gen, rows, n).ravel().copy() for _ in range(calls)])
+        assert idx.dtype == np.int64
         D = idx.size
         counts = np.bincount(idx, minlength=n)
         assert counts.size == n
@@ -744,7 +847,6 @@ class TestIndexDraws:
         N = 3 * n
         s = lognormal_sample(n, N, seed=67)
         kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
-        assert _resample_indices(make_rng(22, 0).generator, 1, n).dtype == index_dtype(n)
         rng, ref_rng = make_rng(22, n), make_rng(22, n)
         reps = standard_bootstrap(s, 2, kinds, rng, with_t_variances=True)
         assert_same_bits(reps, reference_standard(s, 2, kinds, ref_rng, True), True)
@@ -776,7 +878,7 @@ class TestPpCountPath:
         gen = make_rng(24, n).generator
         t = int(s.top10.sum())
         v = unit_values(EstimatorKind.PP_TOP10, s)[np.argsort(~s.top10, kind="stable")]
-        idx = np.concatenate([gen.integers(0, n, size=(rows, n), dtype=np.uint16) for rows in block_rows(B, n)])
+        idx = np.concatenate([reference_indices(gen, rows, n) for rows in block_rows(B, n)])
         assert reps.estimates.tobytes() == v[idx].mean(axis=1).tobytes()
         exact = [float(Fraction(100**2 * c * (n - c), n**3)) for c in (idx < t).sum(axis=1).tolist()]
         assert np.all(np.abs(reps.t_variances - exact) <= 4 * np.spacing(exact))

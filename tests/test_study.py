@@ -3,16 +3,20 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpboot.study as study
+
 from fpboot import (
     CellReport,
     CiType,
     ConfidenceInterval,
+    DegenerateDistributionError,
     EstimatorKind,
     Method,
     Sample,
@@ -21,6 +25,7 @@ from fpboot import (
     bootstrap,
     bootstrap_variance,
     build_interval,
+    ci_bca,
     coverage_study,
     effective_ci_types,
     emit_report,
@@ -480,6 +485,96 @@ class TestSharedPath:
         assert build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=5.0, v_hat=v_hat, accel=0.0, level=0.95) is None
 
 
+def loop_replications(config, pop, n, method, lo, hi, events):
+    """A task's results rebuilt one replication at a time from the public steps.
+
+    The study runs each batch of replications through one interval pass;
+    this loop calls ``bootstrap``, ``bootstrap_variance``,
+    ``jackknife_acceleration`` and ``build_interval`` once per replication
+    and estimator instead. ``events`` counts the cases where the interval
+    rule departs from the plain constructors.
+    """
+    kinds = config.estimators
+    cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
+    v_hats = np.empty((len(kinds), hi - lo))
+    bounds = np.full((len(kinds), len(cis), hi - lo, 2), np.nan)
+    for t, r in enumerate(range(lo, hi)):
+        rng = make_rng(config.master_seed, cell_stream_base(n, method) + r)
+        sample = srswor(pop, n, rng)
+        runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=True)
+        for e, (kind, reps) in enumerate(zip(kinds, runs)):
+            theta_hat = estimate(kind, sample)
+            v_hat = v_hats[e, t] = bootstrap_variance(reps)
+            accel = jackknife_acceleration(sample, kind)
+            for i, ci in enumerate(cis):
+                interval = build_interval(
+                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=config.level
+                )
+                if interval is not None:
+                    bounds[e, i, t] = interval.lower, interval.upper
+                if ci is CiType.BCA:
+                    try:
+                        ci_bca(reps, theta_hat, accel, config.level)
+                    except DegenerateDistributionError:
+                        events["bca fallback"] += 1
+                elif ci is CiType.BOOTSTRAP_T:
+                    events["boot-t census point" if v_hat == 0.0 else "boot-t rejected" if interval is None else "boot-t"] += 1
+    return v_hats, bounds
+
+
+def assert_same_floats(a, b):
+    # bit for bit, with NaN (no interval) where the other has NaN
+    assert a.shape == b.shape
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.nan_to_num(a, nan=0.0).tobytes() == np.nan_to_num(b, nan=0.0).tobytes()
+
+
+class TestIntervalBatch:
+    """The study's batched interval pass against a per-replication loop."""
+
+    # N = 60: at n = 4 a PP sample often has no flagged unit (a one-sided
+    # bootstrap distribution and v_hat = 0) or one (many zero-variance
+    # replicates); n = 60 is the FPC engines' census
+    SIZES = (4, 20, 60)
+
+    @staticmethod
+    def run(B, R, tasks, monkeypatch, batch_cells=None):
+        spec = SynthSpec(size=60, target_mncs=1.275, target_pp=13.7)
+        config = StudyConfig(
+            population_source=spec, sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R,
+            methods=tuple(Method), ci_types=ALL_CIS, estimators=tuple(EstimatorKind), master_seed=9,
+            ci_pairing="all",
+        )
+        pop = synth_population(spec, make_rng(config.master_seed, SYNTH_STREAM_ID))
+        if batch_cells is not None:
+            monkeypatch.setattr(study, "_BATCH_CELLS", batch_cells)
+        study._init_worker(pop.ncs, pop.top10)
+        events = Counter()
+        for n in TestIntervalBatch.SIZES:
+            for method in Method:
+                for lo, hi in tasks:
+                    v_hats, bounds = study._run_replications((config, n, method, lo, hi))
+                    ref_v, ref_bounds = loop_replications(config, pop, n, method, lo, hi, events)
+                    assert_same_floats(v_hats, ref_v)
+                    assert_same_floats(bounds, ref_bounds)
+        return events
+
+    @pytest.mark.parametrize("B", [2, 3, 7, 8, 9, 1000, 1001])
+    def test_small_batches_match_the_loop(self, B, monkeypatch):
+        # batches of three replications: tasks of 5 and 4 split into 3 + 2
+        # and 3 + 1
+        events = self.run(B, 9, [(1, 6), (6, 10)], monkeypatch, batch_cells=3 * B)
+        assert events["bca fallback"] > 0
+        assert events["boot-t census point"] > 0
+        if B >= 7:
+            assert events["boot-t rejected"] > 0 and events["boot-t"] > 0
+
+    def test_default_batches_match_the_loop(self, monkeypatch):
+        # B = 1000 stacks 65 replications per batch: a task of 70 is two
+        events = self.run(1000, 70, [(1, 71)], monkeypatch)
+        assert min(events.values()) > 0 and len(events) == 4
+
+
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
 # JSON writes every float with repr, so a replicate value that moves by an
 # ulp shows. At n = 60 the population is exactly 5 copies of the sample and
@@ -488,18 +583,18 @@ class TestSharedPath:
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "18a85d93a31a8d70c38f23c27585b1da1baaa1e67a105665c9bdf6cadd8f6646",
-    70: "c9e4ef987ab0295913c941e52e70f8b2bd15d0ce06eed3e8d313f79254f2cbad",
+    60: "a6b3a2e5f9dd2d75b63251ab97b95bf28bd2a74e3a0e32d4e355467c5e69275a",
+    70: "0b2ab25d6d5d009ea19501665b0371f5ca8bb443e22fcb187fc5c396d01b9c5f",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
 GOLDEN_CSV_SHA256 = {
-    60: "a988b434233cf0c9673b85ef22eb98bc813d6d635f3f02586acd65b25ebf25c0",
-    70: "0ed2102e30ec653649177c6d25509b5a6a785a11dab74d7a867cb72844a31db1",
+    60: "eb6fe662e57cba68c077591a7f570b83e36baa8f85a269f37380b1947deaf17a",
+    70: "24491f4cb8f1549b9e28315ed0d8ffdac1a0a11bd9650e352f288fbc9760f4c9",
 }
 GOLDEN_SWEEP_SHA256 = {
-    60: "7f7a43cc923c12ba2b04f0211c96f1d6512b4d0eb29d3587ae8b2ff7381b8b85",
-    70: "f9b289ff8888fec86a3597c8777dcd1c88b0aab4c682d6ea0fa9961bcd652e56",
+    60: "f45ef10d7968efa0d64722172fde8be1d1ca39748421e1dd2b15516c838704f5",
+    70: "45e93b2f7a8dc268dc4f20b5fe2491b6151b8672bb218038424b4fb2da6d1d41",
 }
 
 
