@@ -54,7 +54,6 @@ from .study import (
     StudyReport,
     SynthSpec,
     bootstrap,
-    build_interval,
     coverage_study,
     effective_ci_types,
     emit_report,
@@ -84,7 +83,6 @@ __all__ = [
     "bias_correction",
     "bootstrap",
     "bootstrap_variance",
-    "build_interval",
     "ci_bca",
     "ci_bootstrap_t",
     "ci_normal",

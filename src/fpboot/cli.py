@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from .errors import PopulationParseError
-from .estimators import EstimatorKind, estimate
-from .intervals import CiType, jackknife_acceleration
-from .resampling import Method, bootstrap_variance
+from .estimators import EstimatorKind, estimate, unit_values
+from .intervals import CiType, _interval_batch
+from .resampling import Method
 from .sampling import Sample, load_population, make_rng, srswor, write_population
 from .study import (
     StudyConfig,
@@ -29,7 +29,6 @@ from .study import (
     _SOURCE_KEYS,
     _g12,
     bootstrap,
-    build_interval,
     config_from_dict,
     coverage_study,
     emit_report,
@@ -121,14 +120,20 @@ def _cmd_estimate(args) -> int:
     reps = bootstrap(
         method, sample, pop.size, args.B, kind, rng, with_t_variances=ci_kind is CiType.BOOTSTRAP_T
     )
-    v_hat = bootstrap_variance(reps)
-    accel = jackknife_acceleration(sample, kind) if ci_kind is CiType.BCA else 0.0
-    interval = build_interval(ci_kind, reps=reps, theta_hat=value, v_hat=v_hat, accel=accel, level=args.level)
-    if interval is None:
+    if ci_kind is CiType.BCA and sample.n < 3:
+        # the jackknife acceleration's rule, which StudyConfig applies too
+        raise ValueError("jackknife_acceleration requires n >= 3")
+    t_variances = None if reps.t_variances is None else reps.t_variances[None]
+    v_hat, bounds = _interval_batch(
+        (ci_kind,), args.level, reps.estimates[None], [value],
+        t_variances=t_variances, values=unit_values(kind, sample)[None],
+    )
+    lower, upper = bounds[0, 0].tolist()
+    if np.isnan(lower):
         raise ValueError("bootstrap-t interval undefined: more than 1% of replicates have zero variance")
     print(f"{kind.value} {_g12(value)}")
-    print(f"variance {_g12(v_hat)}")
-    print(f"ci {interval.method.value} {_g12(interval.lower)} {_g12(interval.upper)}")
+    print(f"variance {_g12(float(v_hat[0]))}")
+    print(f"ci {ci_kind.value} {_g12(lower)} {_g12(upper)}")
     return 0
 
 

@@ -10,14 +10,14 @@ The standard normal comes from the standard library: the quantile is
 the lower tail, where ``1 + erf(x / sqrt(2))`` cancels.
 
 Each constructor works row-wise on a batch of replications of one
-estimator. ``_interval_batch`` builds every CI type a study asks for on a
-batch in one vectorised pass, with one sort shared by percentile and BCa;
-the ``ci_*`` constructors, ``bias_correction`` and
-``jackknife_acceleration`` are its one-row case. The steps through the
-standard normal (BCa's z0 and its adjusted tail probabilities) run per
-row in Python floats, and every other step is an elementwise operation or
-a reduction along the row, so a row's bounds do not depend on the batch
-it is in.
+estimator. ``_interval_batch`` builds every CI type a study or ``fpboot
+estimate`` asks for on a batch in one vectorised pass, with one sort
+shared by percentile and BCa; the ``ci_*`` constructors,
+``bias_correction`` and ``jackknife_acceleration`` run the same kernels
+on one row. The steps through the standard normal (BCa's z0 and its
+adjusted tail probabilities) run per row in Python floats, and every
+other step is an elementwise operation or a reduction along the row, so
+a row's bounds do not depend on the batch it is in.
 """
 
 import enum
@@ -95,10 +95,6 @@ def _quantiles(srt: np.ndarray, q, sizes=None) -> np.ndarray:
     sizes = B if sizes is None else sizes
     ranks = np.minimum(np.maximum(np.ceil(q * sizes - _RANK_TOL), 1), sizes).astype(np.intp)
     return srt[np.arange(rows), ranks - 1]
-
-
-def _quantile_sorted(sorted_values: np.ndarray, q: float) -> float:
-    return float(_quantiles(sorted_values[None], q)[0])
 
 
 def _tails(level: float) -> tuple[float, float]:
@@ -203,8 +199,9 @@ def _accelerations(values: np.ndarray) -> np.ndarray:
     n = values.shape[1]
     loo = (values.sum(axis=1, keepdims=True) - values) / (n - 1)
     dev = loo.mean(axis=1, keepdims=True) - loo
-    denom = np.array([float(x) ** 1.5 for x in (dev * dev).sum(axis=1)])
-    num = (dev**3).sum(axis=1)
+    sq = dev * dev
+    denom = np.array([float(x) ** 1.5 for x in sq.sum(axis=1)])
+    num = (sq * dev).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom == 0.0, 0.0, num / (6.0 * denom))
 
@@ -217,17 +214,15 @@ def _interval_batch(
     *,
     t_variances: np.ndarray | None = None,
     values: np.ndarray | None = None,
-    v_hat: np.ndarray | None = None,
-    accel: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap variances and the bounds of every CI type in ``cis`` for a batch of replications.
 
     Row r of ``est`` (R x B) holds replication r's replicate estimates and
     ``theta[r]`` its sample estimate; ``t_variances`` (R x B) is read for
-    bootstrap-t. ``v_hat`` defaults to each row's sample variance and
-    ``accel`` (read for BCa) to the jackknife acceleration of each row of
-    ``values``, the samples' unit values (R x n). Returns ``v_hat`` and
-    ``bounds[ci, r, (lower, upper)]``, with NaN where no interval forms:
+    bootstrap-t and ``values``, the samples' unit values (R x n), for BCa's
+    jackknife acceleration. ``v_hat`` is each row's sample variance. Returns
+    ``v_hat`` and ``bounds[ci, r, (lower, upper)]``, with NaN where no
+    interval forms:
 
     * BCa on a one-sided row falls back to the percentile interval;
     * bootstrap-t gives the point interval at theta_hat when v_hat is 0
@@ -236,10 +231,11 @@ def _interval_batch(
 
     Percentile and BCa share one sort of the rows.
     """
-    _check_level(level)
     rows, B = est.shape
+    _check_replicates(B, "bootstrap_variance")
+    _check_level(level)
     theta = np.asarray(theta, dtype=np.float64)
-    v_hat = _row_variances(est) if v_hat is None else np.asarray(v_hat, dtype=np.float64)
+    v_hat = _row_variances(est)
     bounds = np.empty((len(cis), rows, 2))
     srt = np.sort(est, axis=1) if {CiType.PERCENTILE, CiType.BCA} & set(cis) else None
     for i, ci in enumerate(cis):
@@ -247,15 +243,10 @@ def _interval_batch(
             _check_variances(v_hat)
             lower, upper = _normal(theta, v_hat, level)
         elif ci is CiType.PERCENTILE:
-            _check_replicates(B, "a percentile interval")
             lower, upper = _percentile(srt, level)
         elif ci is CiType.BCA:
-            _check_replicates(B, "a BCa interval")
-            if accel is None:
-                accel = _accelerations(values)
-            (lower, upper), _ = _bca(srt, est, theta, np.asarray(accel, dtype=np.float64), level)
+            (lower, upper), _ = _bca(srt, est, theta, _accelerations(values), level)
         elif ci is CiType.BOOTSTRAP_T:
-            _check_replicates(B, "a bootstrap-t interval")
             if t_variances is None:
                 raise ValueError("bootstrap-t requires replicates with their variance estimates")
             _check_variances(v_hat, "v_hat")

@@ -27,13 +27,14 @@ A group's task results are joined in replication order and reduced to
 cells in one vectorised step; one row definition (``_cell_row``) feeds the
 JSON report, the CSV report and the length sweep.
 
-``bootstrap`` (engine dispatch) and ``build_interval`` (one CI type from
-one set of replicates, the one-row case of the interval pass) are the
-single path for both steps; the CLI's ``estimate`` command calls them
-too. The study calls the engines, ``make_rng``, ``srswor`` and
-``estimate`` as names of this module, so tracing can wrap those names.
-``bootstrap_variance``, ``jackknife_acceleration`` and the ``ci_*``
-constructors are one-row cases of the interval pass; they stay names of
+``bootstrap`` (engine dispatch) and ``_interval_batch`` (the interval
+pass) are the single path for both steps; the CLI's ``estimate`` command
+calls them too, its one interval a one-row batch. Where a ``ci_*``
+constructor raises ``DegenerateDistributionError``, the pass falls back
+instead (see ``_interval_batch``). The study calls the engines,
+``make_rng``, ``srswor`` and ``estimate`` as names of this module, so
+tracing can wrap those names. ``bootstrap_variance``,
+``jackknife_acceleration`` and the ``ci_*`` constructors stay names of
 this module for tracing, though a study no longer calls them.
 """
 
@@ -49,7 +50,6 @@ import numpy as np
 from .estimators import EstimatorKind, estimate, unit_values
 from .intervals import (  # noqa: F401 -- ci_* and jackknife_acceleration: see the module docstring
     CiType,
-    ConfidenceInterval,
     _interval_batch,
     ci_bca,
     ci_bootstrap_t,
@@ -410,31 +410,6 @@ def bootstrap(
     if method is Method.MIRROR_MATCH:
         return mirror_match_bootstrap(sample, N, B, kind, rng, with_t_variances=with_t_variances)
     raise ValueError(f"unknown method: {method!r}")
-
-
-def build_interval(
-    ci: CiType,
-    *,
-    reps,
-    theta_hat: float,
-    v_hat: float,
-    accel: float,
-    level: float,
-) -> ConfidenceInterval | None:
-    """One interval from one set of replicates; None when it cannot be formed.
-
-    The one-row case of the study's interval pass (``_interval_batch``):
-    BCa on a one-sided bootstrap distribution falls back to the percentile
-    interval; bootstrap-t gives a point at ``theta_hat`` when ``v_hat`` is 0
-    and None with more than 1% zero-variance replicates. ``accel`` is only
-    read for BCa.
-    """
-    t_variances = None if reps.t_variances is None else reps.t_variances[None]
-    _, bounds = _interval_batch(
-        (ci,), level, reps.estimates[None], [theta_hat], t_variances=t_variances, v_hat=[v_hat], accel=[accel]
-    )
-    lower, upper = bounds[0, 0].tolist()
-    return None if math.isnan(lower) else ConfidenceInterval(ci, level, lower, upper)
 
 
 def _run_replications(task):

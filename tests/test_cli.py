@@ -5,14 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fpboot import PopulationParseError, build_interval, load_population
+from fpboot import DegenerateDistributionError, PopulationParseError, load_population
 from fpboot.cli import _workers, cli_dispatch, emit_report
-from fpboot.sampling import make_rng, srswor
+from fpboot.sampling import Sample, make_rng, srswor
 from fpboot.study import StudyConfig, SynthSpec, bootstrap, coverage_study
-from fpboot.estimators import EstimatorKind, estimate
-from fpboot.intervals import CiType, jackknife_acceleration
+from fpboot.estimators import EstimatorKind, estimate, unit_values
+from fpboot.intervals import (
+    CiType,
+    _interval_batch,
+    ci_bca,
+    ci_bootstrap_t,
+    ci_normal,
+    ci_percentile,
+    jackknife_acceleration,
+)
 from fpboot.resampling import Method, bootstrap_variance
 
 
@@ -301,33 +310,109 @@ def two_flag_population(tmp_path):
     return write(tmp_path / "pop.csv", "ncs,top10\n" + "\n".join(rows) + "\n")
 
 
+def one_flag_census(tmp_path):
+    """20 records, one flagged: about a third of the standard resamples of
+    the whole file miss the flag and have zero variance."""
+    rows = [f"{1.0 + i!r},{1 if i == 0 else 0}" for i in range(20)]
+    return write(tmp_path / "census.csv", "ncs,top10\n" + "\n".join(rows) + "\n")
+
+
 class TestEstimateSharesTheStudyPath:
     def test_bca_falls_back_like_the_study(self, tmp_path, capsys):
+        # the sample at seed 1 holds no flag: every PP replicate is 0
         pop_path = two_flag_population(tmp_path)
         code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp",
-                             "--n", "20", "--ci", "bca", "--seed", "3"])
+                             "--n", "20", "--ci", "bca", "--seed", "1"])
         assert code == 0
         out = capsys.readouterr().out.splitlines()
 
+        # the study's interval pass on this one replication
         pop = load_population(pop_path)
-        rng = make_rng(3, 0)
+        rng = make_rng(1, 0)
         sample = srswor(pop, 20, rng)
         reps = bootstrap(Method.STANDARD, sample, pop.size, 1000, EstimatorKind.PP_TOP10, rng)
         theta = estimate(EstimatorKind.PP_TOP10, sample)
-        accel = jackknife_acceleration(sample, EstimatorKind.PP_TOP10)
-        interval = build_interval(
-            CiType.BCA, reps=reps, theta_hat=theta, v_hat=bootstrap_variance(reps), accel=accel, level=0.95
-        )
-        assert out[2] == f"ci bca {interval.lower:.12g} {interval.upper:.12g}"
+        values = unit_values(EstimatorKind.PP_TOP10, sample)
+        with pytest.raises(DegenerateDistributionError):
+            ci_bca(reps, theta, jackknife_acceleration(sample, EstimatorKind.PP_TOP10))
+        _, bounds = _interval_batch((CiType.BCA,), 0.95, reps.estimates[None], [theta], values=values[None])
+        lower, upper = bounds[0, 0]
+        assert out[2] == f"ci bca {lower:.12g} {upper:.12g}"
 
     def test_boot_t_with_zero_variance_replicates_exits_1(self, tmp_path, capsys):
-        # census of 20 records, one flagged: about a third of the standard
-        # resamples miss it and have zero variance, far above the 1% allowed
-        rows = [f"{1.0 + i!r},{1 if i == 0 else 0}" for i in range(20)]
-        pop_path = write(tmp_path / "pop.csv", "ncs,top10\n" + "\n".join(rows) + "\n")
+        pop_path = one_flag_census(tmp_path)
         code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp", "--ci", "boot-t"])
         assert code == 1
         assert "bootstrap-t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ci", ["normal", "percentile"])
+    def test_one_replicate_exits_1(self, tmp_path, capsys, ci):
+        pop_path = two_flag_population(tmp_path)
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs",
+                             "--n", "20", "--ci", ci, "--B", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bootstrap_variance requires at least two replicates\n"
+
+
+def constructor_interval(ci, reps, sample, kind, theta, v_hat, level=0.95):
+    """The (lower, upper) ``estimate`` should print, from the ci_* constructors; None for exit 1."""
+    if ci is CiType.NORMAL:
+        iv = ci_normal(theta, v_hat, level)
+    elif ci is CiType.PERCENTILE:
+        iv = ci_percentile(reps, level)
+    elif ci is CiType.BCA:
+        try:
+            iv = ci_bca(reps, theta, jackknife_acceleration(sample, kind), level)
+        except DegenerateDistributionError:
+            iv = ci_percentile(reps, level)
+    elif v_hat == 0.0:
+        return theta, theta
+    else:
+        try:
+            iv = ci_bootstrap_t(reps, theta, v_hat, level)
+        except DegenerateDistributionError:
+            return None
+    return iv.lower, iv.upper
+
+
+# (population, --n, --seed): a sample with one flag (many zero-variance PP
+# replicates), a sample with no flag (a one-sided bootstrap distribution,
+# v_hat = 0 for PP) and the one-flag census (v_hat = 0 for the FPC engines)
+ESTIMATE_CASES = [("two", 20, 5), ("two", 20, 1), ("census", None, 0)]
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind))
+@pytest.mark.parametrize("ci", list(CiType))
+@pytest.mark.parametrize("method", list(Method))
+def test_estimate_matches_the_constructors(tmp_path, capsys, method, ci, estimator):
+    # the ci_* constructors run the row kernels one replication at a time,
+    # apart from the interval pass estimate goes through
+    paths = {"two": two_flag_population(tmp_path), "census": one_flag_census(tmp_path)}
+    exits = []
+    for name, n, seed in ESTIMATE_CASES:
+        argv = ["estimate", "--population", paths[name], "--estimator", estimator.value, "--method",
+                method.value, "--ci", ci.value, "--B", "300", "--seed", str(seed)]
+        code = cli_dispatch(argv + ([] if n is None else ["--n", str(n)]))
+        captured = capsys.readouterr()
+
+        pop = load_population(paths[name])
+        rng = make_rng(seed, 0)
+        sample = srswor(pop, n, rng) if n else Sample(np.arange(pop.size), pop.ncs, pop.top10, pop.size)
+        reps = bootstrap(method, sample, pop.size, 300, estimator, rng, with_t_variances=ci is CiType.BOOTSTRAP_T)
+        theta, v_hat = estimate(estimator, sample), bootstrap_variance(reps)
+        expected = constructor_interval(ci, reps, sample, estimator, theta, v_hat)
+        if expected is None:
+            assert code == 1 and "bootstrap-t interval undefined" in captured.err
+        else:
+            assert code == 0
+            assert captured.out.splitlines() == [
+                f"{estimator.value} {theta:.12g}",
+                f"variance {v_hat:.12g}",
+                f"ci {ci.value} {expected[0]:.12g} {expected[1]:.12g}",
+            ]
+        exits.append(code)
+    # the standard engine on the one-flag census drops a third of its replicates
+    assert exits[2] == (1 if (method, ci, estimator) == (Method.STANDARD, CiType.BOOTSTRAP_T, EstimatorKind.PP_TOP10) else 0)
 
 
 class TestConfigLists:

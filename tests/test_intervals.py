@@ -21,7 +21,7 @@ from fpboot import (
     ci_percentile,
     jackknife_acceleration,
 )
-from fpboot.intervals import _norm_cdf, _norm_ppf, _quantile_sorted
+from fpboot.intervals import _norm_cdf, _norm_ppf, _quantiles
 
 
 def reps_of(values, t_variances=None):
@@ -32,7 +32,8 @@ def reps_of(values, t_variances=None):
 
 def empirical_quantile(values, q):
     """The intervals' quantile rule (ceil(q * B)-th order statistic) on unsorted values."""
-    return _quantile_sorted(np.sort(np.asarray(values, dtype=float)), q)
+    srt = np.sort(np.asarray(values, dtype=float))
+    return float(_quantiles(srt[None], q)[0])
 
 
 replicate_lists = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=200)

@@ -13,9 +13,9 @@ import pytest
 import fpboot.study as study
 
 from fpboot import (
+    BootstrapReplicates,
     CellReport,
     CiType,
-    ConfidenceInterval,
     DegenerateDistributionError,
     EstimatorKind,
     Method,
@@ -24,8 +24,8 @@ from fpboot import (
     SynthSpec,
     bootstrap,
     bootstrap_variance,
-    build_interval,
     ci_bca,
+    ci_percentile,
     coverage_study,
     effective_ci_types,
     emit_report,
@@ -41,7 +41,9 @@ from fpboot import (
     srswor,
     standard_bootstrap,
     synth_population,
+    unit_values,
 )
+from fpboot.intervals import _interval_batch
 from fpboot.sampling import write_population
 from fpboot.study import SYNTH_STREAM_ID, cell_stream_base, config_dict, config_from_dict, emit_sweep
 
@@ -51,6 +53,16 @@ ALL_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BCA, CiType.BOOTSTRAP_T)
 def synth(size=400, mncs_=1.275, pp=13.7, shape=1.0, seed=7):
     spec = SynthSpec(size=size, target_mncs=mncs_, target_pp=pp, shape=shape)
     return synth_population(spec, make_rng(seed, SYNTH_STREAM_ID))
+
+
+def one_row(cis, reps, sample, kind, level=0.95):
+    """One replication's v_hat and bounds[ci, (lower, upper)] from a one-row interval pass."""
+    t_variances = None if reps.t_variances is None else reps.t_variances[None]
+    v_hat, bounds = _interval_batch(
+        cis, level, reps.estimates[None], [estimate(kind, sample)],
+        t_variances=t_variances, values=unit_values(kind, sample)[None],
+    )
+    return float(v_hat[0]), bounds[:, 0]
 
 
 class TestSynthPopulation:
@@ -277,23 +289,18 @@ class TestCoverageStudy:
                     sample = srswor(pop, n, rng)
                     runs = bootstrap(method, sample, pop.size, B, kinds, rng, with_t_variances=True)
                     for kind, reps in zip(kinds, runs):
-                        theta_hat = estimate(kind, sample)
-                        v_hat = bootstrap_variance(reps)
-                        accel = jackknife_acceleration(sample, kind)
+                        v_hat, bounds = one_row(ALL_CIS, reps, sample, kind)
                         variances[kind].append(v_hat)
-                        for ci in ALL_CIS:
-                            interval = build_interval(
-                                ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=0.95
-                            )
-                            if interval is not None:
-                                formed[kind, ci].append(interval)
+                        for ci, (lower, upper) in zip(ALL_CIS, bounds.tolist()):
+                            if not math.isnan(lower):
+                                formed[kind, ci].append((lower, upper))
                 for kind in kinds:
                     truth = estimate(kind, pop)
                     avg_variance = float(np.mean(variances[kind]))
                     for ci in ALL_CIS:
                         ivs = formed[kind, ci]
-                        coverage = sum(iv.contains(truth) for iv in ivs) / len(ivs) if ivs else math.nan
-                        avg_length = float(np.mean([iv.length for iv in ivs])) if ivs else math.nan
+                        coverage = sum(lo <= truth <= hi for lo, hi in ivs) / len(ivs) if ivs else math.nan
+                        avg_length = float(np.mean([hi - lo for lo, hi in ivs])) if ivs else math.nan
                         expected.append(CellReport(n, method, ci, kind, coverage, avg_length, avg_variance, len(ivs)))
         cells = coverage_study(config, workers=2).cells  # four tasks per (n, method)
         assert cells == tuple(expected)
@@ -441,7 +448,7 @@ class TestLengthSweep:
 
 
 class TestSharedPath:
-    """``bootstrap`` and ``build_interval``: the one engine dispatch and interval path."""
+    """``bootstrap`` and ``_interval_batch``: the one engine dispatch and interval path."""
 
     def test_bootstrap_dispatches_to_each_engine(self):
         pop = synth(size=200)
@@ -466,33 +473,44 @@ class TestSharedPath:
         sample = srswor(pop, 50, rng)
         reps = bootstrap(Method.PPB, sample, 50, 60, EstimatorKind.MNCS, rng)
         theta = estimate(EstimatorKind.MNCS, sample)
-        ci = build_interval(CiType.BCA, reps=reps, theta_hat=theta, v_hat=0.0, accel=0.0, level=0.9)
-        assert ci == ConfidenceInterval(CiType.BCA, 0.9, theta, theta)
+        with pytest.raises(DegenerateDistributionError):
+            ci_bca(reps, theta, jackknife_acceleration(sample, EstimatorKind.MNCS), 0.9)
+        _, bounds = one_row((CiType.BCA,), reps, sample, EstimatorKind.MNCS, level=0.9)
+        assert bounds.tolist() == [[theta, theta]]
+        # a one-sided row that is not constant: every replicate above the estimate
+        reps = BootstrapReplicates(60, np.arange(1.0, 61.0), None, Method.STANDARD)
+        _, bounds = _interval_batch((CiType.BCA,), 0.9, reps.estimates[None], [0.5], values=np.arange(5.0)[None])
+        percentile = ci_percentile(reps, 0.9)
+        assert bounds.tolist() == [[[percentile.lower, percentile.upper]]]
 
     def test_bootstrap_t_census_and_dropped(self):
+        # census: every ppb resample is the sample, so v_hat = 0 and every
+        # replicate's variance is 0, yet the interval is the point theta_hat
         rng = make_rng(1, 0)
         pop = synth(size=40)
-        reps = bootstrap(Method.STANDARD, srswor(pop, 30, rng), 40, 50, EstimatorKind.MNCS, rng, with_t_variances=True)
-        point = build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=1.5, v_hat=0.0, accel=0.0, level=0.95)
-        assert (point.lower, point.upper) == (1.5, 1.5)
+        sample = srswor(pop, 40, rng)
+        reps = bootstrap(Method.PPB, sample, 40, 50, EstimatorKind.MNCS, rng, with_t_variances=True)
+        theta = estimate(EstimatorKind.MNCS, sample)
+        v_hat, bounds = one_row((CiType.BOOTSTRAP_T,), reps, sample, EstimatorKind.MNCS)
+        assert v_hat == 0.0 and not reps.t_variances.any()
+        assert bounds.tolist() == [[theta, theta]]
         # one flagged unit in 20: about a third of the resamples miss it and have zero variance
         flags = np.zeros(20, dtype=bool)
         flags[0] = True
         sample = Sample(np.arange(20), np.ones(20), flags, 20)
         reps = bootstrap(Method.STANDARD, sample, 20, 200, EstimatorKind.PP_TOP10, rng, with_t_variances=True)
-        v_hat = bootstrap_variance(reps)
-        assert v_hat > 0
-        assert build_interval(CiType.BOOTSTRAP_T, reps=reps, theta_hat=5.0, v_hat=v_hat, accel=0.0, level=0.95) is None
+        v_hat, bounds = one_row((CiType.BOOTSTRAP_T,), reps, sample, EstimatorKind.PP_TOP10)
+        assert v_hat == bootstrap_variance(reps) > 0
+        assert np.isnan(bounds).all()
 
 
 def loop_replications(config, pop, n, method, lo, hi, events):
-    """A task's results rebuilt one replication at a time from the public steps.
+    """A task's results rebuilt one replication at a time.
 
     The study runs each batch of replications through one interval pass;
-    this loop calls ``bootstrap``, ``bootstrap_variance``,
-    ``jackknife_acceleration`` and ``build_interval`` once per replication
-    and estimator instead. ``events`` counts the cases where the interval
-    rule departs from the plain constructors.
+    this loop runs a one-row pass per replication and estimator instead,
+    and checks its v_hat against ``bootstrap_variance``. ``events`` counts
+    the cases where the interval rule departs from the plain constructors.
     """
     kinds = config.estimators
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
@@ -504,21 +522,18 @@ def loop_replications(config, pop, n, method, lo, hi, events):
         runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=True)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
             theta_hat = estimate(kind, sample)
-            v_hat = v_hats[e, t] = bootstrap_variance(reps)
-            accel = jackknife_acceleration(sample, kind)
+            v_hat, bounds[e, :, t] = one_row(cis, reps, sample, kind, config.level)
+            assert v_hat == bootstrap_variance(reps)
+            v_hats[e, t] = v_hat
             for i, ci in enumerate(cis):
-                interval = build_interval(
-                    ci, reps=reps, theta_hat=theta_hat, v_hat=v_hat, accel=accel, level=config.level
-                )
-                if interval is not None:
-                    bounds[e, i, t] = interval.lower, interval.upper
                 if ci is CiType.BCA:
                     try:
-                        ci_bca(reps, theta_hat, accel, config.level)
+                        ci_bca(reps, theta_hat, jackknife_acceleration(sample, kind), config.level)
                     except DegenerateDistributionError:
                         events["bca fallback"] += 1
                 elif ci is CiType.BOOTSTRAP_T:
-                    events["boot-t census point" if v_hat == 0.0 else "boot-t rejected" if interval is None else "boot-t"] += 1
+                    formed = not np.isnan(bounds[e, i, t, 0])
+                    events["boot-t census point" if v_hat == 0.0 else "boot-t" if formed else "boot-t rejected"] += 1
     return v_hats, bounds
 
 
