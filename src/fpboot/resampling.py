@@ -11,38 +11,36 @@ finite population:
 * mirror-match: concatenate k small without-replacement subsamples whose
   own sampling fraction mirrors the original design.
 
-Every statistic is a mean of unit values (``unit_values``). PP(top 10%)'s
-values are 0 and 100, so its replicates come from one integer per
-replicate, the number of flagged units drawn: an estimate is
-100.0 * count / size, rounded once like the sample estimate, so a
-replicate tied with the sample equals its estimate bit for bit. MNCS
-replicates are means of the drawn units' scores. Engines consume their
-stream in blocks whose size depends on n alone, so results never depend
-on caller memory or threading. A block holds 2**16 // n replicates, at
-least one: at most 2**16 cells (512 KB of float64 or int64) whatever n is.
+Every statistic is a mean of unit values (``unit_values``). An engine
+only draws its resamples, as indices (standard) or as counts of each
+sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
+turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
+with 1 - f = 1 for the standard engine. A PP(top 10%) replicate comes from
+one integer, the number of flagged units drawn: 100.0 * count / size,
+rounded once like the sample estimate, so a replicate tied with the sample
+equals it bit for bit.
+
+Engines consume their stream in blocks whose size depends on n alone, so
+results never depend on caller memory or threading. A block holds
+2**16 // n replicates, at least one: at most 2**16 cells (512 KB of
+float64 or int64) while n <= 2**16, and one replicate of n cells above.
 Stream consumption does not depend on the estimator either: given a tuple
 of kinds, an engine reads every kind off the same resamples and returns
 one set of replicates per kind, each equal bit for bit to a single-kind
 call on the same stream.
 
-Since every statistic is a mean of unit values, a pseudo-population or
-mirror-match replicate is fully described by how often it draws each of
-the n sample units. Those two engines sample a block of such count vectors
-at once with ``Generator.multivariate_hypergeometric(method="count")``, a
-partial shuffle in C that costs O(draws) per replicate, and reduce them
-against the centred unit values with einsum. The reduction deliberately
-avoids BLAS (``@``, ``np.dot``): BLAS threads started in every worker of a
-study's process pool oversubscribe the cores and cancel the pool's
-speed-up.
+The pseudo-population and mirror-match engines sample a block of count
+vectors at once with ``Generator.multivariate_hypergeometric`` (method
+"count"), a partial shuffle in C that costs O(draws) per replicate, and
+the reduction sums them against the centred unit values with einsum. It
+deliberately avoids BLAS (``@``, ``np.dot``): BLAS threads started in
+every worker of a study's process pool oversubscribe the cores and cancel
+the pool's speed-up.
 
 The standard engine draws each index from a 16-bit chunk of the raw
 64-bit generator words while n <= 2**16, four chunks per word, by
 Lemire's exact multiply-and-reject (``_multiply_reject``), and int64 with
-``Generator.integers`` above that. The indices point into the sample's
-units reordered flagged first, so a resample's flagged count is its
-number of indices below the sample's flagged count t, and needs no
-gather. Other values are gathered already centred (``_centre``) and
-reduced in one pass, like the count engines' values.
+``Generator.integers`` above that.
 
 The standard engine's indices and gathered values and mirror-match's unit
 counts are built in block buffers that each thread keeps between blocks
@@ -199,43 +197,90 @@ def _centre(v: np.ndarray) -> float:
     return 0.0 if np.array_equal(v, np.trunc(v)) else float(v.mean())
 
 
-def _count_replicates(draw, vals: list[np.ndarray], B: int, n: int, N: int, with_t_variances: bool):
-    """Replicate means and t-variances from blocks of unit counts.
+def _t_scale(kind: EstimatorKind, n: int, m: int, one_minus_f: tuple[int, int]) -> float:
+    """The t-variance multiplier of a size-m replicate, rounded once.
 
-    ``draw(rows)`` returns a rows x n count matrix and its row sums m. Each
-    block is reduced against every array of unit values in ``vals``, and
-    one (estimates, t_variances) pair is returned per array. Each array
-    other than PP's gets its own 1-D einsum: on numpy 2.4 one stacked
-    "rn,ne->re" call takes several times as long as the 1-D calls together.
-
-    Values are summed centred (``_centre``), so a replicate tied with the
-    sample equals its estimate bit for bit. PP's 0/100 values need no
-    einsum: a replicate's sum is 100 times its count of flagged units, and
-    its sum of squares 100 times that sum, the same exact integers, from
-    one integer column sum that takes a quarter of the time of two mixed
-    int64 x float64 einsums or less. The reductions use einsum, not ``@``,
-    to stay out of BLAS threads (see the module docstring).
+    (1 - f) * (n - 1) / n**2 * s2 with s2 = ss / (m - 1) is ss times this;
+    PP's ss is 100**2 * c * (m - c) / m, so PP's multiplier applies to
+    c * (m - c). Integer division rounds the exact ratio once; s2 is 0 at m = 1.
     """
-    t_scale = (N - n) / N * (n - 1) / (n * n)  # (1 - f) * (n - 1) / n**2
-    flags = [np.flatnonzero(v) if np.all((v == 0) | (v == 100)) else None for v in vals]
-    centres = [_centre(v) for v in vals]
-    ds = [v - c for v, c in zip(vals, centres)]
-    d2s = [d * d for d in ds]
-    runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
+    if m < 2:
+        return 0.0
+    num, den = one_minus_f[0] * (n - 1), one_minus_f[1] * n * n * (m - 1)
+    if kind is EstimatorKind.PP_TOP10:
+        num, den = 10_000 * num, den * m
+    return num / den
+
+
+def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int, int], one_minus_f, with_t_variances):
+    """Replicates of ``kind`` from ``draw``'s blocks: the one reduction of every engine.
+
+    ``draw(rows)`` returns a block of resamples and their sizes m: for the
+    standard engine a rows x n array of indices into the sample's units
+    ordered flagged first, with m = n; for the others a rows x n matrix of
+    unit counts, with m = n (ppb) or per-row m, one of the two ``sizes``
+    (mirror-match). ``one_minus_f`` is 1 - f as a ratio of integers.
+    PP(top 10%) replicates come from the count c of flagged units drawn:
+    indices below the number flagged, or the flagged units' count columns.
+    Other kinds sum d = v - ``_centre``(v) over the drawn units, gathered
+    or by 1-D einsums against the counts (on numpy 2.4 a fraction of the
+    time of one stacked "rn,ne->re" call; never ``@``, see the module
+    docstring). The estimate is centre + sum(d) / m and the t-variance
+    max(sum(d**2) - sum(d)**2 / m, 0) times ``_t_scale``.
+    """
+    n = sample.n
+    kinds = _kinds(kind)
+    gathered = method is Method.STANDARD
+    # flagged units first, in an order that depends on the sample alone
+    order = np.argsort(~sample.top10, kind="stable") if gathered else slice(None)
+    flagged = int(np.count_nonzero(sample.top10)) if gathered else np.flatnonzero(sample.top10)
+    terms = []
+    for k in kinds:
+        v = None if k is EstimatorKind.PP_TOP10 else unit_values(k, sample)[order]
+        centre = None if v is None else _centre(v)
+        d = None if v is None else v - centre
+        scales = [_t_scale(k, n, m, one_minus_f) for m in sizes]
+        terms.append((centre, d, None if d is None or gathered else d * d, scales))
+    runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in kinds]
     for lo, hi in _blocks(B, n):
-        counts, m = draw(hi - lo)
-        for flagged, centre, d, d2, (est, tvar) in zip(flags, centres, ds, d2s, runs):
-            if flagged is None:
-                s1 = np.einsum("rn,n->r", counts, d)
+        block, m = draw(hi - lo)
+        # mirror-match's rows take their own size's multiplier
+        high = None if isinstance(m, int) else m == sizes[1]
+        for (centre, d, squares, (low, top)), (est, tvar) in zip(terms, runs):
+            scale = low if high is None else np.where(high, top, low)
+            if d is None:
+                if gathered:
+                    # an int32 sum takes ~2/3 of the time of count_nonzero's intp
+                    c = np.add.reduce(block < flagged, axis=1, dtype=np.int32)
+                else:
+                    c = block[:, flagged].sum(axis=1)
+                # 100 * c / m, multiplied first: the float mean of the drawn
+                # 0/100 values bit for bit
+                mean = np.multiply(c, 100.0, out=est[lo:hi])
+                mean /= m
+                if tvar is not None:
+                    # an exact integer times one constant, 0 when c is 0 or m
+                    c = c.astype(np.float64)
+                    np.multiply(c * (m - c), scale, out=tvar[lo:hi])
+                continue
+            if gathered:
+                # Indices lie in [0, n), so "clip" never clips; the default
+                # "raise" would gather into a fresh temporary and copy it.
+                g = np.take(d, block, out=_workspace.block(np.float64, hi - lo, n), mode="clip")
+                # row sums by einsum, which takes half the time of add.reduce
+                s1 = np.einsum("rn->r", g)
             else:
-                s1 = 100.0 * counts[:, flagged].sum(axis=1)
-            est[lo:hi] = centre + s1 / m
+                s1 = np.einsum("rn,n->r", block, d)
+            np.add(centre, s1 / m, out=est[lo:hi])
             if tvar is not None:
-                sq = np.einsum("rn,n->r", counts, d2) if flagged is None else 100.0 * s1
-                ss = sq - s1 * s1 / m
-                s2 = np.where(m > 1, ss / np.maximum(m - 1, 1), 0.0)
-                tvar[lo:hi] = np.maximum(s2, 0.0) * t_scale
-    return runs
+                ss = np.einsum("rn,rn->r", g, g) if gathered else np.einsum("rn,n->r", block, squares)
+                ss -= s1 * s1 / m
+                np.maximum(ss, 0.0, out=ss)
+                np.multiply(ss, scale, out=tvar[lo:hi])
+        # Above 2**16 a standard block is a fresh draw: freed before the next,
+        # since two blocks freed together can make the allocator trim the heap.
+        del block
+    return _replicates(kind, method, B, runs)
 
 
 def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
@@ -323,61 +368,19 @@ def standard_bootstrap(
     and re-evaluates the statistic. When requested, the replicates' variance
     estimates use the analytic form for a mean, s2_b * (n - 1) / n**2.
     A tuple of kinds gives a tuple of replicates, all read off one block
-    of resampled indices. The indices point into the sample's units
-    ordered flagged first, so a PP(top 10%) replicate is counted, not
-    gathered. Other replicates come from one centred pass over the
-    gathered values d = v - centre: the estimate is centre + sum(d) / n and
-    the t-variance max(sum(d**2) - sum(d)**2 / n, 0) / n**2 (see the
-    module docstring).
+    of resampled indices (see ``_reduce``).
     """
     n = sample.n
     if n < 2:
         raise ValueError("standard_bootstrap requires a sample of size >= 2")
     if B < 1:
         raise ValueError("B must be >= 1")
-    kinds = _kinds(kind)
-    # flagged units first, in an order that depends on the sample alone
-    order = np.argsort(~sample.top10, kind="stable")
-    t = int(np.count_nonzero(sample.top10))
-    vals = [None if k is EstimatorKind.PP_TOP10 else unit_values(k, sample)[order] for k in kinds]
-    centres = [None if v is None else _centre(v) for v in vals]
-    ds = [None if v is None else v - c for v, c in zip(vals, centres)]
     gen = rng.generator
-    runs = [(np.empty(B), np.empty(B) if with_t_variances else None) for _ in vals]
-    for lo, hi in _blocks(B, n):
-        idx = _resample_indices(gen, hi - lo, n)
-        for centre, d, (est, tvar) in zip(centres, ds, runs):
-            if d is None:
-                # an int32 sum takes ~2/3 of the time of count_nonzero's intp
-                c = np.add.reduce(idx < t, axis=1, dtype=np.int32)
-                # 100 * c / n, multiplied first: the float mean of the drawn
-                # 0/100 values bit for bit
-                mean = np.multiply(c, 100.0, out=est[lo:hi])
-                mean /= n
-                if tvar is not None:
-                    # sum((x - mean)**2) / n**2 over c hundreds and n - c
-                    # zeros is 100**2 * c * (n - c) / n**3: an exact
-                    # integer times one constant, and exactly 0 when c is
-                    # 0 or n
-                    cf = c.astype(np.float64)
-                    np.multiply(cf * (n - cf), 1e4 / n**3, out=tvar[lo:hi])
-                continue
-            # The centred values of the drawn units. Indices lie in [0, n)
-            # by construction, so "clip" never clips; the default "raise"
-            # would gather into a fresh temporary and copy it to ``out``.
-            m = np.take(d, idx, out=_workspace.block(np.float64, hi - lo, n), mode="clip")
-            # row sums by einsum, which takes half the time of add.reduce
-            s1 = np.einsum("rn->r", m)
-            np.add(centre, s1 / n, out=est[lo:hi])
-            if tvar is not None:
-                # (sum(d**2) - sum(d)**2 / n) / n**2
-                ss = np.einsum("rn,rn->r", m, m) - s1 * s1 / n
-                np.divide(np.maximum(ss, 0.0), n * n, out=tvar[lo:hi])
-        # Above 2**16 the indices are a fresh int64 draw: free it before the
-        # next block draws its own, since two blocks' indices freed
-        # together can make the allocator trim the heap.
-        del idx
-    return _replicates(kind, Method.STANDARD, B, runs)
+
+    def draw(rows):
+        return _resample_indices(gen, rows, n), n
+
+    return _reduce(kind, Method.STANDARD, sample, B, draw, (n, n), (1, 1), with_t_variances)
 
 
 def ppb_bootstrap(
@@ -405,18 +408,15 @@ def ppb_bootstrap(
         raise ValueError("B must be >= 1")
     if n < 2:
         raise ValueError("ppb_bootstrap requires a sample of size >= 2")
-    vals = [unit_values(k, sample) for k in _kinds(kind)]
-    gen = rng.generator
-
     if n == N:
-        return _census(kind, Method.PPB, B, vals, with_t_variances)
-
+        return _census(kind, Method.PPB, B, [unit_values(k, sample) for k in _kinds(kind)], with_t_variances)
+    gen = rng.generator
     copies = _pseudo_population(gen, n, N)
 
     def draw(rows):
         return gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n
 
-    return _replicates(kind, Method.PPB, B, _count_replicates(draw, vals, B, n, N, with_t_variances))
+    return _reduce(kind, Method.PPB, sample, B, draw, (n, n), (N - n, N), with_t_variances)
 
 
 @dataclass(frozen=True)
@@ -528,15 +528,14 @@ def mirror_match_bootstrap(
     plan = mirror_match_plan(n, N)
     if B < 1:
         raise ValueError("B must be >= 1")
-    vals = [unit_values(k, sample) for k in _kinds(kind)]
-    gen = rng.generator
-
     if n == N:
         # the only n with n' = n: the subsample is the whole sample and k = 1
-        return _census(kind, Method.MIRROR_MATCH, B, vals, with_t_variances)
+        return _census(kind, Method.MIRROR_MATCH, B, [unit_values(k, sample) for k in _kinds(kind)], with_t_variances)
+    gen = rng.generator
 
     def draw(rows):
         counts, kb = _mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    return _replicates(kind, Method.MIRROR_MATCH, B, _count_replicates(draw, vals, B, n, N, with_t_variances))
+    sizes = (plan.k_low * plan.n_prime, plan.k_high * plan.n_prime)
+    return _reduce(kind, Method.MIRROR_MATCH, sample, B, draw, sizes, (N - n, N), with_t_variances)

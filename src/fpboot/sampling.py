@@ -78,7 +78,8 @@ class Population:
 
 def load_population(path) -> Population:
     """Read a population CSV (header ``ncs,top10``; rows: score, 0/1 flag)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = fh.readline().strip()
         if header != _POPULATION_HEADER:
             raise PopulationParseError(

@@ -138,6 +138,13 @@ class StudyConfig:
     ci_pairing: str = "paper"
 
     def __post_init__(self):
+        for name in ("sample_sizes", "methods", "ci_types", "estimators"):
+            # a list becomes a tuple: the engines and the JSON echo take only
+            # a tuple as several kinds, methods or types
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         if self.B < 2:
             raise ValueError("B must be >= 2")
         if self.repetitions < 1:
@@ -148,10 +155,6 @@ class StudyConfig:
             raise ValueError(f"unknown ci_pairing: {self.ci_pairing!r}")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError(f"sample sizes must be >= 2, got {list(self.sample_sizes)}")
-        for name in ("sample_sizes", "methods", "ci_types", "estimators"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         bca = any(CiType.BCA in effective_ci_types(m, self.ci_types, self.ci_pairing) for m in self.methods)
         if bca and any(n < 3 for n in self.sample_sizes):
             raise ValueError("BCA intervals need sample sizes >= 3 (jackknife acceleration)")

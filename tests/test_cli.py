@@ -73,6 +73,18 @@ class TestLoadPopulation:
         with pytest.raises(OSError):
             load_population(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # spreadsheet exports often start the file with a UTF-8 byte-order mark
+        text = "ncs,top10\n1.0,0\n2.5,1\n0.5,0\n"
+        plain = write(tmp_path / "plain.csv", text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected, pop = load_population(plain), load_population(marked)
+        assert pop.ncs.tobytes() == expected.ncs.tobytes()
+        assert pop.top10.tobytes() == expected.top10.tobytes()
+        assert cli_dispatch(["estimate", "--population", str(marked), "--estimator", "mncs"]) == 0
+        assert capsys.readouterr().out.startswith("mncs ")
+
 
 def tiny_report(seed=3):
     cfg = StudyConfig(

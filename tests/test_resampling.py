@@ -32,10 +32,10 @@ from fpboot import (
 )
 from fpboot.resampling import (
     _chunks,
-    _count_replicates,
     _mirror_counts,
     _multiply_reject,
     _pseudo_population,
+    _reduce,
     _resample_indices,
     _workspace,
 )
@@ -390,21 +390,44 @@ class TestCountKernels:
         assert_mean_counts(counts, mean_k * plan.n_prime / n)
 
     def test_reduction_matches_expanded_resamples(self):
-        # reference: expand each count row into its resample, then mean and
-        # variance, for each array of unit values reduced from the same counts
-        n, N = 12, 60
+        # reference: expand each block row into its resample, then mean and
+        # variance, for each kind reduced from the same block: standard
+        # index blocks into the flagged-first units, ppb count rows, and
+        # mirror-match count rows of two sizes
+        for method in Method:
+            self.check_reduction(method)
+
+    def check_reduction(self, method):
+        n, N, B = 12, 60, 300
         s = lognormal_sample(n, N, seed=31)
-        plan = mirror_match_plan(n, N)
-        counts, kb = _mirror_counts(make_rng(5, 3).generator, 300, n, plan)
-        vals = [s.ncs, np.where(s.top10, 100.0, 0.0)]
-        runs = _count_replicates(lambda rows: (counts, kb * plan.n_prime), vals, 300, n, N, True)
-        assert len(runs) == 2
-        for v, (est, tvar) in zip(vals, runs):
-            for b in range(300):
-                resample = np.repeat(v, counts[b])
-                assert est[b] == pytest.approx(resample.mean(), rel=1e-12, abs=1e-12)
-                t_var = resample.var(ddof=1) * (1 - n / N) * (n - 1) / n**2
-                assert tvar[b] == pytest.approx(t_var, rel=1e-9, abs=1e-9)
+        gen = make_rng(5, 3).generator
+        order = np.argsort(~s.top10, kind="stable")
+        if method is Method.STANDARD:
+            block, m, sizes, one_minus_f = reference_indices(gen, B, n), n, (n, n), 1.0
+            resamples = [order[row] for row in block]
+        elif method is Method.PPB:
+            copies = _pseudo_population(gen, n, N)
+            block = gen.multivariate_hypergeometric(copies, n, size=B, method="count")
+            m, sizes, one_minus_f = n, (n, n), 1 - n / N
+            resamples = [np.repeat(np.arange(n), row) for row in block]
+        else:
+            plan = mirror_match_plan(n, N)
+            block, kb = _mirror_counts(gen, B, n, plan)
+            m, one_minus_f = kb * plan.n_prime, 1 - n / N
+            sizes = (plan.k_low * plan.n_prime, plan.k_high * plan.n_prime)
+            assert sizes[0] < sizes[1] and 0 < (kb == plan.k_high).sum() < B
+            resamples = [np.repeat(np.arange(n), row) for row in block]
+        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+        fraction = (1, 1) if method is Method.STANDARD else (N - n, N)
+        reps = _reduce(kinds, method, s, B, lambda rows: (block, m), sizes, fraction, True)
+        assert len(reps) == 2
+        for kind, r in zip(kinds, reps):
+            assert r.method is method
+            v = unit_values(kind, s)
+            for b, units in enumerate(resamples):
+                assert r.estimates[b] == pytest.approx(v[units].mean(), rel=1e-12, abs=1e-12)
+                t_var = v[units].var(ddof=1) * one_minus_f * (n - 1) / n**2
+                assert r.t_variances[b] == pytest.approx(t_var, rel=1e-9, abs=1e-9)
 
 
 ENGINES = {
@@ -598,14 +621,15 @@ def reference_standard(s, B, kinds, rng, with_t):
                     tvar[lo:hi] = (c * (n - c)).astype(float) * (1e4 / n**3)
                 continue
             # one centred pass: d = v - centre, est = centre + sum(d) / n,
-            # tvar = max(sum(d**2) - sum(d)**2 / n, 0) / n**2
+            # tvar = max(sum(d**2) - sum(d)**2 / n, 0) times 1 / n**2 rounded
+            # once, (n - 1) / n**2 * s2 at 1 - f = 1
             v = unit_values(kind, s)[order]
             centre = reference_centre(v)
             d = (v - centre)[idx]
             s1 = np.einsum("rn->r", d)
             est[lo:hi] = centre + s1 / n
             if tvar is not None:
-                tvar[lo:hi] = np.maximum(np.einsum("rn,rn->r", d, d) - s1 * s1 / n, 0.0) / (n * n)
+                tvar[lo:hi] = np.maximum(np.einsum("rn,rn->r", d, d) - s1 * s1 / n, 0.0) * float(Fraction(1, n * n))
         lo = hi
     return runs
 
@@ -630,24 +654,75 @@ def block_rows(B, n):
     return [min(step, B - lo) for lo in range(0, B, step)]
 
 
+def reference_t_scale(kind, n, N, m):
+    # (1 - f) * (n - 1) / n**2 / (m - 1), times PP's 100**2 / m, as exact
+    # rationals rounded once; 0 for one-unit replicates
+    if m < 2:
+        return 0.0
+    scale = Fraction(N - n, N) * Fraction(n - 1, n * n * (m - 1))
+    return float(scale * 10**4 / m if kind is EstimatorKind.PP_TOP10 else scale)
+
+
+def reference_count_runs(s, N, B, kinds, with_t, draw):
+    # a block of unit counts and their row sizes m at a time: PP from its
+    # flagged count c, est = 100 * c / m and tvar = c * (m - c) times its
+    # scale; other kinds from the counts against the centred values and
+    # their squares
+    n = s.n
+    runs = [(np.empty(B), np.empty(B) if with_t else None) for _ in kinds]
+    lo = 0
+    for rows in block_rows(B, n):
+        hi = lo + rows
+        counts, m = draw(rows)
+        m = np.broadcast_to(m, rows)
+        for kind, (est, tvar) in zip(kinds, runs):
+            scales = {mm: reference_t_scale(kind, n, N, mm) for mm in set(m.tolist())}
+            scale = np.array([scales[mm] for mm in m.tolist()])
+            if kind is EstimatorKind.PP_TOP10:
+                c = counts[:, s.top10].sum(axis=1)
+                est[lo:hi] = 100.0 * c / m
+                if with_t:
+                    tvar[lo:hi] = (c * (m - c)).astype(float) * scale
+                continue
+            v = unit_values(kind, s)
+            centre = reference_centre(v)
+            d = v - centre
+            s1 = np.einsum("rn,n->r", counts, d)
+            est[lo:hi] = centre + s1 / m
+            if with_t:
+                tvar[lo:hi] = np.maximum(np.einsum("rn,n->r", counts, d * d) - s1 * s1 / m, 0.0) * scale
+        lo = hi
+    return runs
+
+
+def reference_ppb(s, N, B, kinds, rng, with_t):
+    # k = N // n copies of every unit and one more of a uniform
+    # (N - k*n)-subset, then an SRSWOR draw of n from them per replicate
+    n, gen = s.n, rng.generator
+    k, r = divmod(N, n)
+    copies = np.full(n, k, dtype=np.int64)
+    if r:
+        copies += gen.multivariate_hypergeometric(np.ones(n, dtype=np.int64), r, method="count")
+    return reference_count_runs(
+        s, N, B, kinds, with_t, lambda rows: (gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n)
+    )
+
+
 def reference_mirror(s, N, B, kinds, rng, with_t):
     n, gen = s.n, rng.generator
     plan = mirror_match_plan(n, N)
     assert plan.n_prime < n  # the count path, not the n' = n shortcut
-    drawn = []
 
     def draw(rows):
-        drawn.append(rows)
         counts, kb = reference_mirror_counts(gen, rows, n, plan)
         return counts, kb * plan.n_prime
 
-    runs = _count_replicates(draw, [unit_values(k, s) for k in kinds], B, n, N, with_t)
-    assert drawn == block_rows(B, n)
-    return runs
+    return reference_count_runs(s, N, B, kinds, with_t, draw)
 
 
 REFERENCES = {
     "standard": (lambda s, N, B, kinds, rng, t: reference_standard(s, B, kinds, rng, t)),
+    "ppb": reference_ppb,
     "mirror": reference_mirror,
 }
 
@@ -668,8 +743,9 @@ POP = 6224  # mirror-match randomizes k at every n below
 
 class TestBlockBuffers:
     # The standard and mirror-match engines build their blocks in buffers
-    # each thread keeps across blocks and calls; replicates and stream use
-    # must equal the reference block code's, whatever ran before.
+    # each thread keeps across blocks and calls; every engine's replicates
+    # and stream use must equal the reference block code's, whatever ran
+    # before.
     @pytest.mark.parametrize("B", [1, 2, 511, 512, 513, 1000])
     @pytest.mark.parametrize("n", [2, 3, 100, 1000, 4000])
     @pytest.mark.parametrize("engine", sorted(REFERENCES))

@@ -134,6 +134,20 @@ class TestConfigDict:
             assert all(getattr(config, f.name) != f.default for f in fields(StudyConfig) if f.default is not MISSING)
         assert config_from_dict(config_dict(config)) == config
 
+    def test_list_built_config_writes_the_same_report(self, tmp_path):
+        # lists are stored as tuples, so the engines take several estimators
+        # and the echo tokenizes every enum
+        keys = dict(sample_sizes=[30], methods=list(Method), ci_types=list(CiType), estimators=list(EstimatorKind))
+        common = dict(population_source=SynthSpec(size=200, target_mncs=1.275, target_pp=13.7),
+                      B=50, repetitions=3, master_seed=5, ci_pairing="all")
+        listed = StudyConfig(**common, **keys)
+        tupled = StudyConfig(**common, **{k: tuple(v) for k, v in keys.items()})
+        assert listed == tupled
+        paths = [tmp_path / "listed.json", tmp_path / "tupled.json"]
+        for config, path in zip((listed, tupled), paths):
+            emit_report(coverage_study(config), "json", path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestCiPairing:
     def test_paper_pairing(self):
@@ -598,8 +612,8 @@ class TestIntervalBatch:
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "a6b3a2e5f9dd2d75b63251ab97b95bf28bd2a74e3a0e32d4e355467c5e69275a",
-    70: "0b2ab25d6d5d009ea19501665b0371f5ca8bb443e22fcb187fc5c396d01b9c5f",
+    60: "2375562ef86385ec19843a97cef814c8b6c59dfbc39ed6cc6341e3d863b25e89",
+    70: "66356d187bee2a89d6005df502f1a2faa99ce70a747f9bf713351ab6466bebb3",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
