@@ -120,9 +120,6 @@ def _cmd_estimate(args) -> int:
     reps = bootstrap(
         method, sample, pop.size, args.B, kind, rng, with_t_variances=ci_kind is CiType.BOOTSTRAP_T
     )
-    if ci_kind is CiType.BCA and sample.n < 3:
-        # the jackknife acceleration's rule, which StudyConfig applies too
-        raise ValueError("jackknife_acceleration requires n >= 3")
     t_variances = None if reps.t_variances is None else reps.t_variances[None]
     v_hat, bounds = _interval_batch(
         (ci_kind,), args.level, reps.estimates[None], [value],

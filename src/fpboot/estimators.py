@@ -89,4 +89,6 @@ def se_mean_fpc(s2: float, n: int, N: int) -> float:
         raise ValueError("se_mean_fpc requires n >= 2")
     if not np.isfinite(s2) or s2 < 0:
         raise ValueError(f"s2 must be finite and >= 0, got {s2!r}")
-    return math.sqrt(s2 / n) * math.sqrt((N - n) / (N - 1))
+    from .resampling import fpc  # resampling imports this module
+
+    return math.sqrt(s2 / n) * math.sqrt(fpc(n, N).bias_adjusted)

@@ -197,6 +197,8 @@ def _bootstrap_t(est: np.ndarray, tvar: np.ndarray, theta: np.ndarray, v_hat: np
 def _accelerations(values: np.ndarray) -> np.ndarray:
     """Jackknife acceleration per row of sample unit values (R x n)."""
     n = values.shape[1]
+    if n < 3:
+        raise ValueError("jackknife_acceleration requires n >= 3")
     loo = (values.sum(axis=1, keepdims=True) - values) / (n - 1)
     dev = loo.mean(axis=1, keepdims=True) - loo
     sq = dev * dev
@@ -294,10 +296,7 @@ def jackknife_acceleration(sample: Sample, kind: EstimatorKind) -> float:
     the leave-one-out statistics from their mean; 0 when the deviations
     vanish.
     """
-    vals = unit_values(kind, sample)
-    if vals.size < 3:
-        raise ValueError("jackknife_acceleration requires n >= 3")
-    return float(_accelerations(vals[None])[0])
+    return float(_accelerations(unit_values(kind, sample)[None])[0])
 
 
 def ci_bca(

@@ -15,10 +15,13 @@ Every statistic is a mean of unit values (``unit_values``). An engine
 only draws its resamples, as indices (standard) or as counts of each
 sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
 turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
-with 1 - f = 1 for the standard engine. A PP(top 10%) replicate comes from
-one integer, the number of flagged units drawn: 100.0 * count / size,
-rounded once like the sample estimate, so a replicate tied with the sample
-equals it bit for bit.
+with 1 - f = 1 for the standard engine. The reduction also holds the
+checks every engine shares (n >= 2, B >= 1) and the census shortcut: where
+1 - f is 0 (ppb or mirror-match at n = N) it returns the sample mean as
+every replicate, with zero t-variances, before the first draw. A
+PP(top 10%) replicate comes from one integer, the number of flagged units
+drawn: 100.0 * count / size, rounded once like the sample estimate, so a
+replicate tied with the sample equals it bit for bit.
 
 Engines consume their stream in blocks whose size depends on n alone, so
 results never depend on caller memory or threading. A block holds
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorKind, sample_variance, unit_values
+from .estimators import EstimatorKind, estimate, sample_variance, unit_values
 from .sampling import RngStream, Sample
 
 # Engines draw in blocks of at most this many cells (replicates x n).
@@ -176,16 +179,6 @@ def _replicates(kind, method: Method, B: int, runs):
     return reps if isinstance(kind, tuple) else reps[0]
 
 
-def _census(kind, method: Method, B: int, vals: list[np.ndarray], with_t_variances: bool):
-    """Replicates of a census sample (n = N).
-
-    Every resample is the whole sample, so every replicate equals the
-    sample mean bit for bit and has zero variance.
-    """
-    runs = [(np.full(B, float(v.mean())), np.zeros(B) if with_t_variances else None) for v in vals]
-    return _replicates(kind, method, B, runs)
-
-
 def _centre(v: np.ndarray) -> float:
     """The value an engine centres unit values on before it sums them.
 
@@ -227,9 +220,20 @@ def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int
     time of one stacked "rn,ne->re" call; never ``@``, see the module
     docstring). The estimate is centre + sum(d) / m and the t-variance
     max(sum(d**2) - sum(d)**2 / m, 0) times ``_t_scale``.
+
+    A census (1 - f = 0) draws nothing: every resample is the whole sample,
+    so every replicate is the sample estimate bit for bit, with zero
+    t-variance.
     """
     n = sample.n
+    if n < 2:
+        raise ValueError(f"{method.value} bootstrap requires a sample of size >= 2")
+    if B < 1:
+        raise ValueError("B must be >= 1")
     kinds = _kinds(kind)
+    if not one_minus_f[0]:
+        runs = [(np.full(B, estimate(k, sample)), np.zeros(B) if with_t_variances else None) for k in kinds]
+        return _replicates(kind, method, B, runs)
     gathered = method is Method.STANDARD
     # flagged units first, in an order that depends on the sample alone
     order = np.argsort(~sample.top10, kind="stable") if gathered else slice(None)
@@ -371,10 +375,6 @@ def standard_bootstrap(
     of resampled indices (see ``_reduce``).
     """
     n = sample.n
-    if n < 2:
-        raise ValueError("standard_bootstrap requires a sample of size >= 2")
-    if B < 1:
-        raise ValueError("B must be >= 1")
     gen = rng.generator
 
     def draw(rows):
@@ -404,12 +404,6 @@ def ppb_bootstrap(
     n = sample.n
     if N < n:
         raise ValueError(f"population size {N} smaller than sample size {n}")
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    if n < 2:
-        raise ValueError("ppb_bootstrap requires a sample of size >= 2")
-    if n == N:
-        return _census(kind, Method.PPB, B, [unit_values(k, sample) for k in _kinds(kind)], with_t_variances)
     gen = rng.generator
     copies = _pseudo_population(gen, n, N)
 
@@ -526,11 +520,6 @@ def mirror_match_bootstrap(
     """
     n = sample.n
     plan = mirror_match_plan(n, N)
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    if n == N:
-        # the only n with n' = n: the subsample is the whole sample and k = 1
-        return _census(kind, Method.MIRROR_MATCH, B, [unit_values(k, sample) for k in _kinds(kind)], with_t_variances)
     gen = rng.generator
 
     def draw(rows):

@@ -32,15 +32,19 @@ class RngStream:
     generator: np.random.Generator = field(repr=False, compare=False)
 
 
+def _check_uint64(name: str, value):
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _UINT64_MAX:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 def make_rng(master_seed: int, stream_id: int) -> RngStream:
     """Create the stream keyed by (master_seed, stream_id).
 
     The two 64-bit words form the Philox key, so any two distinct
     (master_seed, stream_id) pairs yield unrelated streams.
     """
-    for name, value in (("master_seed", master_seed), ("stream_id", stream_id)):
-        if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _UINT64_MAX:
-            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    _check_uint64("master_seed", master_seed)
+    _check_uint64("stream_id", stream_id)
     key = np.array([master_seed, stream_id], dtype=np.uint64)
     return RngStream(int(master_seed), int(stream_id), np.random.Generator(np.random.Philox(key=key)))
 

@@ -14,12 +14,12 @@ subset of cells, any worker count, and any scheduling order produce
 identical cells.
 
 Data path: a task is ``(config, n, method, lo, hi)``, replications
-[lo, hi) of one (n, method) group. Each replication makes one ``make_rng``
--> ``srswor`` -> ``bootstrap`` call; its replicates are stacked in batches
-of at most max(1, 2**16 // B) replications, and each batch gets one
-vectorised interval pass per estimator (``_interval_batch``):
-the bootstrap variances, the jackknife accelerations and every CI type,
-with one sort shared by percentile and BCa. A task returns
+[lo, hi) of one (n, method) group, at most max(1, 2**16 // B) of them.
+Each replication makes one ``make_rng`` -> ``srswor`` -> ``bootstrap``
+call; the task stacks its replicates and makes one vectorised interval
+pass per estimator (``_interval_batch``): the bootstrap variances, the
+jackknife accelerations and every CI type, with one sort shared by
+percentile and BCa. A task returns
 ``v_hats[estimator, rep]``, the bootstrap variances, and
 ``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
 with NaN meaning "no interval" (a real interval never has a NaN endpoint).
@@ -65,14 +65,14 @@ from .resampling import (  # noqa: F401 -- bootstrap_variance: see the module do
     ppb_bootstrap,
     standard_bootstrap,
 )
-from .sampling import Population, RngStream, Sample, load_population, make_rng, srswor
+from .sampling import Population, RngStream, Sample, _check_uint64, load_population, make_rng, srswor
 
 # Stream id reserved for synthetic population generation; cell streams are
 # hash * 2**32 + r with r far below 2**32, so they cannot collide with it.
 SYNTH_STREAM_ID = 2**64 - 1
 
-# A batch of replications stacks at most this many replicate estimates
-# (replications x B) per estimator for the interval pass.
+# A task stacks at most this many replicate estimates (replications x B)
+# per estimator for its interval pass, or one replication's B.
 _BATCH_CELLS = 2**16
 
 
@@ -147,6 +147,7 @@ class StudyConfig:
                 raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         if self.B < 2:
             raise ValueError("B must be >= 2")
+        _check_uint64("master_seed", self.master_seed)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.level < 1.0:
@@ -420,8 +421,7 @@ def _run_replications(task):
 
     ``task`` is ``(config, n, method, lo, hi)``. Each replication draws one
     sample and makes one engine call that returns replicates for every
-    estimator. The replicates are stacked in batches of at most
-    max(1, 2**16 // B) replications, and each batch gets one interval pass
+    estimator. The task's replicates are stacked and get one interval pass
     per estimator. Returns ``v_hats[estimator, rep]`` and
     ``bounds[estimator, ci, rep, (lower, upper)]``, NaN where no interval
     could be formed.
@@ -431,18 +431,17 @@ def _run_replications(task):
     kinds = config.estimators
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
     base = cell_stream_base(n, method)
-    v_hats = np.empty((len(kinds), hi - lo))
-    bounds = np.empty((len(kinds), len(cis), hi - lo, 2))
+    rows = hi - lo
+    v_hats = np.empty((len(kinds), rows))
+    bounds = np.empty((len(kinds), len(cis), rows, 2))
     need_t = CiType.BOOTSTRAP_T in cis
     need_a = CiType.BCA in cis
-    rows = min(hi - lo, max(1, _BATCH_CELLS // config.B))
     est = np.empty((len(kinds), rows, config.B))
     tvar = np.empty((len(kinds), rows, config.B)) if need_t else None
     theta = np.empty((len(kinds), rows))
     values = np.empty((len(kinds), rows, n)) if need_a else None
 
-    for t, r in enumerate(range(lo, hi)):
-        j = t % rows
+    for j, r in enumerate(range(lo, hi)):
         rng = make_rng(config.master_seed, base + r)
         sample = srswor(pop, n, rng)
         runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=need_t)
@@ -453,17 +452,15 @@ def _run_replications(task):
                 tvar[e, j] = reps.t_variances
             if need_a:
                 values[e, j] = unit_values(kind, sample)
-        if j == rows - 1 or r == hi - 1:
-            batch = slice(t - j, t + 1)
-            for e in range(len(kinds)):
-                v_hats[e, batch], bounds[e, :, batch] = _interval_batch(
-                    cis,
-                    config.level,
-                    est[e, : j + 1],
-                    theta[e, : j + 1],
-                    t_variances=None if tvar is None else tvar[e, : j + 1],
-                    values=None if values is None else values[e, : j + 1],
-                )
+    for e in range(len(kinds)):
+        v_hats[e], bounds[e] = _interval_batch(
+            cis,
+            config.level,
+            est[e],
+            theta[e],
+            t_variances=None if tvar is None else tvar[e],
+            values=None if values is None else values[e],
+        )
     return v_hats, bounds
 
 
@@ -555,6 +552,7 @@ def coverage_study(
 
     R = config.repetitions
     chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
+    chunk = min(chunk, max(1, _BATCH_CELLS // config.B))
     spans = [(lo, min(lo + chunk, R + 1)) for lo in range(1, R + 1, chunk)]
     tasks = [(config, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans]
     results = _execute(tasks, pop, workers)

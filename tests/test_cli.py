@@ -512,6 +512,30 @@ def test_negative_threads_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_1_before_loading(tmp_path, capsys, seed):
+    # the config rejects the seed before the population file is opened
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--population", str(tmp_path / "none.csv"), "--sizes", "20", "--B", "50",
+            "--reps", "3", "--seed", seed, "--threads", "2", "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: master_seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert not out.exists()
+
+
+def test_estimate_bca_needs_three_records(tmp_path, capsys):
+    pop_path = two_flag_population(tmp_path)
+    code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "2", "--ci", "bca"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jackknife_acceleration requires n >= 3\n"
+
+
+def test_estimate_one_record_names_the_engine(tmp_path, capsys):
+    pop_path = two_flag_population(tmp_path)
+    assert cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "error: standard bootstrap requires a sample of size >= 2\n"
+
+
 def test_help_lists_every_token(capsys):
     assert cli_dispatch(["simulate", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())

@@ -21,7 +21,7 @@ from fpboot import (
     ci_percentile,
     jackknife_acceleration,
 )
-from fpboot.intervals import _norm_cdf, _norm_ppf, _quantiles
+from fpboot.intervals import _interval_batch, _norm_cdf, _norm_ppf, _quantiles
 
 
 def reps_of(values, t_variances=None):
@@ -179,6 +179,11 @@ class TestJackknifeAcceleration:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             jackknife_acceleration(self.sample_of([1.0, 2.0]), EstimatorKind.MNCS)
+
+    def test_interval_pass_shares_the_rule(self):
+        est = np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="^jackknife_acceleration requires n >= 3$"):
+            _interval_batch((CiType.BCA,), 0.95, est, [2.0], values=np.array([[1.0, 3.0]]))
 
 
 class TestCiBca:

@@ -18,6 +18,7 @@ from fpboot import (
     EstimatorKind,
     Method,
     Sample,
+    SynthSpec,
     bootstrap_variance,
     corrected_variance,
     estimate,
@@ -27,7 +28,9 @@ from fpboot import (
     mirror_match_plan,
     ppb_bootstrap,
     sample_variance,
+    srswor,
     standard_bootstrap,
+    synth_population,
     unit_values,
 )
 from fpboot.resampling import (
@@ -39,6 +42,7 @@ from fpboot.resampling import (
     _resample_indices,
     _workspace,
 )
+from fpboot.study import SYNTH_STREAM_ID
 
 
 def lognormal_sample(n, N, seed=0):
@@ -540,6 +544,96 @@ class TestLargeFractionVariance:
         )
         se = ratios.std(ddof=1) / math.sqrt(M)
         assert abs(ratios.mean() - 1) <= 5 * se
+
+
+def moment_z_scores(replicates, mean, variance):
+    """|z| of the replicates' mean and variance against the closed forms.
+
+    Each standard error comes from the replicates' own second and fourth
+    central moments: sqrt(m2 / B) for the mean, sqrt((m4 - m2**2) / B) for
+    the variance. A zero standard error allows no difference at all.
+    """
+    B = replicates.size
+    dev = replicates - replicates.mean()
+    m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
+    diffs = (replicates.mean() - mean, sample_variance(replicates) - variance)
+    ses = (math.sqrt(m2 / B), math.sqrt(max(m4 - m2 * m2, 0.0) / B))
+    return [abs(d) / se if se else (0.0 if d == 0 else math.inf) for d, se in zip(diffs, ses)]
+
+
+class TestConditionalMoments:
+    # Each engine's bootstrap mean and variance given the sample (B -> oo)
+    # have closed forms, so one call per engine with both kinds is checked
+    # against them at every sampling fraction f, within 5 standard errors.
+    # N = 6224 (log-normal shape 0.7); f = 0.5 has no pseudo-population
+    # remainder, and n = 5600 is beyond f = 0.9.
+    N = 6224
+    SIZES = (30, 100, 1000, 3112, 5600)
+    B = 5000
+    KINDS = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        spec = SynthSpec(size=self.N, target_mncs=1.275, target_pp=13.7, shape=0.7)
+        return synth_population(spec, make_rng(16, SYNTH_STREAM_ID))
+
+    def moments(self, engine, s, n):
+        """The closed-form (E*, V*) of each kind for the engine's call on stream (16, n)."""
+        f = n / self.N
+        out = []
+        for kind in self.KINDS:
+            y = unit_values(kind, s)
+            s2 = sample_variance(y)
+            if engine == "standard":
+                out.append((y.mean(), (n - 1) * s2 / n**2))
+            elif engine == "ppb":
+                # the pseudo-population is the engine's first draw
+                c = _pseudo_population(make_rng(16, n).generator, n, self.N)
+                mu = float(c @ y) / self.N
+                s2_c = float(c @ (y - mu) ** 2) / (self.N - 1)
+                out.append((mu, (1 - f) * s2_c / n))
+            else:
+                plan = mirror_match_plan(n, self.N)
+                inverse_k = (1 - plan.p_high) / plan.k_low + plan.p_high / plan.k_high
+                out.append((y.mean(), inverse_k * (1 - plan.n_prime / n) * s2 / plan.n_prime))
+        return out
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_mean_and_variance(self, pop, engine):
+        for n in self.SIZES:
+            s = srswor(pop, n, make_rng(17, n))
+            reps = ENGINES[engine](s, self.N, self.B, self.KINDS, make_rng(16, n), False)
+            for kind, r, (mean, variance) in zip(self.KINDS, reps, self.moments(engine, s, n)):
+                z = moment_z_scores(r.estimates, mean, variance)
+                assert max(z) <= 5, (n, kind, z)
+
+
+class TestEngineChecks:
+    # The reduction checks n >= 2 and B >= 1 for every engine, naming it,
+    # and answers a census (ppb or mirror-match at n = N) without a draw.
+    SMALL_SAMPLE = {
+        "standard": "standard bootstrap requires a sample of size >= 2",
+        "ppb": "ppb bootstrap requires a sample of size >= 2",
+        "mirror": "mirror_match_plan requires n >= 2",
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_invalid_calls_rejected(self, engine):
+        run = ENGINES[engine]
+        with pytest.raises(ValueError, match="^B must be >= 1$"):
+            run(lognormal_sample(10, 40), 40, 0, EstimatorKind.MNCS, make_rng(0, 0), False)
+        with pytest.raises(ValueError, match=f"^{self.SMALL_SAMPLE[engine]}$"):
+            run(lognormal_sample(1, 40), 40, 10, EstimatorKind.MNCS, make_rng(0, 0), False)
+
+    @pytest.mark.parametrize("engine", ["ppb", "mirror"])
+    def test_census_draws_nothing(self, engine):
+        s = lognormal_sample(40, 40, seed=3)
+        rng = make_rng(14, 0)
+        reps = ENGINES[engine](s, 40, 300, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10), rng, True)
+        for kind, r in zip((EstimatorKind.MNCS, EstimatorKind.PP_TOP10), reps):
+            assert np.all(r.estimates == estimate(kind, s))
+            assert np.all(r.t_variances == 0.0)
+        assert rng.generator.random() == make_rng(14, 0).generator.random()
 
 
 class TestVarianceOrdering:

@@ -34,6 +34,43 @@ class TestMakeRng:
             make_rng(seed, stream)
 
 
+# The first draws of each numpy call the streams depend on, under one fixed
+# Philox key. numpy does not promise these across versions; a change shows
+# here, by name, before it moves the golden report hashes.
+NUMPY_DRAWS = {
+    "choice-tail-shuffle": (
+        lambda g: g.choice(6224, 6, replace=False, shuffle=False), [1393, 5637, 122, 2246, 3571, 4274]
+    ),
+    "choice-floyd": (
+        lambda g: g.choice(100_000, 6, replace=False, shuffle=False), [22403, 90637, 1971, 36107, 57398, 68683]
+    ),
+    "multivariate-hypergeometric-masks": (
+        lambda g: g.multivariate_hypergeometric(np.ones(8, dtype=np.int64), 3, size=2, method="count"),
+        [[1, 0, 0, 1, 1, 0, 0, 0], [0, 1, 0, 0, 1, 1, 0, 0]],
+    ),
+    "multivariate-hypergeometric-copies": (
+        lambda g: g.multivariate_hypergeometric(np.array([3, 3, 2, 2, 1]), 5, size=2, method="count"),
+        [[1, 3, 0, 1, 0], [0, 1, 2, 2, 0]],
+    ),
+    "random": (lambda g: g.random(3), [0.9064099609907826, 0.3610786816616818, 0.6868371135960316]),
+    "standard-normal": (
+        lambda g: g.standard_normal(3), [0.33692092310762356, -1.3044888951283518, 0.7096492832271353]
+    ),
+    "integers-above-2**16": (
+        lambda g: g.integers(0, 70_000, size=6), [15683, 63448, 1380, 25275, 40179, 48078]
+    ),
+    "random-raw": (
+        lambda g: g.bit_generator.random_raw(3), [0xE80A7BB3395B2863, 0x5C6FA709050C4376, 0xAFD48E9C92F13671]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NUMPY_DRAWS))
+def test_numpy_draws_are_pinned(call):
+    draw, expected = NUMPY_DRAWS[call]
+    assert draw(make_rng(2018, 7).generator).tolist() == expected
+
+
 class TestSrswor:
     def test_full_draw_is_permutation(self):
         pop = Population([1.0, 2.0, 3.0], [False, True, False])

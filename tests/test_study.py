@@ -134,6 +134,15 @@ class TestConfigDict:
             assert all(getattr(config, f.name) != f.default for f in fields(StudyConfig) if f.default is not MISSING)
         assert config_from_dict(config_dict(config)) == config
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_range_checked_up_front(self, seed):
+        message = f"^master_seed must be an unsigned 64-bit integer, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            StudyConfig("pop.csv", (20,), master_seed=seed)
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"population": "pop.csv", "sample_sizes": [20], "master_seed": seed})
+        StudyConfig("pop.csv", (20,), master_seed=2**64 - 1)
+
     def test_list_built_config_writes_the_same_report(self, tmp_path):
         # lists are stored as tuples, so the engines take several estimators
         # and the echo tokenizes every enum
@@ -567,16 +576,17 @@ class TestIntervalBatch:
     SIZES = (4, 20, 60)
 
     @staticmethod
-    def run(B, R, tasks, monkeypatch, batch_cells=None):
-        spec = SynthSpec(size=60, target_mncs=1.275, target_pp=13.7)
-        config = StudyConfig(
-            population_source=spec, sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R,
-            methods=tuple(Method), ci_types=ALL_CIS, estimators=tuple(EstimatorKind), master_seed=9,
-            ci_pairing="all",
+    def config(B, R):
+        return StudyConfig(
+            population_source=SynthSpec(size=60, target_mncs=1.275, target_pp=13.7),
+            sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R, methods=tuple(Method), ci_types=ALL_CIS,
+            estimators=tuple(EstimatorKind), master_seed=9, ci_pairing="all",
         )
-        pop = synth_population(spec, make_rng(config.master_seed, SYNTH_STREAM_ID))
-        if batch_cells is not None:
-            monkeypatch.setattr(study, "_BATCH_CELLS", batch_cells)
+
+    @staticmethod
+    def run(B, R, tasks):
+        config = TestIntervalBatch.config(B, R)
+        pop = study.resolve_population(config)
         study._init_worker(pop.ncs, pop.top10)
         events = Counter()
         for n in TestIntervalBatch.SIZES:
@@ -589,19 +599,40 @@ class TestIntervalBatch:
         return events
 
     @pytest.mark.parametrize("B", [2, 3, 7, 8, 9, 1000, 1001])
-    def test_small_batches_match_the_loop(self, B, monkeypatch):
-        # batches of three replications: tasks of 5 and 4 split into 3 + 2
-        # and 3 + 1
-        events = self.run(B, 9, [(1, 6), (6, 10)], monkeypatch, batch_cells=3 * B)
+    def test_small_batches_match_the_loop(self, B):
+        # tasks of 5 and 4 replications, each one interval pass
+        events = self.run(B, 9, [(1, 6), (6, 10)])
         assert events["bca fallback"] > 0
         assert events["boot-t census point"] > 0
         if B >= 7:
             assert events["boot-t rejected"] > 0 and events["boot-t"] > 0
 
-    def test_default_batches_match_the_loop(self, monkeypatch):
-        # B = 1000 stacks 65 replications per batch: a task of 70 is two
-        events = self.run(1000, 70, [(1, 71)], monkeypatch)
+    def test_default_batches_match_the_loop(self):
+        # a task of 70 replications at B = 1000, more than a study's cap of
+        # 65, stacks them all for its one pass
+        events = self.run(1000, 70, [(1, 71)])
         assert min(events.values()) > 0 and len(events) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_cap_keeps_the_report(self, workers, monkeypatch, tmp_path):
+        # tasks capped at 3 replications give the report of the default split
+        # (one task of 14, or tasks of 4 over two workers)
+        B, R = 7, 14
+        config = self.config(B, R)
+        run_tasks = study._execute
+        spans = []
+
+        def execute(tasks, pop, workers):
+            spans.append({hi - lo for _, _, _, lo, hi in tasks})
+            return run_tasks(tasks, pop, workers)
+
+        monkeypatch.setattr(study, "_execute", execute)
+        paths = [tmp_path / "default.json", tmp_path / "capped.json"]
+        emit_report(coverage_study(config, workers=workers), "json", paths[0])
+        monkeypatch.setattr(study, "_BATCH_CELLS", 3 * B)
+        emit_report(coverage_study(config, workers=workers), "json", paths[1])
+        assert spans == [{14} if workers == 1 else {4, 2}, {3, 2}]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
