@@ -22,7 +22,6 @@ from .estimators import (
     mncs,
     pp_top10,
     sample_variance,
-    se_mean_fpc,
     unit_values,
 )
 from .resampling import (
@@ -103,7 +102,6 @@ __all__ = [
     "pp_top10",
     "ppb_bootstrap",
     "sample_variance",
-    "se_mean_fpc",
     "srswor",
     "standard_bootstrap",
     "synth_population",

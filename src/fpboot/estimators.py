@@ -1,4 +1,4 @@
-"""The two citation indicators and the closed-form dispersion helpers.
+"""The two citation indicators and the sample variance.
 
 Both indicators are means of a per-record value: the citation score for
 MNCS, and 100/0 for the top-10% flag for PP(top 10%). Keeping proportions
@@ -7,7 +7,6 @@ indicators are directly comparable in reports.
 """
 
 import enum
-import math
 
 import numpy as np
 
@@ -76,19 +75,3 @@ def _row_variances(rows: np.ndarray) -> np.ndarray:
     var[rows.min(axis=1) == rows.max(axis=1)] = 0.0
     return var
 
-
-def se_mean_fpc(s2: float, n: int, N: int) -> float:
-    """Standard error of the mean under SRSWOR from a finite population.
-
-    sqrt(s2 / n) * sqrt((N - n) / (N - 1)), with the sample variance s2
-    plugged in for the unobservable population variance.
-    """
-    if n > N:
-        raise ValueError(f"sample size {n} exceeds population size {N}")
-    if n < 2:
-        raise ValueError("se_mean_fpc requires n >= 2")
-    if not np.isfinite(s2) or s2 < 0:
-        raise ValueError(f"s2 must be finite and >= 0, got {s2!r}")
-    from .resampling import fpc  # resampling imports this module
-
-    return math.sqrt(s2 / n) * math.sqrt(fpc(n, N).bias_adjusted)

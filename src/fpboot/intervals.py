@@ -247,6 +247,8 @@ def _interval_batch(
         elif ci is CiType.PERCENTILE:
             lower, upper = _percentile(srt, level)
         elif ci is CiType.BCA:
+            if values is None:
+                raise ValueError("BCa requires the samples' unit values for the jackknife acceleration")
             (lower, upper), _ = _bca(srt, est, theta, _accelerations(values), level)
         elif ci is CiType.BOOTSTRAP_T:
             if t_variances is None:

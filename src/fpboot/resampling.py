@@ -405,9 +405,14 @@ def ppb_bootstrap(
     if N < n:
         raise ValueError(f"population size {N} smaller than sample size {n}")
     gen = rng.generator
-    copies = _pseudo_population(gen, n, N)
+    copies = None
 
     def draw(rows):
+        nonlocal copies
+        if copies is None:
+            # drawn with the first block, after _reduce's checks: a rejected
+            # call leaves the stream as it was
+            copies = _pseudo_population(gen, n, N)
         return gen.multivariate_hypergeometric(copies, n, size=rows, method="count"), n
 
     return _reduce(kind, Method.PPB, sample, B, draw, (n, n), (N - n, N), with_t_variances)

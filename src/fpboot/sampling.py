@@ -72,6 +72,10 @@ class Population:
         self.ncs = ncs
         self.top10 = top10
 
+    def __reduce__(self):
+        # an unpickled copy goes through the checks above and is read-only too
+        return (Population, (self.ncs, self.top10))
+
     @property
     def size(self) -> int:
         return int(self.ncs.size)

@@ -13,14 +13,16 @@ resamples depend on which estimators or CI types are requested, any
 subset of cells, any worker count, and any scheduling order produce
 identical cells.
 
-Data path: a task is ``(config, n, method, lo, hi)``, replications
-[lo, hi) of one (n, method) group, at most max(1, 2**16 // B) of them.
-Each replication makes one ``make_rng`` -> ``srswor`` -> ``bootstrap``
-call; the task stacks its replicates and makes one vectorised interval
-pass per estimator (``_interval_batch``): the bootstrap variances, the
-jackknife accelerations and every CI type, with one sort shared by
-percentile and BCa. A task returns
-``v_hats[estimator, rep]``, the bootstrap variances, and
+Data path: a task is ``(config, pop, n, method, lo, hi)``, replications
+[lo, hi) of one (n, method) group, at most max(1, 2**16 // B) of them,
+with the population they sample. A study keeps no module state: a task
+carries all it reads, in the caller's process or in a pool worker, so
+serial studies in concurrent threads share nothing. Each replication
+makes one ``make_rng`` -> ``srswor`` -> ``bootstrap`` call; the task
+stacks its replicates and makes one vectorised interval pass per
+estimator (``_interval_batch``): the bootstrap variances, the jackknife
+accelerations and every CI type, with one sort shared by percentile and
+BCa. A task returns ``v_hats[estimator, rep]``, the bootstrap variances, and
 ``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
 with NaN meaning "no interval" (a real interval never has a NaN endpoint).
 A group's task results are joined in replication order and reduced to
@@ -383,15 +385,6 @@ def cell_stream_base(n: int, method: Method) -> int:
     return h << 32
 
 
-# Worker-side population; set once per process by _init_worker.
-_POP: Population | None = None
-
-
-def _init_worker(ncs: np.ndarray, top10: np.ndarray):
-    global _POP
-    _POP = Population(ncs, top10)
-
-
 def bootstrap(
     method: Method,
     sample: Sample,
@@ -419,15 +412,15 @@ def bootstrap(
 def _run_replications(task):
     """Run replications [lo, hi) of one (n, method) group.
 
-    ``task`` is ``(config, n, method, lo, hi)``. Each replication draws one
-    sample and makes one engine call that returns replicates for every
-    estimator. The task's replicates are stacked and get one interval pass
-    per estimator. Returns ``v_hats[estimator, rep]`` and
+    ``task`` is ``(config, pop, n, method, lo, hi)``, with ``pop`` the
+    population the replications sample. Each replication draws one sample
+    and makes one engine call that returns replicates for every estimator.
+    The task's replicates are stacked and get one interval pass per
+    estimator. Returns ``v_hats[estimator, rep]`` and
     ``bounds[estimator, ci, rep, (lower, upper)]``, NaN where no interval
     could be formed.
     """
-    config, n, method, lo, hi = task
-    pop = _POP
+    config, pop, n, method, lo, hi = task
     kinds = config.estimators
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
     base = cell_stream_base(n, method)
@@ -464,7 +457,7 @@ def _run_replications(task):
     return v_hats, bounds
 
 
-def _execute(tasks, pop: Population, workers: int) -> list:
+def _execute(tasks, workers: int) -> list:
     """Run every task; results come back in task order.
 
     No more workers start than there are tasks: a fork-context pool forks
@@ -472,11 +465,8 @@ def _execute(tasks, pop: Population, workers: int) -> list:
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
-        _init_worker(pop.ncs, pop.top10)
         return [_run_replications(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(pop.ncs, pop.top10)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_replications, tasks))
 
 
@@ -554,8 +544,8 @@ def coverage_study(
     chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
     chunk = min(chunk, max(1, _BATCH_CELLS // config.B))
     spans = [(lo, min(lo + chunk, R + 1)) for lo in range(1, R + 1, chunk)]
-    tasks = [(config, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans]
-    results = _execute(tasks, pop, workers)
+    tasks = [(config, pop, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans]
+    results = _execute(tasks, workers)
 
     truths = np.array([true_values[k.value] for k in kinds])
     cells: list[CellReport] = []

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fpboot import (
@@ -10,7 +8,6 @@ from fpboot import (
     mncs,
     pp_top10,
     sample_variance,
-    se_mean_fpc,
     unit_values,
 )
 
@@ -74,29 +71,6 @@ class TestSampleVariance:
     def test_too_short(self):
         with pytest.raises(ValueError):
             sample_variance([1.0])
-
-
-class TestSeMeanFpc:
-    def test_worked_example(self):
-        # 0.2 * sqrt(6124 / 6223)
-        assert se_mean_fpc(4.0, 100, 6224) == pytest.approx(0.19840, abs=1e-5)
-
-    def test_census_is_zero(self):
-        assert se_mean_fpc(3.7, 500, 500) == 0.0
-
-    def test_zero_variance(self):
-        assert se_mean_fpc(0.0, 10, 100) == 0.0
-
-    def test_oversize_rejected(self):
-        with pytest.raises(ValueError):
-            se_mean_fpc(1.0, 101, 100)
-
-    @given(st.floats(0.0, 100.0), st.integers(2, 400))
-    @settings(max_examples=50)
-    def test_matches_formula(self, s2, n):
-        N = 400
-        expected = math.sqrt(s2 / n) * math.sqrt((N - n) / (N - 1))
-        assert se_mean_fpc(s2, n, N) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class TestUnitValues:

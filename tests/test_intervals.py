@@ -185,6 +185,12 @@ class TestJackknifeAcceleration:
         with pytest.raises(ValueError, match="^jackknife_acceleration requires n >= 3$"):
             _interval_batch((CiType.BCA,), 0.95, est, [2.0], values=np.array([[1.0, 3.0]]))
 
+    def test_interval_pass_needs_the_unit_values(self):
+        # named like bootstrap-t's missing t-variances, not an AttributeError
+        est = np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="^BCa requires the samples' unit values"):
+            _interval_batch((CiType.BCA,), 0.95, est, [2.0])
+
 
 class TestCiBca:
     def test_reduces_to_percentile(self):

@@ -625,6 +625,16 @@ class TestEngineChecks:
         with pytest.raises(ValueError, match=f"^{self.SMALL_SAMPLE[engine]}$"):
             run(lognormal_sample(1, 40), 40, 10, EstimatorKind.MNCS, make_rng(0, 0), False)
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_rejected_calls_leave_the_stream(self, engine):
+        # N mod n = 10 at n = 30, N = 100: ppb's completion is a draw
+        run = ENGINES[engine]
+        for n, B in ((30, 0), (1, 10)):
+            rng = make_rng(15, 0)
+            with pytest.raises(ValueError):
+                run(lognormal_sample(n, 100), 100, B, EstimatorKind.MNCS, rng, False)
+            assert rng.generator.random() == make_rng(15, 0).generator.random()
+
     @pytest.mark.parametrize("engine", ["ppb", "mirror"])
     def test_census_draws_nothing(self, engine):
         s = lognormal_sample(40, 40, seed=3)

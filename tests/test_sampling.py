@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,16 @@ class TestDomainTypes:
         pop = small_pop()
         with pytest.raises(ValueError):
             pop.ncs[0] = 3.0
+
+    def test_pickled_population_round_trips_read_only(self):
+        # the copy a pool worker unpickles is rebuilt by the constructor
+        pop = small_pop(30)
+        copy = pickle.loads(pickle.dumps(pop))
+        assert type(copy) is Population
+        for name in ("ncs", "top10"):
+            arr, orig = getattr(copy, name), getattr(pop, name)
+            assert arr.dtype == orig.dtype and np.array_equal(arr, orig)
+            assert not arr.flags.writeable
 
     def test_sample_rejects_duplicates(self):
         with pytest.raises(ValueError):

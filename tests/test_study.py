@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -362,9 +363,8 @@ class TestCoverageStudy:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -382,6 +382,48 @@ class TestCoverageStudy:
         six_tasks = self.config(repetitions=3)  # 2 methods x 3 one-replication chunks
         assert coverage_study(six_tasks, workers=64).to_dict() == coverage_study(six_tasks).to_dict()
         assert sizes == [6]
+
+    def test_serial_studies_in_threads_keep_their_populations(self):
+        # two serial studies of two tasks each (a task holds at most
+        # 2**16 // B = 32 replications) on different populations, run side
+        # by side, give the reports they give one after the other
+        configs = [
+            self.config(
+                population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape),
+                sample_sizes=(30,), B=2000, repetitions=40, methods=(Method.STANDARD,),
+                ci_types=(CiType.NORMAL,),
+            )
+            for mncs_, shape in ((1.275, 1.0), (2.5, 0.5))
+        ]
+        expected = [coverage_study(c).to_dict() for c in configs]
+        assert expected[0]["cells"] != expected[1]["cells"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that a shared value shows
+        try:
+            for trial in range(4):
+                start = threading.Barrier(len(configs))
+                reports = {}
+
+                def run(i):
+                    start.wait(timeout=60)
+                    reports[i] = coverage_study(configs[i], workers=1).to_dict()
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert [reports.get(i) for i in range(len(configs))] == expected, f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_serial_study_keeps_no_module_state(self):
+        before = dict(vars(study))
+        coverage_study(self.config())
+        after = vars(study)
+        assert after.keys() == before.keys()
+        assert [name for name, value in before.items() if after[name] is not value] == []
 
     def test_population_info_embedded(self):
         report = coverage_study(self.config())
@@ -587,12 +629,11 @@ class TestIntervalBatch:
     def run(B, R, tasks):
         config = TestIntervalBatch.config(B, R)
         pop = study.resolve_population(config)
-        study._init_worker(pop.ncs, pop.top10)
         events = Counter()
         for n in TestIntervalBatch.SIZES:
             for method in Method:
                 for lo, hi in tasks:
-                    v_hats, bounds = study._run_replications((config, n, method, lo, hi))
+                    v_hats, bounds = study._run_replications((config, pop, n, method, lo, hi))
                     ref_v, ref_bounds = loop_replications(config, pop, n, method, lo, hi, events)
                     assert_same_floats(v_hats, ref_v)
                     assert_same_floats(bounds, ref_bounds)
@@ -622,9 +663,9 @@ class TestIntervalBatch:
         run_tasks = study._execute
         spans = []
 
-        def execute(tasks, pop, workers):
-            spans.append({hi - lo for _, _, _, lo, hi in tasks})
-            return run_tasks(tasks, pop, workers)
+        def execute(tasks, workers):
+            spans.append({hi - lo for *_, lo, hi in tasks})
+            return run_tasks(tasks, workers)
 
         monkeypatch.setattr(study, "_execute", execute)
         paths = [tmp_path / "default.json", tmp_path / "capped.json"]
