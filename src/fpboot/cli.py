@@ -1,34 +1,33 @@
 """Command-line front door: subcommands over the library.
 
 Subcommands: ``synth`` writes a synthetic population CSV, ``estimate``
-prints point estimates plus one bootstrap CI, ``simulate`` runs a full
-coverage study from a config file, ``sweep`` emits average CI lengths over
-a grid of sample sizes. ``simulate`` and ``sweep`` read the config file's
-JSON object, lay the given flags over it as config keys and hand the
-result to ``fpboot.study.config_from_dict``: ``fpboot.study`` owns the
-config format, its keys, defaults and tokens. Exit codes: 0 success, 1
-validation error, 2 I/O or parse error.
+prints one study replication's point estimate, variance and bootstrap
+CI, ``simulate`` runs a full coverage study from a config file, ``sweep``
+emits average CI lengths over a grid of sample sizes. ``simulate`` and
+``sweep`` read the config file's JSON object, lay the given flags over it
+as config keys and hand the result to ``fpboot.study.config_from_dict``:
+``fpboot.study`` owns the config format, its keys, defaults and tokens.
+Exit codes: 0 success, 1 validation error, 2 I/O or parse error.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import PopulationParseError
-from .estimators import EstimatorKind, estimate, unit_values
-from .intervals import CiType, _interval_batch
+from .estimators import EstimatorKind
+from .intervals import CiType
 from .resampling import Method
-from .sampling import Sample, load_population, make_rng, srswor, write_population
+from .sampling import load_population, make_rng, write_population
 from .study import (
     StudyConfig,
     SynthSpec,
     SYNTH_STREAM_ID,
     _SOURCE_KEYS,
     _g12,
-    bootstrap,
+    _run_replications,
     config_from_dict,
     coverage_study,
     emit_report,
@@ -107,29 +106,25 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    """Replication 1 of the one-cell study that ``simulate`` runs with the same seed.
+
+    Without ``--n`` the sample is the census draw n = N, the whole file.
+    """
     pop = load_population(args.population)
     kind = parse_token(EstimatorKind, args.estimator, "estimator")
-    rng = make_rng(args.seed, 0)
-    if args.n is None:
-        sample = Sample(np.arange(pop.size), pop.ncs, pop.top10, pop.size)  # the whole file
-    else:
-        sample = srswor(pop, args.n, rng)
+    n = pop.size if args.n is None else args.n
     method = parse_token(Method, args.method, "method")
     ci_kind = parse_token(CiType, args.ci, "ci type")
-    value = estimate(kind, sample)
-    reps = bootstrap(
-        method, sample, pop.size, args.B, kind, rng, with_t_variances=ci_kind is CiType.BOOTSTRAP_T
+    config = StudyConfig(
+        args.population, (n,), B=args.B, repetitions=1, methods=(method,), ci_types=(ci_kind,),
+        estimators=(kind,), level=args.level, master_seed=args.seed, ci_pairing="all",
     )
-    t_variances = None if reps.t_variances is None else reps.t_variances[None]
-    v_hat, bounds = _interval_batch(
-        (ci_kind,), args.level, reps.estimates[None], [value],
-        t_variances=t_variances, values=unit_values(kind, sample)[None],
-    )
-    lower, upper = bounds[0, 0].tolist()
-    if np.isnan(lower):
+    thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
+    lower, upper = bounds[0, 0, 0].tolist()
+    if math.isnan(lower):
         raise ValueError("bootstrap-t interval undefined: more than 1% of replicates have zero variance")
-    print(f"{kind.value} {_g12(value)}")
-    print(f"variance {_g12(float(v_hat[0]))}")
+    print(f"{kind.value} {_g12(float(thetas[0, 0]))}")
+    print(f"variance {_g12(float(v_hats[0, 0]))}")
     print(f"ci {ci_kind.value} {_g12(lower)} {_g12(upper)}")
     return 0
 

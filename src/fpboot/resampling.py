@@ -16,7 +16,8 @@ only draws its resamples, as indices (standard) or as counts of each
 sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
 turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
 with 1 - f = 1 for the standard engine. The reduction also holds the
-checks every engine shares (n >= 2, B >= 1) and the census shortcut: where
+checks every engine shares (n >= 2, B >= 1; ppb and mirror-match first
+check that N is the sample's population size) and the census shortcut: where
 1 - f is 0 (ppb or mirror-match at n = N) it returns the sample mean as
 every replicate, with zero t-variances, before the first draw. A
 PP(top 10%) replicate comes from one integer, the number of flagged units
@@ -402,8 +403,8 @@ def ppb_bootstrap(
     reduced from the same count blocks.
     """
     n = sample.n
-    if N < n:
-        raise ValueError(f"population size {N} smaller than sample size {n}")
+    if N != sample.population_size:
+        raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
     gen = rng.generator
     copies = None
 
@@ -524,6 +525,8 @@ def mirror_match_bootstrap(
     count blocks.
     """
     n = sample.n
+    if N != sample.population_size:
+        raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
     plan = mirror_match_plan(n, N)
     gen = rng.generator
 

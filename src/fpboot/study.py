@@ -22,7 +22,8 @@ makes one ``make_rng`` -> ``srswor`` -> ``bootstrap`` call; the task
 stacks its replicates and makes one vectorised interval pass per
 estimator (``_interval_batch``): the bootstrap variances, the jackknife
 accelerations and every CI type, with one sort shared by percentile and
-BCa. A task returns ``v_hats[estimator, rep]``, the bootstrap variances, and
+BCa. A task returns ``thetas[estimator, rep]``, the sample estimates,
+``v_hats[estimator, rep]``, the bootstrap variances, and
 ``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
 with NaN meaning "no interval" (a real interval never has a NaN endpoint).
 A group's task results are joined in replication order and reduced to
@@ -30,8 +31,8 @@ cells in one vectorised step; one row definition (``_cell_row``) feeds the
 JSON report, the CSV report and the length sweep.
 
 ``bootstrap`` (engine dispatch) and ``_interval_batch`` (the interval
-pass) are the single path for both steps; the CLI's ``estimate`` command
-calls them too, its one interval a one-row batch. Where a ``ci_*``
+pass) are the single path for both steps. The CLI's ``estimate`` command
+runs one task, replication 1 of a one-cell study. Where a ``ci_*``
 constructor raises ``DegenerateDistributionError``, the pass falls back
 instead (see ``_interval_batch``). The study calls the engines,
 ``make_rng``, ``srswor`` and ``estimate`` as names of this module, so
@@ -388,7 +389,6 @@ def cell_stream_base(n: int, method: Method) -> int:
 def bootstrap(
     method: Method,
     sample: Sample,
-    N: int,
     B: int,
     kind: EstimatorKind | tuple[EstimatorKind, ...],
     rng: RngStream,
@@ -398,10 +398,11 @@ def bootstrap(
     """B replicates of ``kind`` from the engine ``method``.
 
     A tuple of kinds gives one set of replicates per kind, all from one
-    bootstrap run. ``N`` is ignored by the standard engine.
+    bootstrap run. The finite-population engines take N from the sample.
     """
     if method is Method.STANDARD:
         return standard_bootstrap(sample, B, kind, rng, with_t_variances=with_t_variances)
+    N = sample.population_size
     if method is Method.PPB:
         return ppb_bootstrap(sample, N, B, kind, rng, with_t_variances=with_t_variances)
     if method is Method.MIRROR_MATCH:
@@ -416,9 +417,9 @@ def _run_replications(task):
     population the replications sample. Each replication draws one sample
     and makes one engine call that returns replicates for every estimator.
     The task's replicates are stacked and get one interval pass per
-    estimator. Returns ``v_hats[estimator, rep]`` and
-    ``bounds[estimator, ci, rep, (lower, upper)]``, NaN where no interval
-    could be formed.
+    estimator. Returns ``thetas[estimator, rep]``, the sample estimates,
+    ``v_hats[estimator, rep]`` and ``bounds[estimator, ci, rep, (lower,
+    upper)]``, NaN where no interval could be formed.
     """
     config, pop, n, method, lo, hi = task
     kinds = config.estimators
@@ -431,15 +432,15 @@ def _run_replications(task):
     need_a = CiType.BCA in cis
     est = np.empty((len(kinds), rows, config.B))
     tvar = np.empty((len(kinds), rows, config.B)) if need_t else None
-    theta = np.empty((len(kinds), rows))
+    thetas = np.empty((len(kinds), rows))
     values = np.empty((len(kinds), rows, n)) if need_a else None
 
     for j, r in enumerate(range(lo, hi)):
         rng = make_rng(config.master_seed, base + r)
         sample = srswor(pop, n, rng)
-        runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=need_t)
+        runs = bootstrap(method, sample, config.B, kinds, rng, with_t_variances=need_t)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
-            theta[e, j] = estimate(kind, sample)
+            thetas[e, j] = estimate(kind, sample)
             est[e, j] = reps.estimates
             if need_t:
                 tvar[e, j] = reps.t_variances
@@ -450,11 +451,11 @@ def _run_replications(task):
             cis,
             config.level,
             est[e],
-            theta[e],
+            thetas[e],
             t_variances=None if tvar is None else tvar[e],
             values=None if values is None else values[e],
         )
-    return v_hats, bounds
+    return thetas, v_hats, bounds
 
 
 def _execute(tasks, workers: int) -> list:
@@ -550,7 +551,7 @@ def coverage_study(
     truths = np.array([true_values[k.value] for k in kinds])
     cells: list[CellReport] = []
     for g, (n, method, cis) in enumerate(groups):
-        v_parts, b_parts = zip(*results[g * len(spans) : (g + 1) * len(spans)])
+        _, v_parts, b_parts = zip(*results[g * len(spans) : (g + 1) * len(spans)])
         v_hats, bounds = np.concatenate(v_parts, axis=1), np.concatenate(b_parts, axis=2)
         cells.extend(_cells(n, method, cis, kinds, truths, v_hats, bounds))
     return StudyReport(

@@ -10,8 +10,8 @@ import pytest
 
 from fpboot import DegenerateDistributionError, PopulationParseError, load_population
 from fpboot.cli import _workers, cli_dispatch, emit_report
-from fpboot.sampling import Sample, make_rng, srswor
-from fpboot.study import StudyConfig, SynthSpec, bootstrap, coverage_study
+from fpboot.sampling import make_rng, srswor
+from fpboot.study import StudyConfig, SynthSpec, _run_replications, bootstrap, cell_stream_base, coverage_study
 from fpboot.estimators import EstimatorKind, estimate, unit_values
 from fpboot.intervals import (
     CiType,
@@ -340,9 +340,10 @@ class TestEstimateSharesTheStudyPath:
 
         # the study's interval pass on this one replication
         pop = load_population(pop_path)
-        rng = make_rng(1, 0)
+        rng = make_rng(1, cell_stream_base(20, Method.STANDARD) + 1)
         sample = srswor(pop, 20, rng)
-        reps = bootstrap(Method.STANDARD, sample, pop.size, 1000, EstimatorKind.PP_TOP10, rng)
+        assert not sample.top10.any()
+        reps = bootstrap(Method.STANDARD, sample, 1000, EstimatorKind.PP_TOP10, rng)
         theta = estimate(EstimatorKind.PP_TOP10, sample)
         values = unit_values(EstimatorKind.PP_TOP10, sample)
         with pytest.raises(DegenerateDistributionError):
@@ -363,7 +364,7 @@ class TestEstimateSharesTheStudyPath:
         code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs",
                              "--n", "20", "--ci", ci, "--B", "1"])
         assert code == 1
-        assert capsys.readouterr().err == "error: bootstrap_variance requires at least two replicates\n"
+        assert capsys.readouterr().err == "error: B must be >= 2\n"
 
 
 def constructor_interval(ci, reps, sample, kind, theta, v_hat, level=0.95):
@@ -387,10 +388,21 @@ def constructor_interval(ci, reps, sample, kind, theta, v_hat, level=0.95):
     return iv.lower, iv.upper
 
 
-# (population, --n, --seed): a sample with one flag (many zero-variance PP
-# replicates), a sample with no flag (a one-sided bootstrap distribution,
-# v_hat = 0 for PP) and the one-flag census (v_hat = 0 for the FPC engines)
-ESTIMATE_CASES = [("two", 20, 5), ("two", 20, 1), ("census", None, 0)]
+# (population, --n, --seed, flags in every engine's sample): a sample with
+# one flag (many zero-variance PP replicates), a sample with no flag (a
+# one-sided bootstrap distribution, v_hat = 0 for PP) and the one-flag
+# census (v_hat = 0 for the FPC engines)
+ESTIMATE_CASES = [("two", 20, 131, 1), ("two", 20, 5, 0), ("census", None, 0, 1)]
+
+
+def estimate_lines(tmp_path, capsys, method, ci, estimator, name, n, seed):
+    """Exit code, stderr and stdout lines of ``fpboot estimate`` at B = 300, and the population it read."""
+    path = two_flag_population(tmp_path) if name == "two" else one_flag_census(tmp_path)
+    argv = ["estimate", "--population", path, "--estimator", estimator.value, "--method", method.value,
+            "--ci", ci.value, "--B", "300", "--seed", str(seed)]
+    code = cli_dispatch(argv + ([] if n is None else ["--n", str(n)]))
+    captured = capsys.readouterr()
+    return code, captured.err, captured.out.splitlines(), load_population(path)
 
 
 @pytest.mark.parametrize("estimator", list(EstimatorKind))
@@ -398,26 +410,23 @@ ESTIMATE_CASES = [("two", 20, 5), ("two", 20, 1), ("census", None, 0)]
 @pytest.mark.parametrize("method", list(Method))
 def test_estimate_matches_the_constructors(tmp_path, capsys, method, ci, estimator):
     # the ci_* constructors run the row kernels one replication at a time,
-    # apart from the interval pass estimate goes through
-    paths = {"two": two_flag_population(tmp_path), "census": one_flag_census(tmp_path)}
+    # apart from the interval pass estimate goes through; the sample is
+    # replication 1 of the (n, method) cell, n = N for the whole file
     exits = []
-    for name, n, seed in ESTIMATE_CASES:
-        argv = ["estimate", "--population", paths[name], "--estimator", estimator.value, "--method",
-                method.value, "--ci", ci.value, "--B", "300", "--seed", str(seed)]
-        code = cli_dispatch(argv + ([] if n is None else ["--n", str(n)]))
-        captured = capsys.readouterr()
-
-        pop = load_population(paths[name])
-        rng = make_rng(seed, 0)
-        sample = srswor(pop, n, rng) if n else Sample(np.arange(pop.size), pop.ncs, pop.top10, pop.size)
-        reps = bootstrap(method, sample, pop.size, 300, estimator, rng, with_t_variances=ci is CiType.BOOTSTRAP_T)
+    for name, n, seed, flags in ESTIMATE_CASES:
+        code, err, out, pop = estimate_lines(tmp_path, capsys, method, ci, estimator, name, n, seed)
+        n = n or pop.size
+        rng = make_rng(seed, cell_stream_base(n, method) + 1)
+        sample = srswor(pop, n, rng)
+        assert np.count_nonzero(sample.top10) == flags
+        reps = bootstrap(method, sample, 300, estimator, rng, with_t_variances=ci is CiType.BOOTSTRAP_T)
         theta, v_hat = estimate(estimator, sample), bootstrap_variance(reps)
         expected = constructor_interval(ci, reps, sample, estimator, theta, v_hat)
         if expected is None:
-            assert code == 1 and "bootstrap-t interval undefined" in captured.err
+            assert code == 1 and "bootstrap-t interval undefined" in err
         else:
             assert code == 0
-            assert captured.out.splitlines() == [
+            assert out == [
                 f"{estimator.value} {theta:.12g}",
                 f"variance {v_hat:.12g}",
                 f"ci {ci.value} {expected[0]:.12g} {expected[1]:.12g}",
@@ -425,6 +434,43 @@ def test_estimate_matches_the_constructors(tmp_path, capsys, method, ci, estimat
         exits.append(code)
     # the standard engine on the one-flag census drops a third of its replicates
     assert exits[2] == (1 if (method, ci, estimator) == (Method.STANDARD, CiType.BOOTSTRAP_T, EstimatorKind.PP_TOP10) else 0)
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind))
+@pytest.mark.parametrize("ci", list(CiType))
+@pytest.mark.parametrize("method", list(Method))
+def test_estimate_prints_replication_1_of_the_cell(tmp_path, capsys, method, ci, estimator):
+    # the one-cell study simulate runs with the same seed: its task's first
+    # replication, and a report cell whose one replication is that one
+    for name, n, seed, _ in ESTIMATE_CASES:
+        code, err, out, pop = estimate_lines(tmp_path, capsys, method, ci, estimator, name, n, seed)
+        n = n or pop.size
+        config = StudyConfig(
+            population_source=name, sample_sizes=(n,), B=300, repetitions=1, methods=(method,), ci_types=(ci,),
+            estimators=(estimator,), master_seed=seed, ci_pairing="all",
+        )
+        thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
+        lower, upper = bounds[0, 0, 0]
+        assert coverage_study(config, pop).cells[0].avg_variance == v_hats[0, 0]
+        if np.isnan(lower):
+            assert code == 1 and "bootstrap-t interval undefined" in err
+            continue
+        assert code == 0
+        assert out == [
+            f"{estimator.value} {thetas[0, 0]:.12g}",
+            f"variance {v_hats[0, 0]:.12g}",
+            f"ci {ci.value} {lower:.12g} {upper:.12g}",
+        ]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_estimate_defaults_to_the_census_draw(tmp_path, capsys, method):
+    # without --n the sample is the whole file, drawn as n = N
+    for name, n in (("two", 200), ("census", 20)):
+        for estimator in EstimatorKind:
+            whole = estimate_lines(tmp_path, capsys, method, CiType.NORMAL, estimator, name, None, 7)
+            drawn = estimate_lines(tmp_path, capsys, method, CiType.NORMAL, estimator, name, n, 7)
+            assert whole[:3] == drawn[:3] and whole[0] == 0
 
 
 class TestConfigLists:
@@ -527,13 +573,13 @@ def test_estimate_bca_needs_three_records(tmp_path, capsys):
     pop_path = two_flag_population(tmp_path)
     code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "2", "--ci", "bca"])
     assert code == 1
-    assert capsys.readouterr().err == "error: jackknife_acceleration requires n >= 3\n"
+    assert capsys.readouterr().err == "error: BCA intervals need sample sizes >= 3 (jackknife acceleration)\n"
 
 
-def test_estimate_one_record_names_the_engine(tmp_path, capsys):
+def test_estimate_one_record_is_a_study_error(tmp_path, capsys):
     pop_path = two_flag_population(tmp_path)
     assert cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "1"]) == 1
-    assert capsys.readouterr().err == "error: standard bootstrap requires a sample of size >= 2\n"
+    assert capsys.readouterr().err == "error: sample sizes must be >= 2, got [1]\n"
 
 
 def test_help_lists_every_token(capsys):

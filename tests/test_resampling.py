@@ -636,6 +636,15 @@ class TestEngineChecks:
             assert rng.generator.random() == make_rng(15, 0).generator.random()
 
     @pytest.mark.parametrize("engine", ["ppb", "mirror"])
+    @pytest.mark.parametrize("N", [20, 30, 150, 6224])
+    def test_population_size_is_the_samples(self, engine, N):
+        # any other N reruns a different design: at N = n a census, variance 0
+        rng = make_rng(15, 0)
+        with pytest.raises(ValueError, match=f"^population size {N} is not the sample's population size 100$"):
+            ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
+        assert rng.generator.random() == make_rng(15, 0).generator.random()
+
+    @pytest.mark.parametrize("engine", ["ppb", "mirror"])
     def test_census_draws_nothing(self, engine):
         s = lognormal_sample(40, 40, seed=3)
         rng = make_rng(14, 0)

@@ -311,7 +311,7 @@ class TestCoverageStudy:
                 for r in range(1, R + 1):
                     rng = make_rng(seed, cell_stream_base(n, method) + r)
                     sample = srswor(pop, n, rng)
-                    runs = bootstrap(method, sample, pop.size, B, kinds, rng, with_t_variances=True)
+                    runs = bootstrap(method, sample, B, kinds, rng, with_t_variances=True)
                     for kind, reps in zip(kinds, runs):
                         v_hat, bounds = one_row(ALL_CIS, reps, sample, kind)
                         variances[kind].append(v_hat)
@@ -525,7 +525,7 @@ class TestSharedPath:
         }
         for method, engine in engines.items():
             rng_a, rng_b = make_rng(4, 2), make_rng(4, 2)
-            via = bootstrap(method, srswor(pop, 40, rng_a), 200, 100, kind, rng_a, with_t_variances=True)
+            via = bootstrap(method, srswor(pop, 40, rng_a), 100, kind, rng_a, with_t_variances=True)
             ref = engine(srswor(pop, 40, rng_b), rng_b)
             assert via.method is method
             assert np.array_equal(via.estimates, ref.estimates)
@@ -536,7 +536,7 @@ class TestSharedPath:
         pop = synth(size=50)
         rng = make_rng(1, 0)
         sample = srswor(pop, 50, rng)
-        reps = bootstrap(Method.PPB, sample, 50, 60, EstimatorKind.MNCS, rng)
+        reps = bootstrap(Method.PPB, sample, 60, EstimatorKind.MNCS, rng)
         theta = estimate(EstimatorKind.MNCS, sample)
         with pytest.raises(DegenerateDistributionError):
             ci_bca(reps, theta, jackknife_acceleration(sample, EstimatorKind.MNCS), 0.9)
@@ -554,7 +554,7 @@ class TestSharedPath:
         rng = make_rng(1, 0)
         pop = synth(size=40)
         sample = srswor(pop, 40, rng)
-        reps = bootstrap(Method.PPB, sample, 40, 50, EstimatorKind.MNCS, rng, with_t_variances=True)
+        reps = bootstrap(Method.PPB, sample, 50, EstimatorKind.MNCS, rng, with_t_variances=True)
         theta = estimate(EstimatorKind.MNCS, sample)
         v_hat, bounds = one_row((CiType.BOOTSTRAP_T,), reps, sample, EstimatorKind.MNCS)
         assert v_hat == 0.0 and not reps.t_variances.any()
@@ -563,7 +563,7 @@ class TestSharedPath:
         flags = np.zeros(20, dtype=bool)
         flags[0] = True
         sample = Sample(np.arange(20), np.ones(20), flags, 20)
-        reps = bootstrap(Method.STANDARD, sample, 20, 200, EstimatorKind.PP_TOP10, rng, with_t_variances=True)
+        reps = bootstrap(Method.STANDARD, sample, 200, EstimatorKind.PP_TOP10, rng, with_t_variances=True)
         v_hat, bounds = one_row((CiType.BOOTSTRAP_T,), reps, sample, EstimatorKind.PP_TOP10)
         assert v_hat == bootstrap_variance(reps) > 0
         assert np.isnan(bounds).all()
@@ -579,14 +579,15 @@ def loop_replications(config, pop, n, method, lo, hi, events):
     """
     kinds = config.estimators
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
+    thetas = np.empty((len(kinds), hi - lo))
     v_hats = np.empty((len(kinds), hi - lo))
     bounds = np.full((len(kinds), len(cis), hi - lo, 2), np.nan)
     for t, r in enumerate(range(lo, hi)):
         rng = make_rng(config.master_seed, cell_stream_base(n, method) + r)
         sample = srswor(pop, n, rng)
-        runs = bootstrap(method, sample, pop.size, config.B, kinds, rng, with_t_variances=True)
+        runs = bootstrap(method, sample, config.B, kinds, rng, with_t_variances=True)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
-            theta_hat = estimate(kind, sample)
+            theta_hat = thetas[e, t] = estimate(kind, sample)
             v_hat, bounds[e, :, t] = one_row(cis, reps, sample, kind, config.level)
             assert v_hat == bootstrap_variance(reps)
             v_hats[e, t] = v_hat
@@ -599,7 +600,7 @@ def loop_replications(config, pop, n, method, lo, hi, events):
                 elif ci is CiType.BOOTSTRAP_T:
                     formed = not np.isnan(bounds[e, i, t, 0])
                     events["boot-t census point" if v_hat == 0.0 else "boot-t" if formed else "boot-t rejected"] += 1
-    return v_hats, bounds
+    return thetas, v_hats, bounds
 
 
 def assert_same_floats(a, b):
@@ -633,8 +634,9 @@ class TestIntervalBatch:
         for n in TestIntervalBatch.SIZES:
             for method in Method:
                 for lo, hi in tasks:
-                    v_hats, bounds = study._run_replications((config, pop, n, method, lo, hi))
-                    ref_v, ref_bounds = loop_replications(config, pop, n, method, lo, hi, events)
+                    thetas, v_hats, bounds = study._run_replications((config, pop, n, method, lo, hi))
+                    ref_thetas, ref_v, ref_bounds = loop_replications(config, pop, n, method, lo, hi, events)
+                    assert_same_floats(thetas, ref_thetas)
                     assert_same_floats(v_hats, ref_v)
                     assert_same_floats(bounds, ref_bounds)
         return events
