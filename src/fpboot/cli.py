@@ -26,6 +26,7 @@ from .study import (
     SynthSpec,
     SYNTH_STREAM_ID,
     _SOURCE_KEYS,
+    _check_sizes,
     _g12,
     _run_replications,
     config_from_dict,
@@ -119,6 +120,7 @@ def _cmd_estimate(args) -> int:
         args.population, (n,), B=args.B, repetitions=1, methods=(method,), ci_types=(ci_kind,),
         estimators=(kind,), level=args.level, master_seed=args.seed, ci_pairing="all",
     )
+    _check_sizes(config, pop)
     thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
     lower, upper = bounds[0, 0, 0].tolist()
     if math.isnan(lower):

@@ -582,6 +582,26 @@ def test_estimate_one_record_is_a_study_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sample sizes must be >= 2, got [1]\n"
 
 
+def test_oversized_n_is_one_error_for_estimate_and_simulate(tmp_path, capsys, monkeypatch):
+    # one n <= N check serves both commands, before a task runs or a pool starts
+    def no_task(*args):
+        raise AssertionError("a task ran before the sample sizes were checked")
+
+    monkeypatch.setattr("fpboot.cli._run_replications", no_task)
+    monkeypatch.setattr("fpboot.study._execute", no_task)
+    pop_path = str(tmp_path / "pop.csv")
+    cli_dispatch(["synth", "--n", "300", "--out", pop_path])
+    capsys.readouterr()
+    assert cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "301"]) == 1
+    estimate_err = capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--population", pop_path, "--sizes", "301", "--B", "50", "--reps", "3",
+            "--threads", "2", "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err == estimate_err == "error: sample size 301 exceeds population size 300\n"
+    assert not out.exists()
+
+
 def test_help_lists_every_token(capsys):
     assert cli_dispatch(["simulate", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())

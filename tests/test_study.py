@@ -375,7 +375,8 @@ class TestCoverageStudy:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("fpboot.study.ProcessPoolExecutor", RecordingPool)
+        # _execute imports the executor on the branch that starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         one_task = self.config(methods=(Method.STANDARD,), repetitions=1)
         assert coverage_study(one_task, workers=64).to_dict() == coverage_study(one_task).to_dict()
         assert sizes == []  # one task runs serially
@@ -750,3 +751,33 @@ def test_study_leaves_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_only_a_study_that_fans_out_loads_the_pool(tmp_path):
+    # concurrent.futures and multiprocessing cost every fresh process ~30 ms
+    # and ~1.2 MB to import; the import, a population load, a serial study
+    # and `fpboot estimate` must leave them unloaded, and the first study
+    # that starts a pool loads them and reports what the serial study did
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    pop_path = str(tmp_path / "pop.csv")
+    write_population(synth(size=300), pop_path)
+    code = (
+        "import json, sys\n"
+        "import fpboot\n"
+        "from fpboot.cli import cli_dispatch\n"
+        "path, out = sys.argv[1], sys.argv[2]\n"
+        "pop = fpboot.load_population(path)\n"
+        "config = fpboot.StudyConfig(population_source=path, sample_sizes=(30, 300), B=50, repetitions=3,\n"
+        "    methods=tuple(fpboot.Method), master_seed=1)\n"
+        "fpboot.emit_report(fpboot.coverage_study(config, pop, workers=1), 'json', out + '.1')\n"
+        "assert cli_dispatch(['estimate', '--population', path, '--estimator', 'mncs', '--n', '30', '--B', '50']) == 0\n"
+        "serial = sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "fpboot.emit_report(fpboot.coverage_study(config, pop, workers=2), 'json', out + '.2')\n"
+        "print(json.dumps({'serial': serial, 'parallel': 'concurrent.futures.process' in sys.modules}))\n"
+    )
+    out = str(tmp_path / "report")
+    proc = subprocess.run([sys.executable, "-c", code, pop_path, out], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True, timeout=120)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"serial": [], "parallel": True}
+    assert Path(out + ".2").read_bytes() == Path(out + ".1").read_bytes()
