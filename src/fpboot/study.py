@@ -15,17 +15,20 @@ identical cells.
 
 Data path: a task is ``(config, pop, n, method, lo, hi)``, replications
 [lo, hi) of one (n, method) group, at most max(1, 2**16 // B) of them,
-with the population they sample. A study keeps no module state: a task
-carries all it reads, in the caller's process or in a pool worker, so
-serial studies in concurrent threads share nothing. Tasks run in the
-caller's process unless the study has more than one worker and more than
-one task; only then is the process pool (``concurrent.futures`` and
-``multiprocessing``) imported, so a serial study or ``fpboot estimate``
-never loads it. Each replication makes one ``make_rng`` -> ``srswor`` ->
-``bootstrap`` call; the task stacks its replicates and makes one
-vectorised interval pass per estimator (``_interval_batch``): the
-bootstrap variances, the jackknife accelerations and every CI type, with
-one sort shared by percentile and BCa. A task returns
+with the population they sample. A task carries all it reads, in the
+caller's process or in a pool worker, so serial studies in concurrent
+threads share nothing. Tasks run in the caller's process unless the study
+has more than one worker and more than one task; only then is the process
+pool (``concurrent.futures`` and ``multiprocessing``) imported, so a
+serial study or ``fpboot estimate`` never loads it. The first study that
+fans out starts the pool, the module's one piece of state; later studies
+in the process with the same worker count reuse its warm workers, and it
+closes at interpreter exit (see ``_execute``). Each replication makes one
+``make_rng`` -> ``srswor`` -> ``bootstrap`` call; the task stacks its
+replicates and makes one vectorised interval pass per estimator
+(``_interval_batch``): the bootstrap variances, the jackknife
+accelerations and every CI type, with one sort shared by percentile and
+BCa. A task returns
 ``thetas[estimator, rep]``, the sample estimates,
 ``v_hats[estimator, rep]``, the bootstrap variances, and
 ``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
@@ -45,9 +48,12 @@ tracing can wrap those names. ``bootstrap_variance``,
 this module for tracing, though a study no longer calls them.
 """
 
+import atexit
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
@@ -80,6 +86,47 @@ SYNTH_STREAM_ID = 2**64 - 1
 # A task stacks at most this many replicate estimates (replications x B)
 # per estimator for its interval pass, or one replication's B.
 _BATCH_CELLS = 2**16
+
+# The live process pool as (worker count, executor), or None; _execute
+# looks it up, starts it and swaps it only while holding _POOL_LOCK.
+_POOL_LOCK = threading.Lock()
+_pool = None
+
+
+def _forget_pool():
+    """Empty the pool slot in a forked child, and give it a fresh lock.
+
+    The parent's pool is not the child's: its threads did not survive the
+    fork, so the child's next study that fans out starts its own pool, and
+    shutting the parent's down from the child would stop the parent's
+    workers. Nor are those workers the child's to join at its exit, which
+    ``multiprocessing`` would try. A lock that another thread held at the
+    fork stays held, so the child gets a new one.
+    """
+    global _POOL_LOCK, _pool
+    if _pool is not None:
+        from multiprocessing import process
+
+        process._children.difference_update(_pool[1]._processes.values())
+    _POOL_LOCK = threading.Lock()
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+@atexit.register
+def _close_pool():
+    """Shut the live pool down while the interpreter is still whole.
+
+    Left to module teardown, collecting the executor runs
+    ``concurrent.futures`` code whose module globals may already be gone.
+    """
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
 
 
 @dataclass(frozen=True)
@@ -468,14 +515,37 @@ def _execute(tasks, workers: int) -> list:
     all of its workers up front. The pool is imported only on the branch
     that starts one: its ~30 modules cost a fresh process ~30 ms and
     ~1.2 MB, which a process that never fans out does not pay.
+
+    One pool at most is alive. A study reuses it when it needs the same
+    number of workers, which skips the ~12-15 ms of forking and warming
+    them; a study that needs another number shuts it down, waiting for the
+    tasks it holds, before starting its own. The lock covers that swap and
+    the submission of every task; results are collected after it is
+    released, so studies in concurrent threads share the pool. A worker
+    that dies breaks the pool: a study with tasks in it raises
+    ``BrokenProcessPool``, and the next study finds the pool broken and
+    starts a fresh one. A forked child starts its own pool
+    (``_forget_pool``), and ``_close_pool`` shuts the pool down at
+    interpreter exit.
+
+    Pitfall: a reused worker keeps the module state it was forked with,
+    so a test that monkeypatches a name that workers read must run its
+    study at ``workers=1``.
     """
+    global _pool
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [_run_replications(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_replications, tasks))
+    with _POOL_LOCK:
+        if _pool is not None and (_pool[0] != workers or _pool[1]._broken):
+            _pool[1].shutdown(wait=True)
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        results = _pool[1].map(_run_replications, tasks)
+    return list(results)
 
 
 def _cells(n, method, cis, kinds, truths, v_hats, bounds) -> list[CellReport]:

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -64,6 +69,24 @@ def one_row(cis, reps, sample, kind, level=0.95):
         t_variances=t_variances, values=unit_values(kind, sample)[None],
     )
     return float(v_hat[0]), bounds[:, 0]
+
+
+def pool_pids():
+    """Pids of the live pool's workers, this process's only multiprocessing children."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def wait_gone(pids, timeout=60):
+    """Wait until every process in ``pids`` has exited and been reaped."""
+    deadline = time.monotonic() + timeout
+    for pid in pids:
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"process {pid} still exists"
+            time.sleep(0.01)
 
 
 class TestSynthPopulation:
@@ -366,17 +389,14 @@ class TestCoverageStudy:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        # _execute imports the executor on the branch that starts a pool
+        # _execute imports the executor on the branch that starts a pool;
+        # the pool slot starts empty, and monkeypatch puts the live pool
+        # back afterwards, so no later study reuses the stand-in
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(study, "_pool", None)
         one_task = self.config(methods=(Method.STANDARD,), repetitions=1)
         assert coverage_study(one_task, workers=64).to_dict() == coverage_study(one_task).to_dict()
         assert sizes == []  # one task runs serially
@@ -418,6 +438,119 @@ class TestCoverageStudy:
                 assert [reports.get(i) for i in range(len(configs))] == expected, f"trial {trial}"
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def report_bytes(config, workers, path):
+        emit_report(coverage_study(config, workers=workers), "json", path)
+        return path.read_bytes()
+
+    def test_later_studies_reuse_the_pool(self, tmp_path):
+        # two studies of eight tasks on different populations run on the
+        # same two workers, and each writes its serial report
+        configs = [
+            self.config(population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape))
+            for mncs_, shape in ((1.275, 1.0), (2.5, 0.5))
+        ]
+        path = tmp_path / "report.json"
+        serial = [self.report_bytes(c, 1, path) for c in configs]
+        assert serial[0] != serial[1]
+        pids = []
+        for config, expected in zip(configs, serial):
+            assert self.report_bytes(config, 2, path) == expected
+            pids.append(pool_pids())
+        assert len(pids[0]) == 2 and pids[1] == pids[0]
+
+    def test_another_worker_count_replaces_the_pool(self, tmp_path):
+        path = tmp_path / "report.json"
+        expected = self.report_bytes(self.config(), 1, path)
+        assert self.report_bytes(self.config(), 2, path) == expected
+        old = pool_pids()
+        assert self.report_bytes(self.config(), 3, path) == expected
+        new = pool_pids()
+        assert len(old) == 2 and len(new) == 3 and not old & new
+        wait_gone(old)  # reaped: the old pool was shut down before the new one started
+
+    def test_worker_dead_between_studies_is_replaced(self, tmp_path):
+        # a killed worker breaks the idle pool; the next study finds it
+        # broken, starts a fresh pool and writes the serial report
+        path = tmp_path / "report.json"
+        expected = self.report_bytes(self.config(), 1, path)
+        assert self.report_bytes(self.config(), 2, path) == expected
+        old = pool_pids()
+        os.kill(min(old), signal.SIGKILL)
+        wait_gone(old)  # the broken pool terminates and reaps the rest
+        assert self.report_bytes(self.config(), 2, path) == expected
+        new = pool_pids()
+        assert len(new) == 2 and not old & new
+
+    def test_worker_dead_mid_study_fails_that_study(self, tmp_path):
+        # stop the warm pool's workers, let a study submit its two tasks,
+        # then kill one worker: that study raises, and the next one writes
+        # the serial report on a fresh pool
+        path = tmp_path / "report.json"
+        expected = self.report_bytes(self.config(), 1, path)
+        assert self.report_bytes(self.config(), 2, path) == expected
+        old = sorted(pool_pids())
+        pool = study._pool[1]
+        for pid in old:
+            os.kill(pid, signal.SIGSTOP)
+        errors = []
+
+        def run():
+            try:
+                coverage_study(self.config(), workers=2)
+            except BrokenProcessPool as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        deadline = time.monotonic() + 60
+        while len(pool._pending_work_items) < 2:
+            assert time.monotonic() < deadline, "the study never submitted its tasks"
+            time.sleep(0.01)
+        os.kill(old[0], signal.SIGKILL)
+        os.kill(old[1], signal.SIGCONT)
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(errors) == 1
+        wait_gone(old)
+        assert self.report_bytes(self.config(), 2, path) == expected
+        assert len(pool_pids()) == 2
+
+    def test_parallel_studies_in_threads_keep_their_populations(self):
+        # the pool's counterpart of the serial test above: two studies of
+        # four tasks each, at two workers, run side by side in two threads
+        # on different populations and share one pool
+        configs = [
+            self.config(
+                population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape),
+                sample_sizes=(30,), B=2000, repetitions=40, methods=(Method.STANDARD,),
+                ci_types=(CiType.NORMAL,),
+            )
+            for mncs_, shape in ((1.275, 1.0), (2.5, 0.5))
+        ]
+        expected = [coverage_study(c).to_dict() for c in configs]
+        assert expected[0]["cells"] != expected[1]["cells"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(4):
+                start = threading.Barrier(len(configs))
+                reports = {}
+
+                def run(i):
+                    start.wait(timeout=60)
+                    reports[i] = coverage_study(configs[i], workers=2).to_dict()
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert [reports.get(i) for i in range(len(configs))] == expected, f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pool_pids()) == 2
 
     def test_serial_study_keeps_no_module_state(self):
         before = dict(vars(study))
@@ -781,3 +914,60 @@ def test_only_a_study_that_fans_out_loads_the_pool(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"serial": [], "parallel": True}
     assert Path(out + ".2").read_bytes() == Path(out + ".1").read_bytes()
+
+
+def test_pool_closes_with_the_process():
+    # the live pool outlasts its studies but not the process: its workers
+    # are gone once the interpreter has exited, and the exit prints nothing
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    code = (
+        "import multiprocessing\n"
+        "from fpboot import StudyConfig, SynthSpec, coverage_study\n"
+        "config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "    sample_sizes=(60,), B=120, repetitions=12)\n"
+        "coverage_study(config, workers=2)\n"
+        "print(*sorted(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True, timeout=120)
+    pids = {int(pid) for pid in proc.stdout.split()}
+    assert len(pids) == 2 and proc.stderr == ""
+    wait_gone(pids)
+
+
+def test_forked_child_starts_its_own_pool():
+    # a child forked after a parallel study neither reuses nor stops the
+    # parent's pool: its own study fans out on a pool of its own, and the
+    # parent's next study still runs on the parent's workers
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    code = (
+        "import multiprocessing, os, sys\n"
+        "from fpboot import StudyConfig, SynthSpec, coverage_study\n"
+        "config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "    sample_sizes=(60,), B=120, repetitions=12)\n"
+        "serial = coverage_study(config).to_dict()\n"
+        "assert coverage_study(config, workers=2).to_dict() == serial\n"
+        "pids = {p.pid for p in multiprocessing.active_children()}\n"
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    assert coverage_study(config, workers=2).to_dict() == serial\n"
+        "    mine = {p.pid for p in multiprocessing.active_children()}\n"
+        "    assert len(mine) == 2 and not mine & pids, (mine, pids)\n"
+        "    sys.exit(0)\n"
+        "_, status = os.waitpid(child, 0)\n"
+        "assert os.waitstatus_to_exitcode(status) == 0\n"
+        "assert coverage_study(config, workers=2).to_dict() == serial\n"
+        "assert {p.pid for p in multiprocessing.active_children()} == pids\n"
+        "print('ok')\n"
+    )
+    # its own session, so that a hung run is killed with the child and workers
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env={"PYTHONPATH": src}, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    assert out == "ok\n" and err == ""
