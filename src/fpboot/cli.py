@@ -5,8 +5,11 @@ prints one study replication's point estimate, variance and bootstrap
 CI, ``simulate`` runs a full coverage study from a config file, ``sweep``
 emits average CI lengths over a grid of sample sizes. ``simulate`` and
 ``sweep`` read the config file's JSON object, lay the given flags over it
-as config keys and hand the result to ``fpboot.study.config_from_dict``:
-``fpboot.study`` owns the config format, its keys, defaults and tokens.
+(each flag's ``dest`` is the config key it sets) and hand the result to
+``fpboot.study.config_from_dict``; ``estimate`` passes its flags' raw
+tokens to ``StudyConfig``. ``fpboot.study`` owns the config format, its
+keys, defaults and tokens: ``StudyConfig`` and ``SynthSpec`` parse every
+value, whichever command built them.
 Exit codes: 0 success, 1 validation error, 2 I/O or parse error.
 """
 
@@ -25,7 +28,7 @@ from .study import (
     StudyConfig,
     SynthSpec,
     SYNTH_STREAM_ID,
-    _SOURCE_KEYS,
+    _CONFIG_KEYS,
     _check_sizes,
     _g12,
     _run_replications,
@@ -34,38 +37,22 @@ from .study import (
     emit_report,
     emit_sweep,
     length_sweep,
-    parse_token,
     synth_population,
 )
-
-# flag -> the config key it overrides
-_FLAG_KEYS = {
-    "population": "population",
-    "sizes": "sample_sizes",
-    "B": "B",
-    "reps": "repetitions",
-    "method": "methods",
-    "ci": "ci_types",
-    "estimator": "estimators",
-    "level": "level",
-    "seed": "master_seed",
-}
 
 
 def _parse_sizes(text) -> list[int]:
     try:
-        sizes = [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
+        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError:
-        raise ValueError(f"bad sample-size list: {text!r}") from None
-    if not sizes:
-        raise ValueError("sample-size list is empty")
-    return sizes
+        raise argparse.ArgumentTypeError(f"bad sample-size list: {text!r}") from None
 
 
 def _study_config(args) -> StudyConfig:
     """The config file's JSON object with the given flags laid over it.
 
     A flag that names the population replaces the file's population source.
+    Each run flag's ``dest`` is the config key it sets.
     """
     raw = {}
     if args.config:
@@ -76,13 +63,13 @@ def _study_config(args) -> StudyConfig:
             raise PopulationParseError(f"{args.config}: invalid config file: {exc}") from None
         if not isinstance(raw, dict):
             raise PopulationParseError(f"{args.config}: config must be a JSON object")
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag)
+    for key in ("population", *_CONFIG_KEYS):
+        value = getattr(args, key, None)
         if value is None:
             continue
-        if key in _SOURCE_KEYS:
-            raw = {k: v for k, v in raw.items() if k not in _SOURCE_KEYS}
-        raw[key] = _parse_sizes(value) if flag == "sizes" else value
+        if key == "population":
+            raw.pop("synth", None)
+        raw[key] = value
     return config_from_dict(raw)
 
 
@@ -112,14 +99,12 @@ def _cmd_estimate(args) -> int:
     Without ``--n`` the sample is the census draw n = N, the whole file.
     """
     pop = load_population(args.population)
-    kind = parse_token(EstimatorKind, args.estimator, "estimator")
     n = pop.size if args.n is None else args.n
-    method = parse_token(Method, args.method, "method")
-    ci_kind = parse_token(CiType, args.ci, "ci type")
     config = StudyConfig(
-        args.population, (n,), B=args.B, repetitions=1, methods=(method,), ci_types=(ci_kind,),
-        estimators=(kind,), level=args.level, master_seed=args.seed, ci_pairing="all",
+        args.population, (n,), B=args.B, repetitions=1, methods=(args.method,), ci_types=(args.ci,),
+        estimators=(args.estimator,), level=args.level, master_seed=args.seed, ci_pairing="all",
     )
+    (method,), (ci_kind,), (kind,) = config.methods, config.ci_types, config.estimators
     _check_sizes(config, pop)
     thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
     lower, upper = bounds[0, 0, 0].tolist()
@@ -181,14 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common_run_flags(p):
         p.add_argument("--config", default=None, help="JSON study config")
         p.add_argument("--population", default=None, help="population CSV (overrides config)")
-        p.add_argument("--sizes", default=None, help="comma-separated sample sizes (overrides config)")
+        p.add_argument("--sizes", dest="sample_sizes", type=_parse_sizes, default=None,
+                       help="comma-separated sample sizes (overrides config)")
         p.add_argument("--B", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--method", action="append", default=None, help=f"repeatable: {choices(Method)}")
-        p.add_argument("--ci", action="append", default=None, help=f"repeatable: {choices(CiType)}")
-        p.add_argument("--estimator", action="append", default=None, help=f"repeatable: {choices(EstimatorKind)}")
+        p.add_argument("--reps", dest="repetitions", type=int, default=None)
+        p.add_argument("--method", dest="methods", action="append", default=None, help=f"repeatable: {choices(Method)}")
+        p.add_argument("--ci", dest="ci_types", action="append", default=None, help=f"repeatable: {choices(CiType)}")
+        p.add_argument("--estimator", dest="estimators", action="append", default=None,
+                       help=f"repeatable: {choices(EstimatorKind)}")
         p.add_argument("--level", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", dest="master_seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=0, help="worker processes (0 = every usable core; never affects results)")
         p.add_argument("--out", required=True)
 

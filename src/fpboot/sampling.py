@@ -33,7 +33,8 @@ class RngStream:
 
 
 def _check_uint64(name: str, value):
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _UINT64_MAX:
+    # a bool is an int, but True is not a seed
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _UINT64_MAX:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 

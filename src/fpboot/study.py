@@ -144,6 +144,8 @@ class SynthSpec:
     shape: float = 1.0
 
     def __post_init__(self):
+        for key, (name, parse) in _SYNTH_KEYS.items():
+            object.__setattr__(self, name, parse(getattr(self, name), f"synth.{key}"))
         if self.size < 1:
             raise ValueError(f"population size must be >= 1, got {self.size}")
         if not np.isfinite(self.target_mncs) or self.target_mncs <= 0:
@@ -173,7 +175,10 @@ class StudyConfig:
 
     ``population_source`` is either a population file path, loaded by the
     study unless the caller passes the population, or a :class:`SynthSpec`
-    generated from ``master_seed``. ``ci_pairing`` "paper" skips
+    generated from ``master_seed``. Every other field is parsed as its
+    config key is (``_CONFIG_KEYS``), so a config built in Python gets a
+    config file's checks: a list or tuple for a list, a token or member for
+    an enum, an ``int`` for a whole number. ``ci_pairing`` "paper" skips
     bootstrap-t for the standard bootstrap and BCa for the
     finite-population engines; "all" builds every requested interval for
     every method.
@@ -191,11 +196,10 @@ class StudyConfig:
     ci_pairing: str = "paper"
 
     def __post_init__(self):
+        for key, parse in _CONFIG_KEYS.items():
+            object.__setattr__(self, key, parse(getattr(self, key), key))
         for name in ("sample_sizes", "methods", "ci_types", "estimators"):
-            # a list becomes a tuple: the engines and the JSON echo take only
-            # a tuple as several kinds, methods or types
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         if self.B < 2:
@@ -270,16 +274,16 @@ def _tokens(values) -> list:
 
 
 def _whole(value, key: str) -> int:
-    """A config value that counts something: a whole number (20.0 passes, 20.9 does not)."""
+    """A config value that counts something, as an ``int`` (20.0 and numpy's 20 pass, 20.9 and True do not)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"config '{key}' must be a whole number, got {value!r}")
-    return value
+    return int(value)
 
 
 def _real(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"config '{key}' must be a number, got {value!r}")
     return float(value)
 
@@ -290,9 +294,9 @@ def _text(value, key: str) -> str:
     return value
 
 
-def _listed(value, key: str) -> list:
-    """A config list; an empty one is an error, not a request for the default."""
-    if not isinstance(value, list):
+def _listed(value, key: str) -> list | tuple:
+    """A config list, or a tuple; an empty one is an error, not a request for the default."""
+    if not isinstance(value, (list, tuple)):
         raise ValueError(f"config '{key}' must be a list, got {value!r}")
     if not value:
         raise ValueError(f"config '{key}' is an empty list")
@@ -300,7 +304,9 @@ def _listed(value, key: str) -> list:
 
 
 def parse_token(enum: type[Enum], value, what: str):
-    """The member of ``enum`` that ``value`` names, in any case; "pp" also names ``pp_top10``."""
+    """The member of ``enum`` that ``value`` is or names, in any case; "pp" also names ``pp_top10``."""
+    if isinstance(value, enum):
+        return value
     table = {m.value: m for m in enum}
     if enum is EstimatorKind:
         table["pp"] = EstimatorKind.PP_TOP10
@@ -315,7 +321,8 @@ def _members(enum: type[Enum], what: str):
 
 
 # Config keys in echo order: the source keys set ``population_source``, and
-# every other key names the StudyConfig field that its parser's value sets.
+# every other key names the StudyConfig field that its parser sets in
+# ``StudyConfig.__post_init__``.
 _SOURCE_KEYS = ("population", "synth")
 _CONFIG_KEYS = {
     "sample_sizes": lambda value, key: tuple(_whole(v, key) for v in _listed(value, key)),
@@ -328,7 +335,7 @@ _CONFIG_KEYS = {
     "master_seed": _whole,
     "ci_pairing": _text,
 }
-# "synth" key -> (SynthSpec field, parser), in echo order
+# "synth" key -> (SynthSpec field, its parser in ``SynthSpec.__post_init__``), in echo order
 _SYNTH_KEYS = {
     "size": ("size", _whole),
     "mncs": ("target_mncs", _real),
@@ -347,13 +354,14 @@ def _synth_spec(raw) -> SynthSpec:
     missing = [k for k, (name, _) in _SYNTH_KEYS.items() if k not in raw and name in required]
     if missing:
         raise ValueError(f"missing synth keys: {sorted(missing)}")
-    return SynthSpec(**{name: parse(raw[k], f"synth.{k}") for k, (name, parse) in _SYNTH_KEYS.items() if k in raw})
+    return SynthSpec(**{name: raw[k] for k, (name, _) in _SYNTH_KEYS.items() if k in raw})
 
 
 def config_from_dict(raw: dict) -> StudyConfig:
     """The config a plain dict describes, the inverse of :func:`config_dict`.
 
-    An absent key takes the ``StudyConfig`` or ``SynthSpec`` default.
+    An absent key takes the ``StudyConfig`` or ``SynthSpec`` default; the
+    dataclasses parse the values.
     """
     unknown = set(raw) - {*_SOURCE_KEYS, *_CONFIG_KEYS}
     if unknown:
@@ -370,7 +378,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
     missing = [k for k in _CONFIG_KEYS if k not in raw and k in required]
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    return StudyConfig(source, **{key: parse(raw[key], key) for key, parse in _CONFIG_KEYS.items() if key in raw})
+    return StudyConfig(source, **{key: raw[key] for key in _CONFIG_KEYS if key in raw})
 
 
 def config_dict(config: StudyConfig) -> dict:
@@ -620,7 +628,7 @@ def coverage_study(
         (n, method, cis)
         for n in config.sample_sizes
         for method in config.methods
-        if kinds and (cis := effective_ci_types(method, config.ci_types, config.ci_pairing))
+        if (cis := effective_ci_types(method, config.ci_types, config.ci_pairing))
     ]
 
     R = config.repetitions

@@ -29,7 +29,7 @@ class TestMakeRng:
         draws = make_rng(42, 7).generator.random(10**6)
         assert abs(draws.mean() - 0.5) < 0.002
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (True, 0), (0, False)])
     def test_key_range_validated(self, seed, stream):
         with pytest.raises(ValueError):
             make_rng(seed, stream)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -182,6 +183,65 @@ class TestConfigDict:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestPythonValues:
+    """A config built in Python is parsed as a config file is."""
+
+    def test_tokens_and_numpy_integers_write_the_same_report(self, tmp_path):
+        typed = StudyConfig(
+            SynthSpec(200, 1.275, 13.7), (30,), B=50, repetitions=3, methods=(Method.PPB, Method.STANDARD),
+            ci_types=(CiType.BCA, CiType.NORMAL), estimators=tuple(EstimatorKind), master_seed=5, ci_pairing="all",
+        )
+        raw = StudyConfig(
+            SynthSpec(np.int64(200), 1.275, np.float64(13.7)), (np.int64(30),), B=np.int32(50),
+            repetitions=np.uint8(3), methods=("ppb", "Standard"), ci_types=[" bca", CiType.NORMAL],
+            estimators=("mncs", "pp"), master_seed=np.uint64(5), ci_pairing="all",
+        )
+        assert raw == typed
+        assert config_from_dict(config_dict(raw)) == raw
+        paths = [tmp_path / "typed.json", tmp_path / "raw.json"]
+        for config, path in zip((typed, raw), paths):
+            emit_report(coverage_study(config), "json", path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_numpy_synth_size_emits_its_report(self, tmp_path):
+        spec = SynthSpec(size=np.int64(500), target_mncs=1.275, target_pp=13.7)
+        assert type(spec.size) is int
+        config = StudyConfig(spec, (30,), B=20, repetitions=2, methods=(Method.STANDARD,), estimators=(EstimatorKind.MNCS,))
+        assert config_from_dict(config_dict(config)) == config
+        emit_report(coverage_study(config), "json", tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["synth"]["size"] == 500
+
+    def test_whole_float_values_echo_as_floats(self):
+        # as a config file's "pp": 14 does
+        config = StudyConfig(SynthSpec(50, 1, 14), (20,))
+        assert json.dumps(config_dict(config)["synth"]) == '{"size": 50, "mncs": 1.0, "pp": 14.0, "shape": 1.0}'
+        assert config_from_dict(config_dict(config)) == config
+
+    @pytest.mark.parametrize("key,value", [("master_seed", True), ("B", 100.5), ("synth.size", True)])
+    def test_python_values_raise_the_config_file_error(self, key, value):
+        spec = {"size": 50, "mncs": 1.3, "pp": 12.0}
+        raw = {"synth": spec, "sample_sizes": [20]}
+        if key == "synth.size":
+            raw["synth"] = {**spec, "size": value}
+        else:
+            raw[key] = value
+        message = re.escape(f"config '{key}' must be a whole number, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(raw)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if key == "synth.size":
+                SynthSpec(size=value, target_mncs=1.3, target_pp=12.0)
+            else:
+                StudyConfig(SynthSpec(50, 1.3, 12.0), (20,), **{key: value})
+
+    def test_each_field_has_one_parser(self):
+        # a field added without a parser fails here
+        names = [f.name for f in fields(StudyConfig)]
+        assert names[0] == "population_source"
+        assert list(study._CONFIG_KEYS) == names[1:]
+        assert [name for name, _ in study._SYNTH_KEYS.values()] == [f.name for f in fields(SynthSpec)]
+
+
 class TestCiPairing:
     def test_paper_pairing(self):
         assert effective_ci_types(Method.STANDARD, ALL_CIS) == (
@@ -274,9 +334,11 @@ class TestCoverageStudy:
         base.update(overrides)
         return StudyConfig(**base)
 
-    def test_empty_methods_yields_no_cells(self):
-        report = coverage_study(self.config(methods=()))
-        assert report.cells == ()
+    @pytest.mark.parametrize("key", ["methods", "ci_types", "estimators"])
+    def test_empty_list_rejected(self, key):
+        # as a config file's "methods": [] is: an empty list is not a study
+        with pytest.raises(ValueError, match=f"^config '{key}' is an empty list$"):
+            self.config(**{key: ()})
 
     def test_cell_grid(self):
         report = coverage_study(self.config(sample_sizes=(40, 60)))
@@ -603,8 +665,9 @@ class TestCoverageStudy:
             dict(ci_types=(CiType.NORMAL, CiType.NORMAL)),
             dict(estimators=(EstimatorKind.MNCS, EstimatorKind.MNCS)),
             dict(sample_sizes=(2,), ci_types=(CiType.BCA,)),
+            dict(sample_sizes=(2,), ci_types=("bca",)),
         ],
-        ids=["n1", "repeated-size", "repeated-method", "repeated-ci", "repeated-estimator", "bca-n2"],
+        ids=["n1", "repeated-size", "repeated-method", "repeated-ci", "repeated-estimator", "bca-n2", "bca-token-n2"],
     )
     def test_unrunnable_config_rejected(self, overrides):
         with pytest.raises(ValueError):
