@@ -3,107 +3,79 @@
 Resampling engines (standard, pseudo-population, mirror-match),
 finite-population-corrected variance estimation, four confidence-interval
 constructors, and a Monte Carlo coverage-study harness for bibliometric
-indicators. The command line lives in ``fpboot.cli`` and is not imported
-here.
-"""
+indicators. The command line lives in ``fpboot.cli``, which only
+``import fpboot.cli`` loads.
 
-from .errors import DegenerateDistributionError, PopulationParseError
-from .sampling import (
-    Population,
-    RngStream,
-    Sample,
-    load_population,
-    make_rng,
-    srswor,
-)
-from .estimators import (
-    EstimatorKind,
-    estimate,
-    mncs,
-    pp_top10,
-    sample_variance,
-    unit_values,
-)
-from .resampling import (
-    BootstrapReplicates,
-    FpcFactors,
-    Method,
-    MirrorMatchPlan,
-    bootstrap_variance,
-    corrected_variance,
-    fpc,
-    mirror_match_bootstrap,
-    mirror_match_plan,
-    ppb_bootstrap,
-    standard_bootstrap,
-)
-from .intervals import (
-    CiType,
-    ConfidenceInterval,
-    bias_correction,
-    ci_bca,
-    ci_bootstrap_t,
-    ci_normal,
-    ci_percentile,
-    jackknife_acceleration,
-)
-from .study import (
-    CellReport,
-    StudyConfig,
-    StudyReport,
-    SynthSpec,
-    bootstrap,
-    coverage_study,
-    effective_ci_types,
-    emit_report,
-    length_sweep,
-    synth_population,
-)
+``import fpboot`` loads nothing: each public name, and each submodule
+(``fpboot.study``, ...), is imported on its first access and cached here
+(PEP 562). A population or sample loads numpy; ``numpy.random`` waits for
+the first random stream, and the process pool for the first study that
+fans out.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BootstrapReplicates",
-    "CellReport",
-    "CiType",
-    "ConfidenceInterval",
-    "DegenerateDistributionError",
-    "EstimatorKind",
-    "FpcFactors",
-    "Method",
-    "MirrorMatchPlan",
-    "Population",
-    "PopulationParseError",
-    "RngStream",
-    "Sample",
-    "StudyConfig",
-    "StudyReport",
-    "SynthSpec",
-    "bias_correction",
-    "bootstrap",
-    "bootstrap_variance",
-    "ci_bca",
-    "ci_bootstrap_t",
-    "ci_normal",
-    "ci_percentile",
-    "corrected_variance",
-    "coverage_study",
-    "effective_ci_types",
-    "emit_report",
-    "estimate",
-    "fpc",
-    "jackknife_acceleration",
-    "length_sweep",
-    "load_population",
-    "make_rng",
-    "mirror_match_bootstrap",
-    "mirror_match_plan",
-    "mncs",
-    "pp_top10",
-    "ppb_bootstrap",
-    "sample_variance",
-    "srswor",
-    "standard_bootstrap",
-    "synth_population",
-    "unit_values",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DegenerateDistributionError": "errors",
+    "PopulationParseError": "errors",
+    "Population": "sampling",
+    "RngStream": "sampling",
+    "Sample": "sampling",
+    "load_population": "sampling",
+    "make_rng": "sampling",
+    "srswor": "sampling",
+    "EstimatorKind": "estimators",
+    "estimate": "estimators",
+    "mncs": "estimators",
+    "pp_top10": "estimators",
+    "sample_variance": "estimators",
+    "unit_values": "estimators",
+    "BootstrapReplicates": "resampling",
+    "FpcFactors": "resampling",
+    "Method": "resampling",
+    "MirrorMatchPlan": "resampling",
+    "bootstrap_variance": "resampling",
+    "corrected_variance": "resampling",
+    "fpc": "resampling",
+    "mirror_match_bootstrap": "resampling",
+    "mirror_match_plan": "resampling",
+    "ppb_bootstrap": "resampling",
+    "standard_bootstrap": "resampling",
+    "CiType": "intervals",
+    "ConfidenceInterval": "intervals",
+    "bias_correction": "intervals",
+    "ci_bca": "intervals",
+    "ci_bootstrap_t": "intervals",
+    "ci_normal": "intervals",
+    "ci_percentile": "intervals",
+    "jackknife_acceleration": "intervals",
+    "CellReport": "study",
+    "StudyConfig": "study",
+    "StudyReport": "study",
+    "SynthSpec": "study",
+    "bootstrap": "study",
+    "coverage_study": "study",
+    "effective_ci_types": "study",
+    "emit_report": "study",
+    "length_sweep": "study",
+    "synth_population": "study",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _EXPORTS.values():
+        # importing a submodule binds it here as a package attribute
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})

@@ -29,7 +29,8 @@ class RngStream:
 
     master_seed: int
     stream_id: int
-    generator: np.random.Generator = field(repr=False, compare=False)
+    # a string, so that defining the class leaves numpy.random unloaded
+    generator: "np.random.Generator" = field(repr=False, compare=False)
 
 
 def _check_uint64(name: str, value):

@@ -173,12 +173,13 @@ def synth_population(spec: SynthSpec, rng: RngStream) -> Population:
 class StudyConfig:
     """Full description of a coverage study.
 
-    ``population_source`` is either a population file path, loaded by the
-    study unless the caller passes the population, or a :class:`SynthSpec`
-    generated from ``master_seed``. Every other field is parsed as its
-    config key is (``_CONFIG_KEYS``), so a config built in Python gets a
-    config file's checks: a list or tuple for a list, a token or member for
-    an enum, an ``int`` for a whole number. ``ci_pairing`` "paper" skips
+    ``population_source`` is either a population file path (a ``str`` or
+    ``os.PathLike``, stored as its ``str``), loaded by the study unless the
+    caller passes the population, or a :class:`SynthSpec` generated from
+    ``master_seed``. Every other field is parsed as its config key is
+    (``_CONFIG_KEYS``), so a config built in Python gets a config file's
+    checks: a list or tuple for a list, a token or member for an enum, an
+    ``int`` for a whole number. ``ci_pairing`` "paper" skips
     bootstrap-t for the standard bootstrap and BCa for the
     finite-population engines; "all" builds every requested interval for
     every method.
@@ -196,6 +197,7 @@ class StudyConfig:
     ci_pairing: str = "paper"
 
     def __post_init__(self):
+        object.__setattr__(self, "population_source", _source(self.population_source))
         for key, parse in _CONFIG_KEYS.items():
             object.__setattr__(self, key, parse(getattr(self, key), key))
         for name in ("sample_sizes", "methods", "ci_types", "estimators"):
@@ -294,6 +296,13 @@ def _text(value, key: str) -> str:
     return value
 
 
+def _source(value) -> "SynthSpec | str":
+    """A ``population_source``: a :class:`SynthSpec` as is, a file path as its ``str``."""
+    if isinstance(value, SynthSpec):
+        return value
+    return _text(os.fspath(value) if isinstance(value, os.PathLike) else value, "population")
+
+
 def _listed(value, key: str) -> list | tuple:
     """A config list, or a tuple; an empty one is an error, not a request for the default."""
     if not isinstance(value, (list, tuple)):
@@ -369,7 +378,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
     if "population" in raw and "synth" in raw:
         raise ValueError("give either 'population' or 'synth', not both")
     if "population" in raw:
-        source = _text(raw["population"], "population")
+        source = raw["population"]
     elif "synth" in raw:
         source = _synth_spec(raw["synth"])
     else:
@@ -387,7 +396,7 @@ def config_dict(config: StudyConfig) -> dict:
     if isinstance(source, SynthSpec):
         out = {"synth": {k: getattr(source, name) for k, (name, _) in _SYNTH_KEYS.items()}}
     else:
-        out = {"population": str(source)}
+        out = {"population": source}
     for key in _CONFIG_KEYS:
         value = getattr(config, key)
         out[key] = _tokens(value) if isinstance(value, tuple) else value
@@ -604,7 +613,7 @@ def _population_info(config: StudyConfig, pop: Population) -> dict:
     if isinstance(source, SynthSpec):
         kind, path = "synthetic", None
     else:
-        kind, path = "file", str(source)
+        kind, path = "file", source
     return {"source": kind, "path": path, "size": pop.size, "sha256": digest.hexdigest()}
 
 

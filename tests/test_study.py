@@ -234,6 +234,25 @@ class TestPythonValues:
             else:
                 StudyConfig(SynthSpec(50, 1.3, 12.0), (20,), **{key: value})
 
+    @pytest.mark.parametrize("source", [123, None, b"pop.csv", ["pop.csv"]], ids=repr)
+    def test_population_source_must_be_a_path_or_spec(self, source):
+        # an int once reached open() as a file descriptor
+        message = re.escape(f"config 'population' must be a string, got {source!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudyConfig(source, (20,))
+
+    def test_path_source_is_stored_as_its_string(self, tmp_path):
+        pop_path = tmp_path / "pop.csv"
+        write_population(synth(size=200), pop_path)
+        configs = [StudyConfig(source, (30,), B=20, repetitions=2, methods=(Method.PPB,)) for source in (pop_path, str(pop_path))]
+        assert configs[0].population_source == str(pop_path)
+        assert configs[0] == configs[1]
+        assert config_from_dict(config_dict(configs[0])) == configs[0]
+        paths = [tmp_path / "path.json", tmp_path / "str.json"]
+        for config, path in zip(configs, paths):
+            emit_report(coverage_study(config), "json", path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_each_field_has_one_parser(self):
         # a field added without a parser fails here
         names = [f.name for f in fields(StudyConfig)]
