@@ -27,8 +27,6 @@ _EXPORTS = {
     "srswor": "sampling",
     "EstimatorKind": "estimators",
     "estimate": "estimators",
-    "mncs": "estimators",
-    "pp_top10": "estimators",
     "sample_variance": "estimators",
     "unit_values": "estimators",
     "BootstrapReplicates": "resampling",
@@ -44,7 +42,6 @@ _EXPORTS = {
     "standard_bootstrap": "resampling",
     "CiType": "intervals",
     "ConfidenceInterval": "intervals",
-    "bias_correction": "intervals",
     "ci_bca": "intervals",
     "ci_bootstrap_t": "intervals",
     "ci_normal": "intervals",

@@ -3,14 +3,14 @@
 Both indicators are means of a per-record value: the citation score for
 MNCS, and 100/0 for the top-10% flag for PP(top 10%). Keeping proportions
 on the percent scale end to end means interval lengths for the two
-indicators are directly comparable in reports.
+indicators are directly comparable in reports. ``estimate(kind, records)``
+is the one indicator function; it takes a ``Population`` or a ``Sample``,
+whose constructors reject empty input.
 """
 
 import enum
 
 import numpy as np
-
-from .sampling import Population, Sample
 
 
 class EstimatorKind(enum.Enum):
@@ -23,38 +23,24 @@ class EstimatorKind(enum.Enum):
 def unit_values(kind: EstimatorKind, records) -> np.ndarray:
     """Per-record values whose plain mean is the indicator.
 
-    ``records`` is a :class:`Population`, a :class:`Sample`, or a sequence
-    of scores (MNCS) or flags (PP(top 10%)). MNCS: the citation scores.
-    PP(top 10%): 100.0 for flagged records and 0.0 otherwise, so the mean
-    is already in percent. The indicator, the population truth and the
-    MNCS bootstrap replicates are means of this array. The engines take a
+    ``records`` is a :class:`~fpboot.sampling.Population` or a
+    :class:`~fpboot.sampling.Sample`. MNCS: the citation scores. PP(top
+    10%): 100.0 for flagged records and 0.0 otherwise, so the mean is
+    already in percent. The indicator, the population truth and the MNCS
+    bootstrap replicates are means of this array. The engines take a
     PP(top 10%) replicate from its integer count c of flagged units as
     100.0 * c / size, which is the mean of its 0/100 values bit for bit.
     """
-    whole = isinstance(records, (Population, Sample))
     if kind is EstimatorKind.MNCS:
-        return records.ncs if whole else np.asarray(records, dtype=np.float64)
+        return records.ncs
     if kind is EstimatorKind.PP_TOP10:
-        return np.where(records.top10 if whole else np.asarray(records, dtype=bool), 100.0, 0.0)
+        return np.where(records.top10, 100.0, 0.0)
     raise ValueError(f"unknown estimator kind: {kind!r}")
 
 
 def estimate(kind: EstimatorKind, records) -> float:
-    """Evaluate the indicator ``kind`` over ``records``."""
-    arr = unit_values(kind, records)
-    if arr.size < 1:
-        raise ValueError("estimate requires at least one record")
-    return float(arr.mean())
-
-
-def mncs(records) -> float:
-    """Mean normalized citation score of the records."""
-    return estimate(EstimatorKind.MNCS, records)
-
-
-def pp_top10(records) -> float:
-    """Percentage of records flagged as top-10% most cited."""
-    return estimate(EstimatorKind.PP_TOP10, records)
+    """The indicator ``kind`` over a population or sample: MNCS, or PP(top 10%) in percent."""
+    return float(unit_values(kind, records).mean())
 
 
 def sample_variance(values) -> float:

@@ -12,12 +12,13 @@ the lower tail, where ``1 + erf(x / sqrt(2))`` cancels.
 Each constructor works row-wise on a batch of replications of one
 estimator. ``_interval_batch`` builds every CI type a study or ``fpboot
 estimate`` asks for on a batch in one vectorised pass, with one sort
-shared by percentile and BCa; the ``ci_*`` constructors,
-``bias_correction`` and ``jackknife_acceleration`` run the same kernels
-on one row. The steps through the standard normal (BCa's z0 and its
-adjusted tail probabilities) run per row in Python floats, and every
-other step is an elementwise operation or a reduction along the row, so
-a row's bounds do not depend on the batch it is in.
+shared by percentile and BCa; the ``ci_*`` constructors and
+``jackknife_acceleration`` run the same kernels on one row; BCa's z0 is
+``_bias_corrections`` on every path. The steps through the standard
+normal (BCa's z0 and its adjusted tail probabilities) run per row in
+Python floats, and every other step is an elementwise operation or a
+reduction along the row, so a row's bounds do not depend on the batch it
+is in.
 """
 
 import enum
@@ -278,17 +279,6 @@ def ci_percentile(reps: BootstrapReplicates, level: float = 0.95) -> ConfidenceI
     _check_replicates(reps.B, "ci_percentile")
     lower, upper = _percentile(np.sort(reps.estimates[None], axis=1), level)
     return ConfidenceInterval(CiType.PERCENTILE, level, float(lower[0]), float(upper[0]))
-
-
-def bias_correction(reps: BootstrapReplicates, theta_hat: float) -> float:
-    """BCa bias-correction z0 = Phi^-1(#{theta* < theta_hat} / B).
-
-    Only replicates strictly below the estimate count; ties do not.
-    """
-    z0 = float(_bias_corrections(reps.estimates[None], np.array([theta_hat]))[0])
-    if math.isnan(z0):
-        raise DegenerateDistributionError("all bootstrap estimates on one side of the point estimate")
-    return z0
 
 
 def jackknife_acceleration(sample: Sample, kind: EstimatorKind) -> float:

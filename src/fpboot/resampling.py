@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, estimate, sample_variance, unit_values
-from .sampling import RngStream, Sample
+from .sampling import RngStream, Sample, _check_uint64
 
 # Engines draw in blocks of at most this many cells (replicates x n).
 # Fixed: the stream consumption pattern is part of the reproducibility
@@ -92,6 +92,8 @@ class FpcFactors:
 
 def fpc(n: int, N: int) -> FpcFactors:
     """Correction factors 1 - n/N and (N - n)/(N - 1)."""
+    _check_uint64("n", n)
+    _check_uint64("N", N)
     if N < 2:
         raise ValueError(f"population size must be >= 2, got {N}")
     if not 1 <= n <= N:
@@ -403,6 +405,7 @@ def ppb_bootstrap(
     reduced from the same count blocks.
     """
     n = sample.n
+    _check_uint64("N", N)
     if N != sample.population_size:
         raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
     gen = rng.generator
@@ -458,6 +461,8 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     replicate holds at least one subsample. The plan is worked out in
     integers, so k is fixed whenever the target is a whole number.
     """
+    _check_uint64("n", n)
+    _check_uint64("N", N)
     if n > N:
         raise ValueError(f"sample size {n} exceeds population size {N}")
     if n < 2:

@@ -51,6 +51,15 @@ def make_rng(master_seed: int, stream_id: int) -> RngStream:
     return RngStream(int(master_seed), int(stream_id), np.random.Generator(np.random.Philox(key=key)))
 
 
+def _flags(top10) -> np.ndarray:
+    """A fresh bool array of top-10% flags, each a bool or a number equal to 0 or 1."""
+    arr = np.asarray(top10)
+    # a bool array passes on its dtype, with no pass over its values
+    if arr.dtype != bool and (arr.dtype.kind not in "iuf" or not np.all((arr == 0) | (arr == 1))):
+        raise ValueError("top10 flags must be bools or 0/1")
+    return arr.astype(bool)
+
+
 class Population:
     """An immutable finite population of publication records.
 
@@ -62,7 +71,7 @@ class Population:
 
     def __init__(self, ncs, top10):
         ncs = np.array(ncs, dtype=np.float64)
-        top10 = np.array(top10, dtype=bool)
+        top10 = _flags(top10)
         if ncs.ndim != 1 or top10.ndim != 1 or ncs.size != top10.size:
             raise ValueError("ncs and top10 must be 1-d arrays of equal length")
         if ncs.size < 1:
@@ -81,9 +90,6 @@ class Population:
     @property
     def size(self) -> int:
         return int(self.ncs.size)
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def load_population(path) -> Population:
@@ -139,9 +145,10 @@ class Sample:
     __slots__ = ("indices", "ncs", "top10", "population_size")
 
     def __init__(self, indices, ncs, top10, population_size: int):
+        _check_uint64("population_size", population_size)
         indices = np.array(indices, dtype=np.int64)
         ncs = np.array(ncs, dtype=np.float64)
-        top10 = np.array(top10, dtype=bool)
+        top10 = _flags(top10)
         n = indices.size
         if n < 1:
             raise ValueError("sample must contain at least one record")

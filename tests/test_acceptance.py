@@ -24,23 +24,23 @@ from fpboot import (
     Method,
     StudyConfig,
     SynthSpec,
-    bias_correction,
     bootstrap_variance,
     ci_normal,
     ci_percentile,
     ci_bca,
     corrected_variance,
     coverage_study,
+    estimate,
     fpc,
     make_rng,
     mirror_match_bootstrap,
-    mncs,
     ppb_bootstrap,
     sample_variance,
     srswor,
     standard_bootstrap,
     synth_population,
 )
+from fpboot.intervals import _bias_corrections
 from fpboot.resampling import BootstrapReplicates
 from fpboot.study import SYNTH_STREAM_ID
 
@@ -136,7 +136,7 @@ def test_criterion_2_census_zero_variance(population):
             if ci_percentile(reps, 0.95).length != 0.0:
                 failures.append(f"{engine.__name__} stream {stream}: percentile length")
         std = standard_bootstrap(sample, 1000, EstimatorKind.MNCS, rng)
-        std_lengths.append(ci_normal(mncs(sample), bootstrap_variance(std), 0.95).length)
+        std_lengths.append(ci_normal(estimate(EstimatorKind.MNCS, sample), bootstrap_variance(std), 0.95).length)
     avg_std = sum(std_lengths) / len(std_lengths)
     if not 0.85 * oracle_len <= avg_std <= 1.15 * oracle_len:
         failures.append(f"standard census length {avg_std} vs oracle {oracle_len}")
@@ -288,7 +288,8 @@ def test_criterion_7_interval_unit_oracles():
         failures.append("BCa did not reduce to percentile at z0 = a = 0")
     # independent inverse-normal oracle from the stdlib
     sixty = np.concatenate([np.zeros(600), np.full(400, 2.0)])
-    z0 = bias_correction(BootstrapReplicates(1000, sixty, None, Method.STANDARD), 1.0)
+    # the z0 kernel that BCa runs, in the study and in ci_bca
+    z0 = float(_bias_corrections(sixty[None], np.array([1.0]))[0])
     oracle = NormalDist().inv_cdf(0.6)
     if abs(z0 - 0.25335) > 1e-4 or abs(z0 - oracle) > 1e-9:
         failures.append(f"z0 {z0} vs {oracle}")

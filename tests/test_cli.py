@@ -165,9 +165,7 @@ class TestCliDispatch:
         cli_dispatch(["synth", "--n", "500", "--seed", "3", "--out", pop_path])
         pop = load_population(pop_path)
         assert pop.size == 500
-        from fpboot import mncs
-
-        assert mncs(pop) == pytest.approx(1.275, abs=1e-12)
+        assert estimate(EstimatorKind.MNCS, pop) == pytest.approx(1.275, abs=1e-12)
 
     @staticmethod
     def study_config(tmp_path, pop_path, **extra):

@@ -5,14 +5,25 @@ from hypothesis import strategies as st
 
 from fpboot import (
     EstimatorKind,
-    mncs,
-    pp_top10,
+    Population,
+    Sample,
+    estimate,
     sample_variance,
     unit_values,
 )
 
 scores = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=60)
 flags = st.lists(st.booleans(), min_size=1, max_size=60)
+
+
+def mncs(values):
+    """MNCS of a population with these scores (flags all clear)."""
+    return estimate(EstimatorKind.MNCS, Population(values, [False] * len(values)))
+
+
+def pp_top10(values):
+    """PP(top 10%) of a population with these flags (scores all 1)."""
+    return estimate(EstimatorKind.PP_TOP10, Population([1.0] * len(values), values))
 
 
 class TestMncs:
@@ -75,7 +86,13 @@ class TestSampleVariance:
 
 class TestUnitValues:
     def test_unit_values_scale(self):
-        vals = unit_values(EstimatorKind.PP_TOP10, [True, False])
-        assert vals.tolist() == [100.0, 0.0]
-        vals = unit_values(EstimatorKind.MNCS, [1.5, 2.5])
-        assert vals.tolist() == [1.5, 2.5]
+        pop = Population([1.5, 2.5], [True, False])
+        assert unit_values(EstimatorKind.PP_TOP10, pop).tolist() == [100.0, 0.0]
+        assert unit_values(EstimatorKind.MNCS, pop).tolist() == [1.5, 2.5]
+        sample = Sample([1], [2.5], [False], 2)
+        assert unit_values(EstimatorKind.PP_TOP10, sample).tolist() == [0.0]
+        assert unit_values(EstimatorKind.MNCS, sample).tolist() == [2.5]
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            unit_values("mncs", Population([1.0], [False]))

@@ -14,14 +14,13 @@ from fpboot import (
     EstimatorKind,
     Method,
     Sample,
-    bias_correction,
     ci_bca,
     ci_bootstrap_t,
     ci_normal,
     ci_percentile,
     jackknife_acceleration,
 )
-from fpboot.intervals import _interval_batch, _norm_cdf, _norm_ppf, _quantiles
+from fpboot.intervals import _bias_corrections, _interval_batch, _norm_cdf, _norm_ppf, _quantiles
 
 
 def reps_of(values, t_variances=None):
@@ -205,7 +204,7 @@ class TestCiBca:
     def test_bias_correction_value(self):
         # 600 of 1000 replicates below the estimate: z0 = Phi^-1(0.6)
         values = np.concatenate([np.zeros(600), np.ones(400) * 2.0])
-        z0 = bias_correction(reps_of(values), 1.0)
+        z0 = float(_bias_corrections(values[None], np.array([1.0]))[0])
         assert z0 == pytest.approx(NormalDist().inv_cdf(0.6), abs=1e-9)
         assert z0 == pytest.approx(0.25335, abs=1e-4)
 
@@ -218,7 +217,7 @@ class TestCiBca:
 
     def test_ties_do_not_count_as_below(self):
         values = np.array([0.0] * 4 + [1.0] * 2 + [2.0] * 4)
-        z0 = bias_correction(reps_of(values), 1.0)
+        z0 = float(_bias_corrections(values[None], np.array([1.0]))[0])
         assert z0 == pytest.approx(NormalDist().inv_cdf(0.4), abs=1e-9)
 
     @given(replicate_lists, st.floats(-0.2, 0.2))

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "StudyConfig",
     "StudyReport",
     "SynthSpec",
-    "bias_correction",
     "bootstrap",
     "bootstrap_variance",
     "ci_bca",
@@ -54,8 +53,6 @@ PUBLIC_NAMES = [
     "make_rng",
     "mirror_match_bootstrap",
     "mirror_match_plan",
-    "mncs",
-    "pp_top10",
     "ppb_bootstrap",
     "sample_variance",
     "srswor",

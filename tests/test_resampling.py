@@ -78,7 +78,7 @@ class TestFpc:
     def test_single_unit(self):
         assert fpc(1, 873).bias_adjusted == 1.0
 
-    @pytest.mark.parametrize("n,N", [(5, 4), (0, 4), (1, 1)])
+    @pytest.mark.parametrize("n,N", [(5, 4), (0, 4), (1, 1), (2.5, 10), (True, 10), (3, 10.0), (3, 10.5)])
     def test_invalid_rejected(self, n, N):
         with pytest.raises(ValueError):
             fpc(n, N)
@@ -248,6 +248,15 @@ class TestMirrorMatchPlan:
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
             mirror_match_plan(10, 9)
+
+    @pytest.mark.parametrize("n,N", [(3, 10.5), (3, 10.0), (2.5, 10), (True, 10), (3, np.float64(10))])
+    def test_non_integer_sizes_rejected(self, n, N):
+        # (3, 10.5) used to plan in floats, with k_low = 2.0
+        with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+            mirror_match_plan(n, N)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert mirror_match_plan(np.int64(100), np.int64(6224)) == mirror_match_plan(100, 6224)
 
     @pytest.mark.parametrize(
         "n,N,n_prime,k",
@@ -641,6 +650,15 @@ class TestEngineChecks:
         # any other N reruns a different design: at N = n a census, variance 0
         rng = make_rng(15, 0)
         with pytest.raises(ValueError, match=f"^population size {N} is not the sample's population size 100$"):
+            ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
+        assert rng.generator.random() == make_rng(15, 0).generator.random()
+
+    @pytest.mark.parametrize("engine", ["ppb", "mirror"])
+    @pytest.mark.parametrize("N", [100.0, np.float64(100)])
+    def test_population_size_must_be_an_integer(self, engine, N):
+        # N equals the sample's population size, but is not an integer
+        rng = make_rng(15, 0)
+        with pytest.raises(ValueError, match="^N must be an unsigned 64-bit integer"):
             ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
         assert rng.generator.random() == make_rng(15, 0).generator.random()
 

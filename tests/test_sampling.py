@@ -167,3 +167,30 @@ class TestDomainTypes:
     def test_sample_rejects_oversize(self):
         with pytest.raises(ValueError):
             Sample([0, 1, 2], [1.0, 1.0, 1.0], [0, 0, 0], 2)
+
+    @pytest.mark.parametrize("size", [3.9, 3.0, True, -1, "5"])
+    def test_sample_rejects_non_integer_population_size(self, size):
+        # int(3.9) would make the sample a census of N = 3
+        with pytest.raises(ValueError, match="population_size"):
+            Sample([0, 1, 2], [1.0, 1.0, 1.0], [False] * 3, size)
+
+    def test_sample_takes_numpy_population_size(self):
+        assert Sample([0, 1], [1.0, 1.0], [False] * 2, np.int64(5)).population_size == 5
+
+    @pytest.mark.parametrize("flags", [[0.5, 2, 0], [True, 2, False], ["no", "no", "no"], [np.nan, 0, 1]])
+    def test_flags_must_be_bools_or_0_1(self, flags):
+        with pytest.raises(ValueError, match="flags"):
+            Population([1.0, 2.0, 3.0], flags)
+        with pytest.raises(ValueError, match="flags"):
+            Sample([0, 1, 2], [1.0, 2.0, 3.0], flags, 5)
+
+    @pytest.mark.parametrize("flags", [[1, 0, 0], [1.0, 0.0, 0.0], np.array([1, 0, 0], np.uint8), [True, False, False]])
+    def test_flags_equal_to_0_or_1_accepted(self, flags):
+        pop = Population([1.0, 2.0, 3.0], flags)
+        assert pop.top10.dtype == bool and pop.top10.tolist() == [True, False, False]
+
+    def test_bool_flags_are_copied(self):
+        flags = np.array([True, False])
+        pop = Population([1.0, 2.0], flags)
+        flags[1] = True
+        assert pop.top10.tolist() == [True, False]

@@ -42,8 +42,6 @@ from fpboot import (
     load_population,
     make_rng,
     mirror_match_bootstrap,
-    mncs,
-    pp_top10,
     ppb_bootstrap,
     srswor,
     standard_bootstrap,
@@ -93,13 +91,13 @@ def wait_gone(pids, timeout=60):
 class TestSynthPopulation:
     def test_pinned_mean(self):
         pop = synth(size=6224)
-        assert mncs(pop) == pytest.approx(1.275, abs=1e-12)
+        assert estimate(EstimatorKind.MNCS, pop) == pytest.approx(1.275, abs=1e-12)
 
     def test_pinned_flag_count(self):
         # floor(0.137 * 6224) = 852 flags -> 13.689%
         pop = synth(size=6224)
         assert int(pop.top10.sum()) == 852
-        assert pp_top10(pop) == pytest.approx(100 * 852 / 6224, abs=1e-12)
+        assert estimate(EstimatorKind.PP_TOP10, pop) == pytest.approx(100 * 852 / 6224, abs=1e-12)
 
     def test_flags_sit_on_largest_scores(self):
         pop = synth(size=200)
@@ -368,8 +366,8 @@ class TestCoverageStudy:
     def test_true_values_come_from_population(self):
         report = coverage_study(self.config(estimators=(EstimatorKind.MNCS, EstimatorKind.PP_TOP10)))
         pop = synth(size=300, seed=17)  # same spec/seed as the config
-        assert report.true_values["mncs"] == mncs(pop)
-        assert report.true_values["pp_top10"] == pp_top10(pop)
+        assert report.true_values["mncs"] == estimate(EstimatorKind.MNCS, pop)
+        assert report.true_values["pp_top10"] == estimate(EstimatorKind.PP_TOP10, pop)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_estimator_subset_gives_the_same_cells(self, kind):
