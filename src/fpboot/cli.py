@@ -2,14 +2,15 @@
 
 Subcommands: ``synth`` writes a synthetic population CSV, ``estimate``
 prints one study replication's point estimate, variance and bootstrap
-CI, ``simulate`` runs a full coverage study from a config file, ``sweep``
-emits average CI lengths over a grid of sample sizes. ``simulate`` and
-``sweep`` read the config file's JSON object, lay the given flags over it
-(each flag's ``dest`` is the config key it sets) and hand the result to
-``fpboot.study.config_from_dict``; ``estimate`` passes its flags' raw
-tokens to ``StudyConfig``. ``fpboot.study`` owns the config format, its
-keys, defaults and tokens: ``StudyConfig`` and ``SynthSpec`` parse every
-value, whichever command built them.
+CI, ``simulate`` runs a full coverage study from a config file. The
+length table over a grid of sample sizes is the ``avg_length`` column of
+``simulate --format csv``. ``simulate`` reads the config file's JSON
+object, lays the given flags over it (each flag's ``dest`` is the config
+key it sets) and hands the result to ``fpboot.study.config_from_dict``;
+``estimate`` passes its flags' raw tokens to ``StudyConfig``.
+``fpboot.study`` owns the config format, its keys, defaults and tokens:
+``StudyConfig`` and ``SynthSpec`` parse every value, whichever command
+built them.
 Exit codes: 0 success, 1 validation error, 2 I/O or parse error.
 """
 
@@ -36,9 +37,11 @@ from .study import (
     coverage_study,
     emit_report,
     emit_sweep,
-    length_sweep,
     synth_population,
 )
+
+# emit_sweep is re-exported for perfbench/workloads.py, which imports it from here
+__all__ = ["build_parser", "cli_dispatch", "emit_sweep", "main"]
 
 
 def _parse_sizes(text) -> list[int]:
@@ -116,16 +119,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
+def _cmd_simulate(args) -> int:
     config = _study_config(args)
-    if args.command == "sweep":
-        rows = length_sweep(config, workers=_workers(args))
-        emit_sweep(rows, args.out)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        report = coverage_study(config, workers=_workers(args))
-        emit_report(report, args.format, args.out)
-        print(f"wrote {len(report.cells)} cells to {args.out}")
+    report = coverage_study(config, workers=_workers(args))
+    emit_report(report, args.format, args.out)
+    print(f"wrote {len(report.cells)} cells to {args.out}")
     return 0
 
 
@@ -163,30 +161,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(func=_cmd_estimate)
 
-    def common_run_flags(p):
-        p.add_argument("--config", default=None, help="JSON study config")
-        p.add_argument("--population", default=None, help="population CSV (overrides config)")
-        p.add_argument("--sizes", dest="sample_sizes", type=_parse_sizes, default=None,
-                       help="comma-separated sample sizes (overrides config)")
-        p.add_argument("--B", type=int, default=None)
-        p.add_argument("--reps", dest="repetitions", type=int, default=None)
-        p.add_argument("--method", dest="methods", action="append", default=None, help=f"repeatable: {choices(Method)}")
-        p.add_argument("--ci", dest="ci_types", action="append", default=None, help=f"repeatable: {choices(CiType)}")
-        p.add_argument("--estimator", dest="estimators", action="append", default=None,
-                       help=f"repeatable: {choices(EstimatorKind)}")
-        p.add_argument("--level", type=float, default=None)
-        p.add_argument("--seed", dest="master_seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0, help="worker processes (0 = every usable core; never affects results)")
-        p.add_argument("--out", required=True)
-
     p_sim = sub.add_parser("simulate", help="run a coverage study")
-    common_run_flags(p_sim)
+    p_sim.add_argument("--config", default=None, help="JSON study config")
+    p_sim.add_argument("--population", default=None, help="population CSV (overrides config)")
+    p_sim.add_argument("--sizes", dest="sample_sizes", type=_parse_sizes, default=None,
+                       help="comma-separated sample sizes (overrides config)")
+    p_sim.add_argument("--B", type=int, default=None)
+    p_sim.add_argument("--reps", dest="repetitions", type=int, default=None)
+    p_sim.add_argument("--method", dest="methods", action="append", default=None, help=f"repeatable: {choices(Method)}")
+    p_sim.add_argument("--ci", dest="ci_types", action="append", default=None, help=f"repeatable: {choices(CiType)}")
+    p_sim.add_argument("--estimator", dest="estimators", action="append", default=None,
+                       help=f"repeatable: {choices(EstimatorKind)}")
+    p_sim.add_argument("--level", type=float, default=None)
+    p_sim.add_argument("--seed", dest="master_seed", type=int, default=None)
+    p_sim.add_argument("--threads", type=int, default=0, help="worker processes (0 = every usable core; never affects results)")
+    p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.set_defaults(func=_cmd_study)
-
-    p_sweep = sub.add_parser("sweep", help="average CI length over a sample-size grid")
-    common_run_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_study)
+    p_sim.set_defaults(func=_cmd_simulate)
     return parser
 
 

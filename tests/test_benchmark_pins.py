@@ -28,6 +28,7 @@ def imported_names():
 
 
 def study_calls():
+    """The ``fpboot.study`` names keyed in ``perfbench/tracing.py::STUDY_CALLS``, in file order."""
     tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["STUDY_CALLS"]:

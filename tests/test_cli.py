@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,17 @@ import pytest
 from fpboot import DegenerateDistributionError, PopulationParseError, load_population
 from fpboot.cli import _workers, cli_dispatch, emit_report
 from fpboot.sampling import make_rng, srswor
-from fpboot.study import StudyConfig, SynthSpec, _run_replications, bootstrap, cell_stream_base, coverage_study
+from fpboot.study import (
+    StudyConfig,
+    SynthSpec,
+    _run_replications,
+    bootstrap,
+    cell_stream_base,
+    config_from_dict,
+    coverage_study,
+    emit_sweep,
+    length_sweep,
+)
 from fpboot.estimators import EstimatorKind, estimate, unit_values
 from fpboot.intervals import (
     CiType,
@@ -266,24 +277,40 @@ class TestCliDispatch:
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
         assert json.loads(again.read_text())["config"] == json.loads(first.read_text())["config"]
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_run_without_population_exits_1(self, tmp_path, capsys, command):
+    def test_run_without_population_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert cli_dispatch([command, "--out", str(out)]) == 1
+        assert cli_dispatch(["simulate", "--out", str(out)]) == 1
         assert "config must name a 'population' file or a 'synth' spec" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_census_limit(self, tmp_path, capsys):
+    def test_simulate_census_limit(self, tmp_path, capsys):
+        # at n = N every FPC resample is the population: its intervals have length 0
         pop_path = str(tmp_path / "pop.csv")
         cli_dispatch(["synth", "--n", "90", "--seed", "2", "--out", pop_path])
-        out = str(tmp_path / "sweep.csv")
-        code = cli_dispatch(["sweep", "--population", pop_path, "--sizes", "30,90",
-                             "--B", "80", "--reps", "4", "--estimator", "mncs", "--out", out])
+        out = tmp_path / "r.csv"
+        code = cli_dispatch(["simulate", "--population", pop_path, "--sizes", "30,90",
+                             "--B", "80", "--reps", "4", "--estimator", "mncs", "--out", str(out)])
         assert code == 0
-        rows = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert rows[0] == "n,method,ci_type,estimator,avg_length"
-        zero_rows = [r for r in rows[1:] if r.startswith("90,ppb") or r.startswith("90,mirror")]
-        assert zero_rows and all(r.endswith(",0") for r in zero_rows)
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        zero_rows = [r for r in rows if r["n"] == "90" and r["method"] in ("ppb", "mirror")]
+        assert zero_rows and all(r["avg_length"] == "0" for r in zero_rows)
+
+    def test_length_table_is_the_simulate_csv_avg_length_column(self, tmp_path, capsys):
+        # emit_sweep(length_sweep(cfg)) is the simulate CSV restricted to five
+        # of its columns: the length table needs no command of its own
+        cfg_path = self.study_config(tmp_path, None, synth={"size": 120, "mncs": 1.275, "pp": 13.7},
+                                     sample_sizes=[30, 120])
+        out = tmp_path / "r.csv"
+        assert cli_dispatch(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        columns = ["n", "method", "ci_type", "estimator", "avg_length"]
+        rows = [[row[c] for c in columns] for row in csv.DictReader(out.read_text().splitlines())]
+        emit_sweep(length_sweep(config_from_dict(json.loads(Path(cfg_path).read_text()))), tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text() == "".join(",".join(r) + "\n" for r in [columns, *rows])
+
+    def test_sweep_is_not_a_command(self, tmp_path, capsys):
+        assert cli_dispatch(["sweep", "--population", "pop.csv", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'sweep' (choose from 'synth', 'estimate', 'simulate')" in err
 
     def test_exit_codes(self, tmp_path, capsys):
         # io error: missing population file
@@ -547,11 +574,10 @@ def test_all_threads_means_usable_cores(monkeypatch):
     assert _workers(args) == 8
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_negative_threads_exits_1(tmp_path, capsys, command):
+def test_negative_threads_exits_1(tmp_path, capsys):
     cfg = TestCliDispatch.study_config(tmp_path, two_flag_population(tmp_path))
     out = tmp_path / "r.csv"
-    assert cli_dispatch([command, "--config", cfg, "--out", str(out), "--threads", "-3"]) == 1
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out), "--threads", "-3"]) == 1
     assert "--threads must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists()
 

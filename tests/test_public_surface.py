@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import fpboot
+from test_benchmark_pins import study_calls
 
 SRC = Path(fpboot.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 PUBLIC_NAMES = [
     "BootstrapReplicates",
@@ -106,14 +106,6 @@ def test_each_step_loads_only_what_it_uses(tmp_path):
     assert seen["dir"] == []
 
 
-def traced_names() -> set:
-    """The ``fpboot.study`` names keyed in ``perfbench/tracing.py::STUDY_CALLS``, read with ``ast``."""
-    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["STUDY_CALLS"]:
-            return {ast.literal_eval(key) for key in node.value.keys}
-    raise AssertionError("perfbench/tracing.py defines no STUDY_CALLS")
-
-
 def unused_imports(path: Path) -> list:
     """Names a module imports at module level but neither uses nor lists in its ``__all__``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -132,5 +124,5 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     # fpboot.study imports the names perfbench's tracing wraps, whether the study calls them or not
-    allowed = traced_names() if path.name == "study.py" else set()
+    allowed = set(study_calls()) if path.name == "study.py" else set()
     assert [name for name in unused_imports(path) if name not in allowed] == []

@@ -461,12 +461,13 @@ class TestCoverageStudy:
 
     def test_no_more_workers_than_tasks(self, monkeypatch):
         # a fork-context pool forks all of its workers up front; a stand-in
-        # executor records the pool size and runs the tasks in-process
-        sizes = []
+        # executor records the pool size and context and runs the tasks in-process
+        sizes, contexts = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
+                contexts.append(mp_context)
 
             def map(self, fn, tasks):
                 return map(fn, tasks)
@@ -482,6 +483,8 @@ class TestCoverageStudy:
         six_tasks = self.config(repetitions=3)  # 2 methods x 3 one-replication chunks
         assert coverage_study(six_tasks, workers=64).to_dict() == coverage_study(six_tasks).to_dict()
         assert sizes == [6]
+        if sys.platform == "linux":
+            assert [context.get_start_method() for context in contexts] == ["fork"]
 
     def test_serial_studies_in_threads_keep_their_populations(self):
         # two serial studies of two tasks each (a task holds at most
@@ -994,6 +997,45 @@ def test_only_a_study_that_fans_out_loads_the_pool(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"serial": [], "parallel": True}
     assert Path(out + ".2").read_bytes() == Path(out + ".1").read_bytes()
+
+
+START_METHODS_SCRIPT = """
+import concurrent.futures, multiprocessing, sys
+from fpboot import StudyConfig, SynthSpec, coverage_study, emit_report
+from fpboot.study import _close_pool
+
+if __name__ == "__main__":
+    config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
+                         sample_sizes=(60,), B=120, repetitions=12)
+    out = sys.argv[1]
+    emit_report(coverage_study(config), "json", out + ".serial")
+    executor = concurrent.futures.ProcessPoolExecutor
+    for method in multiprocessing.get_all_start_methods():
+        def forced(max_workers, mp_context):
+            return executor(max_workers, mp_context=multiprocessing.get_context(method))
+
+        concurrent.futures.ProcessPoolExecutor = forced
+        emit_report(coverage_study(config, workers=2), "json", f"{out}.{method}")
+        _close_pool()
+        print(method)
+"""
+
+
+def test_report_bytes_hold_under_every_start_method(tmp_path):
+    # forkserver and spawn workers import the study afresh instead of
+    # inheriting it; a workers=2 study on a pool forced to each start method
+    # the platform offers writes the serial report's bytes
+    src = str(Path(__import__("fpboot").__file__).resolve().parents[1])
+    script = tmp_path / "start_methods.py"
+    script.write_text(START_METHODS_SCRIPT, encoding="utf-8")
+    out = str(tmp_path / "report")
+    proc = subprocess.run([sys.executable, str(script), out], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    methods = proc.stdout.split()
+    assert methods == multiprocessing.get_all_start_methods()
+    serial = Path(out + ".serial").read_bytes()
+    assert [m for m in methods if Path(f"{out}.{m}").read_bytes() != serial] == []
 
 
 def test_pool_closes_with_the_process():
