@@ -89,7 +89,7 @@ def _workers(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(size=args.n, target_mncs=args.mncs, target_pp=args.pp, shape=args.shape)
+    spec = SynthSpec(size=args.n, mncs=args.mncs, pp=args.pp, shape=args.shape)
     pop = synth_population(spec, make_rng(args.seed, SYNTH_STREAM_ID))
     write_population(pop, args.out)
     print(f"wrote {pop.size} records to {args.out}")

@@ -60,6 +60,27 @@ def _flags(top10) -> np.ndarray:
     return arr.astype(bool)
 
 
+def _records(ncs, top10, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of the scores and flags of a ``what``, checked as outside input.
+
+    Both 1-d, of one length, with at least one record; scores finite numbers >= 0, not strings or bools.
+    """
+    scores = np.asarray(ncs)
+    if scores.dtype.kind not in "iuf":
+        raise ValueError(f"ncs values must be numbers, got dtype {scores.dtype}")
+    scores = scores.astype(np.float64)
+    flags = _flags(top10)
+    if scores.ndim != 1 or flags.ndim != 1 or scores.size != flags.size:
+        raise ValueError("ncs and top10 must be 1-d arrays of equal length")
+    if scores.size < 1:
+        raise ValueError(f"{what} must contain at least one record")
+    if not (np.isfinite(scores).all() and (scores >= 0).all()):
+        raise ValueError("all ncs values must be finite and >= 0")
+    scores.setflags(write=False)
+    flags.setflags(write=False)
+    return scores, flags
+
+
 class Population:
     """An immutable finite population of publication records.
 
@@ -70,18 +91,7 @@ class Population:
     __slots__ = ("ncs", "top10")
 
     def __init__(self, ncs, top10):
-        ncs = np.array(ncs, dtype=np.float64)
-        top10 = _flags(top10)
-        if ncs.ndim != 1 or top10.ndim != 1 or ncs.size != top10.size:
-            raise ValueError("ncs and top10 must be 1-d arrays of equal length")
-        if ncs.size < 1:
-            raise ValueError("population must contain at least one record")
-        if not np.all(np.isfinite(ncs)) or np.any(ncs < 0):
-            raise ValueError("all ncs values must be finite and >= 0")
-        ncs.setflags(write=False)
-        top10.setflags(write=False)
-        self.ncs = ncs
-        self.top10 = top10
+        self.ncs, self.top10 = _records(ncs, top10, "population")
 
     def __reduce__(self):
         # an unpickled copy goes through the checks above and is read-only too
@@ -146,14 +156,11 @@ class Sample:
 
     def __init__(self, indices, ncs, top10, population_size: int):
         _check_uint64("population_size", population_size)
+        self.ncs, self.top10 = _records(ncs, top10, "sample")
         indices = np.array(indices, dtype=np.int64)
-        ncs = np.array(ncs, dtype=np.float64)
-        top10 = _flags(top10)
         n = indices.size
-        if n < 1:
-            raise ValueError("sample must contain at least one record")
-        if ncs.size != n or top10.size != n:
-            raise ValueError("indices, ncs and top10 must have equal length")
+        if indices.ndim != 1 or n != self.ncs.size:
+            raise ValueError("indices, ncs and top10 must be 1-d arrays of equal length")
         if n > population_size:
             raise ValueError(f"sample size {n} exceeds population size {population_size}")
         # sorted neighbours, not np.unique: its first call imports numpy.ma,
@@ -163,11 +170,8 @@ class Sample:
             raise ValueError("sample indices must be pairwise distinct")
         if srt[0] < 0 or srt[-1] >= population_size:
             raise ValueError("sample indices out of population range")
-        for arr in (indices, ncs, top10):
-            arr.setflags(write=False)
+        indices.setflags(write=False)
         self.indices = indices
-        self.ncs = ncs
-        self.top10 = top10
         self.population_size = int(population_size)
 
     @property

@@ -55,7 +55,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -135,24 +135,25 @@ class SynthSpec:
     """Recipe for a synthetic population with pinned indicator values.
 
     Scores are log-normal with the given shape (sigma), rescaled so the
-    population mean equals ``target_mncs``; the floor(target_pp / 100 * size)
-    largest scores are flagged as top-10%.
+    population mean equals ``mncs``. The floor(pp / 100 * size + 1e-9)
+    largest scores are flagged as top-10%: the 1e-9 keeps a whole count
+    from rounding down (32.3% of 1000 is 322.99999... in floating point).
+    Fields take their ``"synth"`` keys' names and parsers (``_SYNTH_KEYS``).
     """
 
     size: int
-    target_mncs: float
-    target_pp: float
+    mncs: float
+    pp: float
     shape: float = 1.0
 
     def __post_init__(self):
-        for key, (name, parse) in _SYNTH_KEYS.items():
-            object.__setattr__(self, name, parse(getattr(self, name), f"synth.{key}"))
+        _parse_fields(self, _SYNTH_KEYS, "synth.")
         if self.size < 1:
             raise ValueError(f"population size must be >= 1, got {self.size}")
-        if not np.isfinite(self.target_mncs) or self.target_mncs <= 0:
-            raise ValueError(f"target_mncs must be > 0, got {self.target_mncs!r}")
-        if not 0.0 < self.target_pp < 100.0:
-            raise ValueError(f"target_pp must lie in (0, 100), got {self.target_pp!r}")
+        if not np.isfinite(self.mncs) or self.mncs <= 0:
+            raise ValueError(f"mncs must be > 0, got {self.mncs!r}")
+        if not 0.0 < self.pp < 100.0:
+            raise ValueError(f"pp must lie in (0, 100), got {self.pp!r}")
         if not np.isfinite(self.shape) or self.shape <= 0:
             raise ValueError(f"shape must be > 0, got {self.shape!r}")
 
@@ -161,8 +162,8 @@ def synth_population(spec: SynthSpec, rng: RngStream) -> Population:
     """Generate the population described by ``spec``."""
     z = rng.generator.standard_normal(spec.size)
     raw = np.exp(spec.shape * z)
-    ncs = raw * (spec.target_mncs / raw.mean())
-    count = int(math.floor(spec.target_pp * spec.size / 100.0 + 1e-9))
+    ncs = raw * (spec.mncs / raw.mean())
+    count = int(math.floor(spec.pp * spec.size / 100.0 + 1e-9))
     top10 = np.zeros(spec.size, dtype=bool)
     if count > 0:
         order = np.argsort(-ncs, kind="stable")
@@ -177,10 +178,10 @@ class StudyConfig:
     ``population_source`` is either a population file path (a ``str`` or
     ``os.PathLike``, stored as its ``str``), loaded by the study unless the
     caller passes the population, or a :class:`SynthSpec` generated from
-    ``master_seed``. Every other field is parsed as its config key is
-    (``_CONFIG_KEYS``), so a config built in Python gets a config file's
-    checks: a list or tuple for a list, a token or member for an enum, an
-    ``int`` for a whole number. ``ci_pairing`` "paper" skips
+    ``master_seed``. Every other field takes its config key's name and
+    parser (``_CONFIG_KEYS``), so a config built in Python gets a config
+    file's checks: a list or tuple for a list, a token or member for an
+    enum, an ``int`` for a whole number. ``ci_pairing`` "paper" skips
     bootstrap-t for the standard bootstrap and BCa for the
     finite-population engines; "all" builds every requested interval for
     every method.
@@ -199,8 +200,7 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "population_source", _source(self.population_source))
-        for key, parse in _CONFIG_KEYS.items():
-            object.__setattr__(self, key, parse(getattr(self, key), key))
+        _parse_fields(self, _CONFIG_KEYS)
         for name in ("sample_sizes", "methods", "ci_types", "estimators"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -314,12 +314,10 @@ def _listed(value, key: str) -> list | tuple:
 
 
 def parse_token(enum: type[Enum], value, what: str):
-    """The member of ``enum`` that ``value`` is or names, in any case; "pp" also names ``pp_top10``."""
+    """The member of ``enum`` that ``value`` is or names, in any case."""
     if isinstance(value, enum):
         return value
     table = {m.value: m for m in enum}
-    if enum is EstimatorKind:
-        table["pp"] = EstimatorKind.PP_TOP10
     token = value.strip().lower() if isinstance(value, str) else None
     if token not in table:
         raise ValueError(f"unknown {what}: {value!r} (choose from {sorted(table)})")
@@ -330,9 +328,8 @@ def _members(enum: type[Enum], what: str):
     return lambda value, key: tuple(parse_token(enum, v, what) for v in _listed(value, key))
 
 
-# Config keys in echo order: the source keys set ``population_source``, and
-# every other key names the StudyConfig field that its parser sets in
-# ``StudyConfig.__post_init__``.
+# Config key -> its parser, in echo order; each key names the field that
+# ``_parse_fields`` sets. The source keys set ``population_source``.
 _SOURCE_KEYS = ("population", "synth")
 _CONFIG_KEYS = {
     "sample_sizes": lambda value, key: tuple(_whole(v, key) for v in _listed(value, key)),
@@ -345,26 +342,21 @@ _CONFIG_KEYS = {
     "master_seed": _whole,
     "ci_pairing": _text,
 }
-# "synth" key -> (SynthSpec field, its parser in ``SynthSpec.__post_init__``), in echo order
-_SYNTH_KEYS = {
-    "size": ("size", _whole),
-    "mncs": ("target_mncs", _real),
-    "pp": ("target_pp", _real),
-    "shape": ("shape", _real),
-}
+_SYNTH_KEYS = {"size": _whole, "mncs": _real, "pp": _real, "shape": _real}
 
 
-def _synth_spec(raw) -> SynthSpec:
-    if not isinstance(raw, dict):
-        raise ValueError("'synth' must be an object")
-    unknown = set(raw) - set(_SYNTH_KEYS)
-    if unknown:
-        raise ValueError(f"unknown synth keys: {sorted(unknown)}")
-    required = {f.name for f in fields(SynthSpec) if f.default is MISSING}
-    missing = [k for k, (name, _) in _SYNTH_KEYS.items() if k not in raw and name in required]
+def _parse_fields(obj, table: dict, prefix: str = "") -> None:
+    """Replace each field of the frozen ``obj`` that ``table`` keys with its parsed value."""
+    for key, parse in table.items():
+        object.__setattr__(obj, key, parse(getattr(obj, key), prefix + key))
+
+
+def _from_keys(cls, raw: dict, table: dict, what: str, *args):
+    """``cls(*args, ...)`` with the keys of ``table`` that ``raw`` gives; an absent key takes its default."""
+    missing = [key for key in table if key not in raw and cls.__dataclass_fields__[key].default is MISSING]
     if missing:
-        raise ValueError(f"missing synth keys: {sorted(missing)}")
-    return SynthSpec(**{name: raw[k] for k, (name, _) in _SYNTH_KEYS.items() if k in raw})
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+    return cls(*args, **{key: raw[key] for key in table if key in raw})
 
 
 def config_from_dict(raw: dict) -> StudyConfig:
@@ -381,27 +373,28 @@ def config_from_dict(raw: dict) -> StudyConfig:
     if "population" in raw:
         source = raw["population"]
     elif "synth" in raw:
-        source = _synth_spec(raw["synth"])
+        synth = raw["synth"]
+        if not isinstance(synth, dict):
+            raise ValueError("'synth' must be an object")
+        unknown = set(synth) - set(_SYNTH_KEYS)
+        if unknown:
+            raise ValueError(f"unknown synth keys: {sorted(unknown)}")
+        source = _from_keys(SynthSpec, synth, _SYNTH_KEYS, "synth")
     else:
         raise ValueError("config must name a 'population' file or a 'synth' spec")
-    required = {f.name for f in fields(StudyConfig) if f.default is MISSING}
-    missing = [k for k in _CONFIG_KEYS if k not in raw and k in required]
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-    return StudyConfig(source, **{key: raw[key] for key in _CONFIG_KEYS if key in raw})
+    return _from_keys(StudyConfig, raw, _CONFIG_KEYS, "config", source)
+
+
+def _echo(obj, table: dict) -> dict:
+    """The fields of ``obj`` that ``table`` keys, in its order, enums as their tokens."""
+    return {key: _tokens(v) if isinstance(v := getattr(obj, key), tuple) else v for key in table}
 
 
 def config_dict(config: StudyConfig) -> dict:
     """Plain-dict echo of a config, with enums rendered as their tokens."""
     source = config.population_source
-    if isinstance(source, SynthSpec):
-        out = {"synth": {k: getattr(source, name) for k, (name, _) in _SYNTH_KEYS.items()}}
-    else:
-        out = {"population": source}
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        out[key] = _tokens(value) if isinstance(value, tuple) else value
-    return out
+    head = {"synth": _echo(source, _SYNTH_KEYS)} if isinstance(source, SynthSpec) else {"population": source}
+    return {**head, **_echo(config, _CONFIG_KEYS)}
 
 
 def _g12(x: float) -> str:
@@ -636,9 +629,11 @@ def coverage_study(
     """Run the full Cartesian study described by ``config``.
 
     The report is a pure function of (population bytes, config): cells and
-    replications are distributed over ``workers`` processes but aggregated
-    in a fixed order.
+    replications are distributed over ``workers`` processes (an ``int``
+    >= 1) but aggregated in a fixed order.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
     pop = resolve_population(config, population)
     _check_sizes(config, pop)
     true_values = {k.value: estimate(k, pop) for k in config.estimators}

@@ -47,7 +47,7 @@ from fpboot.study import SYNTH_STREAM_ID
 ACCEPT_SEED = 9001
 SHAPE = 0.7
 WORKERS = os.cpu_count() or 1
-SPEC = SynthSpec(size=6224, target_mncs=1.275, target_pp=13.7, shape=SHAPE)
+SPEC = SynthSpec(size=6224, mncs=1.275, pp=13.7, shape=SHAPE)
 
 FPC_METHODS = (Method.PPB, Method.MIRROR_MATCH)
 FPC_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BOOTSTRAP_T)
@@ -147,7 +147,7 @@ def test_criterion_2_census_zero_variance(population):
 def test_criterion_3_variance_contracts(population):
     failures = []
     small_pop = synth_population(
-        SynthSpec(size=200, target_mncs=1.275, target_pp=13.7, shape=SHAPE),
+        SynthSpec(size=200, mncs=1.275, pp=13.7, shape=SHAPE),
         make_rng(ACCEPT_SEED, SYNTH_STREAM_ID - 1),
     )
     cases = [(100, small_pop), (1000, population)]

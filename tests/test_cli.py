@@ -99,7 +99,7 @@ class TestLoadPopulation:
 
 def tiny_report(seed=3):
     cfg = StudyConfig(
-        population_source=SynthSpec(size=80, target_mncs=1.275, target_pp=13.7),
+        population_source=SynthSpec(size=80, mncs=1.275, pp=13.7),
         sample_sizes=(20,),
         B=60,
         repetitions=4,
@@ -163,13 +163,22 @@ class TestCliDispatch:
         pop_path = str(tmp_path / "pop.csv")
         cli_dispatch(["synth", "--n", "300", "--out", pop_path])
         capsys.readouterr()
-        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp",
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp_top10",
                              "--n", "50", "--method", "ppb", "--ci", "boot-t",
                              "--B", "200", "--seed", "9"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("pp_top10 ")
         assert "ci boot-t" in out
+
+    def test_pp_is_not_an_estimator_token(self, tmp_path, capsys):
+        pop_path = two_flag_population(tmp_path)
+        out = str(tmp_path / "r.csv")
+        for argv in (["estimate", "--population", pop_path, "--estimator", "pp"],
+                     ["simulate", "--population", pop_path, "--sizes", "20", "--estimator", "pp", "--out", out]):
+            assert cli_dispatch(argv) == 1
+            assert capsys.readouterr().err == "error: unknown estimator: 'pp' (choose from ['mncs', 'pp_top10'])\n"
+        assert not Path(out).exists()
 
     def test_population_round_trip(self, tmp_path):
         pop_path = str(tmp_path / "pop.csv")
@@ -358,7 +367,7 @@ class TestEstimateSharesTheStudyPath:
     def test_bca_falls_back_like_the_study(self, tmp_path, capsys):
         # the sample at seed 1 holds no flag: every PP replicate is 0
         pop_path = two_flag_population(tmp_path)
-        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp",
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp_top10",
                              "--n", "20", "--ci", "bca", "--seed", "1"])
         assert code == 0
         out = capsys.readouterr().out.splitlines()
@@ -379,7 +388,7 @@ class TestEstimateSharesTheStudyPath:
 
     def test_boot_t_with_zero_variance_replicates_exits_1(self, tmp_path, capsys):
         pop_path = one_flag_census(tmp_path)
-        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp", "--ci", "boot-t"])
+        code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "pp_top10", "--ci", "boot-t"])
         assert code == 1
         assert "bootstrap-t" in capsys.readouterr().err
 
@@ -514,7 +523,7 @@ class TestConfigLists:
             ({"sample_sizes": [50, 50]}, [], "sample_sizes must be distinct, got [50, 50]"),
             ({"methods": ["ppb", "PPB", " ppb"]}, [], "methods must be distinct, got ['ppb', 'ppb', 'ppb']"),
             ({}, ["--method", "ppb", "--method", "ppb"], "methods must be distinct, got ['ppb', 'ppb']"),
-            ({"estimators": ["pp", "pp_top10"]}, [], "estimators must be distinct, got ['pp_top10', 'pp_top10']"),
+            ({"estimators": ["PP_TOP10", "pp_top10"]}, [], "estimators must be distinct, got ['pp_top10', 'pp_top10']"),
         ],
         ids=["sizes", "method-case-variants", "method-flags", "estimator-alias"],
     )

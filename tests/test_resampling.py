@@ -583,7 +583,7 @@ class TestConditionalMoments:
 
     @pytest.fixture(scope="class")
     def pop(self):
-        spec = SynthSpec(size=self.N, target_mncs=1.275, target_pp=13.7, shape=0.7)
+        spec = SynthSpec(size=self.N, mncs=1.275, pp=13.7, shape=0.7)
         return synth_population(spec, make_rng(16, SYNTH_STREAM_ID))
 
     def moments(self, engine, s, n):

@@ -123,15 +123,25 @@ class TestSrswor:
 
 
 class TestDomainTypes:
-    def test_population_validation(self):
-        with pytest.raises(ValueError):
-            Population([], [])
-        with pytest.raises(ValueError):
-            Population([-1.0], [False])
-        with pytest.raises(ValueError):
-            Population([np.nan], [False])
-        with pytest.raises(ValueError):
-            Population([1.0, 2.0], [False])
+    @pytest.mark.parametrize(
+        "ncs,top10,message",
+        [
+            ([], [], "at least one record"),
+            ([-1.0], [False], "finite and >= 0"),
+            ([np.nan], [False], "finite and >= 0"),
+            ([1.0, np.nan, -3.0], [0, 0, 1], "finite and >= 0"),
+            ([1.0, np.inf], [0, 1], "finite and >= 0"),
+            (["1.5", "2"], [1, 0], "must be numbers"),
+            ([True, False], [1, 0], "must be numbers"),
+            ([1.0, 2.0], [False], "equal length"),
+            ([[1.0, 2.0]], [[0, 1]], "1-d"),
+        ],
+    )
+    def test_records_checked_as_outside_input(self, ncs, top10, message):
+        with pytest.raises(ValueError, match=message):
+            Population(ncs, top10)
+        with pytest.raises(ValueError, match=message):
+            Sample(list(range(len(ncs))), ncs, top10, 10)
 
     def test_population_arrays_read_only(self):
         pop = small_pop()
@@ -163,6 +173,11 @@ class TestDomainTypes:
         k = len(indices)
         with pytest.raises(ValueError, match="out of population range"):
             Sample(indices, [1.0] * k, [False] * k, 5)
+
+    @pytest.mark.parametrize("indices", [[0, 1], [[0, 1, 2]]])
+    def test_sample_indices_match_the_records(self, indices):
+        with pytest.raises(ValueError, match="indices, ncs and top10 must be 1-d arrays of equal length"):
+            Sample(indices, [1.0, 2.0, 3.0], [0, 0, 1], 10)
 
     def test_sample_rejects_oversize(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ ALL_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BCA, CiType.BOOTSTRAP_T)
 
 
 def synth(size=400, mncs_=1.275, pp=13.7, shape=1.0, seed=7):
-    spec = SynthSpec(size=size, target_mncs=mncs_, target_pp=pp, shape=shape)
+    spec = SynthSpec(size=size, mncs=mncs_, pp=pp, shape=shape)
     return synth_population(spec, make_rng(seed, SYNTH_STREAM_ID))
 
 
@@ -114,14 +114,14 @@ class TestSynthPopulation:
         assert np.array_equal(a.ncs, b.ncs) and np.array_equal(a.top10, b.top10)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SynthSpec(size=0, target_mncs=1.0, target_pp=10.0)
-        with pytest.raises(ValueError):
-            SynthSpec(size=10, target_mncs=-1.0, target_pp=10.0)
-        with pytest.raises(ValueError):
-            SynthSpec(size=10, target_mncs=1.0, target_pp=100.0)
-        with pytest.raises(ValueError):
-            SynthSpec(size=10, target_mncs=1.0, target_pp=10.0, shape=0.0)
+        with pytest.raises(ValueError, match="^population size must be >= 1"):
+            SynthSpec(size=0, mncs=1.0, pp=10.0)
+        with pytest.raises(ValueError, match="^mncs must be > 0"):
+            SynthSpec(size=10, mncs=-1.0, pp=10.0)
+        with pytest.raises(ValueError, match=r"^pp must lie in \(0, 100\)"):
+            SynthSpec(size=10, mncs=1.0, pp=100.0)
+        with pytest.raises(ValueError, match="^shape must be > 0"):
+            SynthSpec(size=10, mncs=1.0, pp=10.0, shape=0.0)
 
 
 class TestConfigDict:
@@ -130,11 +130,14 @@ class TestConfigDict:
         raw = {"synth": {"size": 50, "mncs": 1.3, "pp": 12.0}, "sample_sizes": [30]}
         assert config_from_dict(raw) == StudyConfig(SynthSpec(50, 1.3, 12.0), (30,))
 
-    def test_tokens_ignore_case_and_pp_names_pp_top10(self):
-        raw = {"population": "p.csv", "sample_sizes": [30], "methods": [" PPB", "Mirror"], "estimators": ["PP"]}
+    def test_tokens_ignore_case_and_pp_is_not_an_estimator(self):
+        raw = {"population": "p.csv", "sample_sizes": [30], "methods": [" PPB", "Mirror"], "estimators": [" PP_Top10"]}
         config = config_from_dict(raw)
         assert config.methods == (Method.PPB, Method.MIRROR_MATCH)
         assert config.estimators == (EstimatorKind.PP_TOP10,)
+        message = re.escape("unknown estimator: 'pp' (choose from ['mncs', 'pp_top10'])")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict({**raw, "estimators": ["pp"]})
 
     @pytest.mark.parametrize("source", ["synth", "file"])
     def test_echo_parses_back_to_the_config(self, source):
@@ -170,7 +173,7 @@ class TestConfigDict:
         # lists are stored as tuples, so the engines take several estimators
         # and the echo tokenizes every enum
         keys = dict(sample_sizes=[30], methods=list(Method), ci_types=list(CiType), estimators=list(EstimatorKind))
-        common = dict(population_source=SynthSpec(size=200, target_mncs=1.275, target_pp=13.7),
+        common = dict(population_source=SynthSpec(size=200, mncs=1.275, pp=13.7),
                       B=50, repetitions=3, master_seed=5, ci_pairing="all")
         listed = StudyConfig(**common, **keys)
         tupled = StudyConfig(**common, **{k: tuple(v) for k, v in keys.items()})
@@ -192,7 +195,7 @@ class TestPythonValues:
         raw = StudyConfig(
             SynthSpec(np.int64(200), 1.275, np.float64(13.7)), (np.int64(30),), B=np.int32(50),
             repetitions=np.uint8(3), methods=("ppb", "Standard"), ci_types=[" bca", CiType.NORMAL],
-            estimators=("mncs", "pp"), master_seed=np.uint64(5), ci_pairing="all",
+            estimators=("mncs", "PP_TOP10"), master_seed=np.uint64(5), ci_pairing="all",
         )
         assert raw == typed
         assert config_from_dict(config_dict(raw)) == raw
@@ -202,7 +205,7 @@ class TestPythonValues:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_numpy_synth_size_emits_its_report(self, tmp_path):
-        spec = SynthSpec(size=np.int64(500), target_mncs=1.275, target_pp=13.7)
+        spec = SynthSpec(size=np.int64(500), mncs=1.275, pp=13.7)
         assert type(spec.size) is int
         config = StudyConfig(spec, (30,), B=20, repetitions=2, methods=(Method.STANDARD,), estimators=(EstimatorKind.MNCS,))
         assert config_from_dict(config_dict(config)) == config
@@ -228,7 +231,7 @@ class TestPythonValues:
             config_from_dict(raw)
         with pytest.raises(ValueError, match=f"^{message}$"):
             if key == "synth.size":
-                SynthSpec(size=value, target_mncs=1.3, target_pp=12.0)
+                SynthSpec(size=value, mncs=1.3, pp=12.0)
             else:
                 StudyConfig(SynthSpec(50, 1.3, 12.0), (20,), **{key: value})
 
@@ -256,7 +259,7 @@ class TestPythonValues:
         names = [f.name for f in fields(StudyConfig)]
         assert names[0] == "population_source"
         assert list(study._CONFIG_KEYS) == names[1:]
-        assert [name for name, _ in study._SYNTH_KEYS.values()] == [f.name for f in fields(SynthSpec)]
+        assert list(study._SYNTH_KEYS) == [f.name for f in fields(SynthSpec)]
 
 
 class TestCiPairing:
@@ -288,7 +291,7 @@ class TestRunCell:
 
     @staticmethod
     def cells(size=400, workers=1, **fields):
-        spec = SynthSpec(size=size, target_mncs=1.275, target_pp=13.7)
+        spec = SynthSpec(size=size, mncs=1.275, pp=13.7)
         return coverage_study(StudyConfig(population_source=spec, **fields), workers=workers).cells
 
     def test_single_repetition_coverage_is_binary(self):
@@ -339,7 +342,7 @@ class TestCoverageStudy:
     @staticmethod
     def config(**overrides):
         base = dict(
-            population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
+            population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),
             sample_sizes=(60,),
             B=120,
             repetitions=12,
@@ -350,6 +353,15 @@ class TestCoverageStudy:
         )
         base.update(overrides)
         return StudyConfig(**base)
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5, "2"], ids=repr)
+    def test_workers_must_be_a_whole_number_of_at_least_1(self, tmp_path, workers):
+        # the missing population file shows that the check comes before any work
+        config = self.config(population_source=str(tmp_path / "absent.csv"))
+        message = re.escape(f"workers must be a whole number >= 1, got {workers!r}")
+        for study_call in (coverage_study, length_sweep):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                study_call(config, workers=workers)
 
     @pytest.mark.parametrize("key", ["methods", "ci_types", "estimators"])
     def test_empty_list_rejected(self, key):
@@ -397,7 +409,7 @@ class TestCoverageStudy:
         # every cell rebuilt replication by replication from the public
         # steps, independently of the study's task split and aggregation;
         # at the census n = N the FPC engines' point intervals sit on the truth
-        spec = SynthSpec(size=200, target_mncs=1.275, target_pp=13.7)
+        spec = SynthSpec(size=200, mncs=1.275, pp=13.7)
         kinds = tuple(EstimatorKind)
         sizes, B, R, seed = (20, 200), 50, 12, 3
         config = StudyConfig(
@@ -492,7 +504,7 @@ class TestCoverageStudy:
         # by side, give the reports they give one after the other
         configs = [
             self.config(
-                population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape),
+                population_source=SynthSpec(size=300, mncs=mncs_, pp=13.7, shape=shape),
                 sample_sizes=(30,), B=2000, repetitions=40, methods=(Method.STANDARD,),
                 ci_types=(CiType.NORMAL,),
             )
@@ -530,7 +542,7 @@ class TestCoverageStudy:
         # two studies of eight tasks on different populations run on the
         # same two workers, and each writes its serial report
         configs = [
-            self.config(population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape))
+            self.config(population_source=SynthSpec(size=300, mncs=mncs_, pp=13.7, shape=shape))
             for mncs_, shape in ((1.275, 1.0), (2.5, 0.5))
         ]
         path = tmp_path / "report.json"
@@ -604,7 +616,7 @@ class TestCoverageStudy:
         # on different populations and share one pool
         configs = [
             self.config(
-                population_source=SynthSpec(size=300, target_mncs=mncs_, target_pp=13.7, shape=shape),
+                population_source=SynthSpec(size=300, mncs=mncs_, pp=13.7, shape=shape),
                 sample_sizes=(30,), B=2000, repetitions=40, methods=(Method.STANDARD,),
                 ci_types=(CiType.NORMAL,),
             )
@@ -652,7 +664,7 @@ class TestCoverageStudy:
         # at f = 0.5 the uncorrected engine over-covers, the FPC engines
         # stay near nominal
         cfg = self.config(
-            population_source=SynthSpec(size=400, target_mncs=1.275, target_pp=13.7),
+            population_source=SynthSpec(size=400, mncs=1.275, pp=13.7),
             sample_sizes=(200,),
             B=300,
             repetitions=500,
@@ -709,7 +721,7 @@ class TestCoverageStudy:
 class TestLengthSweep:
     def test_census_limit_rows(self):
         cfg = StudyConfig(
-            population_source=SynthSpec(size=150, target_mncs=1.275, target_pp=13.7),
+            population_source=SynthSpec(size=150, mncs=1.275, pp=13.7),
             sample_sizes=(30, 150),
             B=100,
             repetitions=6,
@@ -838,7 +850,7 @@ class TestIntervalBatch:
     @staticmethod
     def config(B, R):
         return StudyConfig(
-            population_source=SynthSpec(size=60, target_mncs=1.275, target_pp=13.7),
+            population_source=SynthSpec(size=60, mncs=1.275, pp=13.7),
             sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R, methods=tuple(Method), ci_types=ALL_CIS,
             estimators=tuple(EstimatorKind), master_seed=9, ci_pairing="all",
         )
@@ -920,7 +932,7 @@ GOLDEN_SWEEP_SHA256 = {
 
 def golden_config(n):
     return StudyConfig(
-        population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
+        population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),
         sample_sizes=(n,),
         B=50,
         repetitions=5,
@@ -959,7 +971,7 @@ def test_study_leaves_numpy_ma_unloaded():
     code = (
         "import sys\n"
         "from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study\n"
-        "coverage_study(StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "coverage_study(StudyConfig(population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),\n"
         "    sample_sizes=(70, 300), B=50, repetitions=3, methods=tuple(Method), ci_types=tuple(CiType),\n"
         "    estimators=tuple(EstimatorKind), master_seed=1, ci_pairing='all'))\n"
         "print('numpy.ma' in sys.modules)\n"
@@ -1005,7 +1017,7 @@ from fpboot import StudyConfig, SynthSpec, coverage_study, emit_report
 from fpboot.study import _close_pool
 
 if __name__ == "__main__":
-    config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),
+    config = StudyConfig(population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),
                          sample_sizes=(60,), B=120, repetitions=12)
     out = sys.argv[1]
     emit_report(coverage_study(config), "json", out + ".serial")
@@ -1045,7 +1057,7 @@ def test_pool_closes_with_the_process():
     code = (
         "import multiprocessing\n"
         "from fpboot import StudyConfig, SynthSpec, coverage_study\n"
-        "config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "config = StudyConfig(population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),\n"
         "    sample_sizes=(60,), B=120, repetitions=12)\n"
         "coverage_study(config, workers=2)\n"
         "print(*sorted(p.pid for p in multiprocessing.active_children()))\n"
@@ -1065,7 +1077,7 @@ def test_forked_child_starts_its_own_pool():
     code = (
         "import multiprocessing, os, sys\n"
         "from fpboot import StudyConfig, SynthSpec, coverage_study\n"
-        "config = StudyConfig(population_source=SynthSpec(size=300, target_mncs=1.275, target_pp=13.7),\n"
+        "config = StudyConfig(population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),\n"
         "    sample_sizes=(60,), B=120, repetitions=12)\n"
         "serial = coverage_study(config).to_dict()\n"
         "assert coverage_study(config, workers=2).to_dict() == serial\n"
