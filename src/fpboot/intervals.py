@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DegenerateDistributionError
 from .estimators import EstimatorKind, _row_variances, unit_values
 from .resampling import BootstrapReplicates
-from .sampling import Sample
+from .sampling import Sample, _finite, _level
 
 
 class CiType(enum.Enum):
@@ -53,8 +53,7 @@ class ConfidenceInterval:
     upper: float
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _level(self.level)
         if not self.lower <= self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
@@ -72,11 +71,6 @@ _SQRT2 = math.sqrt(2.0)
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _check_level(level: float):
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 # Ranks within this of an integer are treated as that integer, so float
@@ -106,11 +100,6 @@ def _tails(level: float) -> tuple[float, float]:
 def _check_replicates(B: int, what: str):
     if B < 2:
         raise ValueError(f"{what} requires at least two replicates")
-
-
-def _check_variances(v: np.ndarray, what: str = "variance"):
-    if not (np.isfinite(v) & (v >= 0)).all():
-        raise ValueError(f"{what} must be finite and >= 0, got {v.tolist()!r}")
 
 
 # Row kernels. Each takes a batch of R replications of one estimator, one
@@ -146,8 +135,7 @@ def _bca(srt: np.ndarray, est: np.ndarray, theta: np.ndarray, accel: np.ndarray,
     A one-sided row gets the percentile bounds, which are BCa's with
     z0 = 0 and accel = 0.
     """
-    if not np.isfinite(accel).all():
-        raise ValueError(f"accel must be finite, got {accel.tolist()!r}")
+    _finite("accel", accel, nonnegative=False)
     z0s = _bias_corrections(est, theta)
     q_lo, q_hi = _tails(level)
     # 1 - alpha/2, not q_hi: the two roundings can differ by an ulp
@@ -236,14 +224,14 @@ def _interval_batch(
     """
     rows, B = est.shape
     _check_replicates(B, "bootstrap_variance")
-    _check_level(level)
+    _level(level)
     theta = np.asarray(theta, dtype=np.float64)
     v_hat = _row_variances(est)
     bounds = np.empty((len(cis), rows, 2))
     srt = np.sort(est, axis=1) if {CiType.PERCENTILE, CiType.BCA} & set(cis) else None
     for i, ci in enumerate(cis):
         if ci is CiType.NORMAL:
-            _check_variances(v_hat)
+            _finite("variance", v_hat)
             lower, upper = _normal(theta, v_hat, level)
         elif ci is CiType.PERCENTILE:
             lower, upper = _percentile(srt, level)
@@ -254,7 +242,7 @@ def _interval_batch(
         elif ci is CiType.BOOTSTRAP_T:
             if t_variances is None:
                 raise ValueError("bootstrap-t requires replicates with their variance estimates")
-            _check_variances(v_hat, "v_hat")
+            _finite("v_hat", v_hat)
             (lower, upper), _ = _bootstrap_t(est, t_variances, theta, v_hat, level)
             census = v_hat == 0.0
             lower[census] = upper[census] = theta[census]
@@ -266,16 +254,15 @@ def _interval_batch(
 
 def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
     """Asymptotic interval: theta_hat +/- z_{1-alpha/2} * sqrt(variance)."""
-    _check_level(level)
-    v = np.array([variance], dtype=np.float64)
-    _check_variances(v)
-    lower, upper = _normal(np.array([theta_hat]), v, level)
+    _level(level)
+    theta = _finite("theta_hat", theta_hat, nonnegative=False)
+    lower, upper = _normal(theta[None], _finite("variance", variance)[None], level)
     return ConfidenceInterval(CiType.NORMAL, level, float(lower[0]), float(upper[0]))
 
 
 def ci_percentile(reps: BootstrapReplicates, level: float = 0.95) -> ConfidenceInterval:
     """Percentile interval: the alpha/2 and 1 - alpha/2 bootstrap quantiles."""
-    _check_level(level)
+    _level(level)
     _check_replicates(reps.B, "ci_percentile")
     lower, upper = _percentile(np.sort(reps.estimates[None], axis=1), level)
     return ConfidenceInterval(CiType.PERCENTILE, level, float(lower[0]), float(upper[0]))
@@ -304,10 +291,11 @@ def ci_bca(
     plain percentile interval. A one-sided bootstrap distribution raises
     DegenerateDistributionError.
     """
-    _check_level(level)
+    _level(level)
     _check_replicates(reps.B, "ci_bca")
+    theta = _finite("theta_hat", theta_hat, nonnegative=False)
     est = reps.estimates[None]
-    (lower, upper), z0s = _bca(np.sort(est, axis=1), est, np.array([theta_hat]), np.array([accel], float), level)
+    (lower, upper), z0s = _bca(np.sort(est, axis=1), est, theta[None], np.asarray(accel)[None], level)
     if math.isnan(z0s[0]):
         raise DegenerateDistributionError("all bootstrap estimates on one side of the point estimate")
     return ConfidenceInterval(CiType.BCA, level, float(lower[0]), float(upper[0]))
@@ -326,14 +314,15 @@ def ci_bootstrap_t(
     theta_hat - t*_{a/2} sqrt(v_hat)). Replicates with zero variance are
     dropped; more than 1% of them is an error.
     """
-    _check_level(level)
+    _level(level)
     if reps.t_variances is None:
         raise ValueError("bootstrap-t requires replicates with their variance estimates")
     _check_replicates(reps.B, "ci_bootstrap_t")
+    theta = _finite("theta_hat", theta_hat, nonnegative=False)
     if not np.isfinite(v_hat) or v_hat <= 0:
         raise ValueError(f"v_hat must be finite and > 0, got {v_hat!r}")
     (lower, upper), dropped = _bootstrap_t(
-        reps.estimates[None], reps.t_variances[None], np.array([theta_hat]), np.array([v_hat], float), level
+        reps.estimates[None], reps.t_variances[None], theta[None], np.array([v_hat], float), level
     )
     if math.isnan(lower[0]):
         raise DegenerateDistributionError(f"{dropped[0]} of {reps.B} replicates have zero variance estimates")

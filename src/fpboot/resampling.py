@@ -16,13 +16,14 @@ only draws its resamples, as indices (standard) or as counts of each
 sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
 turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
 with 1 - f = 1 for the standard engine. The reduction also holds the
-checks every engine shares (n >= 2, B >= 1; ppb and mirror-match first
-check that N is the sample's population size) and the census shortcut: where
-1 - f is 0 (ppb or mirror-match at n = N) it returns the sample mean as
-every replicate, with zero t-variances, before the first draw. A
-PP(top 10%) replicate comes from one integer, the number of flagged units
-drawn: 100.0 * count / size, rounded once like the sample estimate, so a
-replicate tied with the sample equals it bit for bit.
+checks every engine shares (n >= 2, B a whole number >= 1, at least one
+kind; ppb and mirror-match first check that N is the sample's population
+size) and the census shortcut: where 1 - f is 0 (ppb or mirror-match at
+n = N) it returns the sample mean as every replicate, with zero
+t-variances, before the first draw. A PP(top 10%) replicate comes from
+one integer, the number of flagged units drawn: 100.0 * count / size,
+rounded once like the sample estimate, so a replicate tied with the
+sample equals it bit for bit.
 
 Engines consume their stream in blocks whose size depends on n alone, so
 results never depend on caller memory or threading. A block holds
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, estimate, sample_variance, unit_values
-from .sampling import RngStream, Sample, _check_uint64
+from .sampling import _UINT64_MAX, RngStream, Sample, _count, _finite
 
 # Engines draw in blocks of at most this many cells (replicates x n).
 # Fixed: the stream consumption pattern is part of the reproducibility
@@ -92,19 +93,14 @@ class FpcFactors:
 
 def fpc(n: int, N: int) -> FpcFactors:
     """Correction factors 1 - n/N and (N - n)/(N - 1)."""
-    _check_uint64("n", n)
-    _check_uint64("N", N)
-    if N < 2:
-        raise ValueError(f"population size must be >= 2, got {N}")
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size must satisfy 1 <= n <= {N}, got {n}")
+    N = _count("N", N, 2, _UINT64_MAX)
+    n = _count("n", n, 1, N)
     return FpcFactors(one_minus_f=(N - n) / N, bias_adjusted=(N - n) / (N - 1))
 
 
 def corrected_variance(v_star: float, n: int, N: int) -> float:
     """Bias-adjusted bootstrap variance: ((N - n) / (N - 1)) * v_star."""
-    if not np.isfinite(v_star) or v_star < 0:
-        raise ValueError(f"variance must be finite and >= 0, got {v_star!r}")
+    v_star = float(_finite("v_star", v_star))
     return fpc(n, N).bias_adjusted * v_star
 
 
@@ -118,19 +114,15 @@ class BootstrapReplicates:
     method: Method
 
     def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=np.float64)
-        object.__setattr__(self, "estimates", est)
-        if self.B < 1 or est.size != self.B:
-            raise ValueError(f"expected {self.B} estimates, got {est.size}")
-        if not np.all(np.isfinite(est)):
-            raise ValueError("bootstrap estimates must be finite")
+        B = _count("B", self.B, 1)
+        arrays = {"estimates": _finite("each estimate", self.estimates, nonnegative=False)}
         if self.t_variances is not None:
-            tv = np.asarray(self.t_variances, dtype=np.float64)
-            object.__setattr__(self, "t_variances", tv)
-            if tv.size != self.B:
-                raise ValueError(f"expected {self.B} t_variances, got {tv.size}")
-            if np.any(tv < 0) or not np.all(np.isfinite(tv)):
-                raise ValueError("t_variances must be finite and >= 0")
+            arrays["t_variances"] = _finite("each t_variance", self.t_variances)
+        for name, arr in arrays.items():
+            if arr.shape != (B,):
+                raise ValueError(f"{name} must be a 1-d array of {B} values, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "B", B)
 
 
 def bootstrap_variance(reps: BootstrapReplicates) -> float:
@@ -231,9 +223,10 @@ def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int
     n = sample.n
     if n < 2:
         raise ValueError(f"{method.value} bootstrap requires a sample of size >= 2")
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    B = _count("B", B, 1)
     kinds = _kinds(kind)
+    if not kinds:
+        raise ValueError("kind must name at least one estimator, got ()")
     if not one_minus_f[0]:
         runs = [(np.full(B, estimate(k, sample)), np.zeros(B) if with_t_variances else None) for k in kinds]
         return _replicates(kind, method, B, runs)
@@ -405,7 +398,7 @@ def ppb_bootstrap(
     reduced from the same count blocks.
     """
     n = sample.n
-    _check_uint64("N", N)
+    N = _count("N", N, hi=_UINT64_MAX)
     if N != sample.population_size:
         raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
     gen = rng.generator
@@ -461,12 +454,8 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     replicate holds at least one subsample. The plan is worked out in
     integers, so k is fixed whenever the target is a whole number.
     """
-    _check_uint64("n", n)
-    _check_uint64("N", N)
-    if n > N:
-        raise ValueError(f"sample size {n} exceeds population size {N}")
-    if n < 2:
-        raise ValueError("mirror_match_plan requires n >= 2")
+    N = _count("N", N, hi=_UINT64_MAX)
+    n = _count("n", n, 2, N)
     n_prime = max(1, (2 * n * n + N) // (2 * N))
     # n' * (N - n) is 0 only at the census n = N, where n' = n and k is 1
     num, den = (n - n_prime) * N, max(1, n_prime * (N - n))

@@ -33,10 +33,41 @@ class RngStream:
     generator: "np.random.Generator" = field(repr=False, compare=False)
 
 
-def _check_uint64(name: str, value):
-    # a bool is an int, but True is not a seed
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= int(value) <= _UINT64_MAX:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+# The three argument rules: every count, level and finite value the API
+# takes is checked by one of them, so a bad argument is a ValueError that
+# names it, raised before the first draw.
+
+
+def _count(name: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` as an ``int``: an int or numpy integer, not a bool, in [lo, hi] (no upper bound if hi is None)."""
+    # a bool is an int, but True is not a count
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not whole or int(value) < lo or (hi is not None and int(value) > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {'2**64 - 1' if hi == _UINT64_MAX else hi}]"
+        raise ValueError(f"{name} must be a whole number {span}, got {value!r}")
+    return int(value)
+
+
+def _level(level) -> None:
+    """A confidence level: a number in (0, 1)."""
+    if not (isinstance(level, (int, float, np.integer, np.floating)) and 0.0 < level < 1.0):
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+
+
+def _finite(name: str, values, nonnegative: bool = True) -> np.ndarray:
+    """``values`` as a float64 array (the input itself if it is one), each a finite number >= 0.
+
+    Strings and bools are not numbers. ``nonnegative=False`` lets negative values through.
+    """
+    arr = np.asarray(values)
+    numeric = arr.dtype.kind in "iuf"
+    if numeric and np.isfinite(arr).all() and not (nonnegative and (arr < 0).any()):
+        return arr.astype(np.float64, copy=False)
+    flat = arr.reshape(-1)
+    bad = flat[~np.isfinite(flat) | (nonnegative & (flat < 0))] if numeric else flat
+    got = bad[:1].tolist() or [arr.dtype]
+    rule = "a finite number >= 0" if nonnegative else "a finite number"
+    raise ValueError(f"{name} must be {rule}, got {got[0]!r}")
 
 
 def make_rng(master_seed: int, stream_id: int) -> RngStream:
@@ -45,10 +76,10 @@ def make_rng(master_seed: int, stream_id: int) -> RngStream:
     The two 64-bit words form the Philox key, so any two distinct
     (master_seed, stream_id) pairs yield unrelated streams.
     """
-    _check_uint64("master_seed", master_seed)
-    _check_uint64("stream_id", stream_id)
+    master_seed = _count("master_seed", master_seed, hi=_UINT64_MAX)
+    stream_id = _count("stream_id", stream_id, hi=_UINT64_MAX)
     key = np.array([master_seed, stream_id], dtype=np.uint64)
-    return RngStream(int(master_seed), int(stream_id), np.random.Generator(np.random.Philox(key=key)))
+    return RngStream(master_seed, stream_id, np.random.Generator(np.random.Philox(key=key)))
 
 
 def _flags(top10) -> np.ndarray:
@@ -63,19 +94,15 @@ def _flags(top10) -> np.ndarray:
 def _records(ncs, top10, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of the scores and flags of a ``what``, checked as outside input.
 
-    Both 1-d, of one length, with at least one record; scores finite numbers >= 0, not strings or bools.
+    Both 1-d, of one length, with at least one record; scores by ``_finite``.
     """
-    scores = np.asarray(ncs)
-    if scores.dtype.kind not in "iuf":
-        raise ValueError(f"ncs values must be numbers, got dtype {scores.dtype}")
-    scores = scores.astype(np.float64)
+    # a copy, since it is made read-only below
+    scores = _finite("each ncs value", np.array(ncs))
     flags = _flags(top10)
     if scores.ndim != 1 or flags.ndim != 1 or scores.size != flags.size:
         raise ValueError("ncs and top10 must be 1-d arrays of equal length")
     if scores.size < 1:
         raise ValueError(f"{what} must contain at least one record")
-    if not (np.isfinite(scores).all() and (scores >= 0).all()):
-        raise ValueError("all ncs values must be finite and >= 0")
     scores.setflags(write=False)
     flags.setflags(write=False)
     return scores, flags
@@ -128,7 +155,7 @@ def load_population(path) -> Population:
             if flag is None:
                 raise PopulationParseError(f"{path}:{lineno}: bad top10 flag {parts[1]!r}")
             if not math.isfinite(score) or score < 0:
-                raise ValueError(f"{path}:{lineno}: ncs must be finite and >= 0, got {parts[0]}")
+                raise ValueError(f"{path}:{lineno}: ncs must be a finite number >= 0, got {parts[0]}")
             ncs.append(score)
             top10.append(flag)
     if not ncs:
@@ -155,7 +182,7 @@ class Sample:
     __slots__ = ("indices", "ncs", "top10", "population_size")
 
     def __init__(self, indices, ncs, top10, population_size: int):
-        _check_uint64("population_size", population_size)
+        population_size = _count("population_size", population_size, hi=_UINT64_MAX)
         self.ncs, self.top10 = _records(ncs, top10, "sample")
         indices = np.array(indices, dtype=np.int64)
         n = indices.size
@@ -172,7 +199,7 @@ class Sample:
             raise ValueError("sample indices out of population range")
         indices.setflags(write=False)
         self.indices = indices
-        self.population_size = int(population_size)
+        self.population_size = population_size
 
     @property
     def n(self) -> int:
@@ -194,8 +221,7 @@ def srswor(pop: Population, n: int, rng: RngStream) -> Sample:
     arrays bit for bit).
     """
     N = pop.size
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size must satisfy 1 <= n <= {N}, got {n}")
+    n = _count("n", n, 1, N)
     idx = np.sort(rng.generator.choice(N, n, replace=False, shuffle=False))
     return Sample(idx, pop.ncs[idx], pop.top10[idx], N)
 

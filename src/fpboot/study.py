@@ -57,6 +57,7 @@ import sys
 import threading
 from dataclasses import MISSING, dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -78,7 +79,7 @@ from .resampling import (  # noqa: F401 -- bootstrap_variance: see the module do
     ppb_bootstrap,
     standard_bootstrap,
 )
-from .sampling import Population, RngStream, Sample, _check_uint64, load_population, make_rng, srswor
+from .sampling import _UINT64_MAX, Population, RngStream, Sample, _count, _level, load_population, make_rng, srswor
 
 # Stream id reserved for synthetic population generation; cell streams are
 # hash * 2**32 + r with r far below 2**32, so they cannot collide with it.
@@ -148,8 +149,6 @@ class SynthSpec:
 
     def __post_init__(self):
         _parse_fields(self, _SYNTH_KEYS, "synth.")
-        if self.size < 1:
-            raise ValueError(f"population size must be >= 1, got {self.size}")
         if not np.isfinite(self.mncs) or self.mncs <= 0:
             raise ValueError(f"mncs must be > 0, got {self.mncs!r}")
         if not 0.0 < self.pp < 100.0:
@@ -205,17 +204,9 @@ class StudyConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
-        if self.B < 2:
-            raise ValueError("B must be >= 2")
-        _check_uint64("master_seed", self.master_seed)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _level(self.level)
         if self.ci_pairing not in ("paper", "all"):
             raise ValueError(f"unknown ci_pairing: {self.ci_pairing!r}")
-        if any(n < 2 for n in self.sample_sizes):
-            raise ValueError(f"sample sizes must be >= 2, got {list(self.sample_sizes)}")
         bca = any(CiType.BCA in effective_ci_types(m, self.ci_types, self.ci_pairing) for m in self.methods)
         if bca and any(n < 3 for n in self.sample_sizes):
             raise ValueError("BCA intervals need sample sizes >= 3 (jackknife acceleration)")
@@ -276,13 +267,14 @@ def _tokens(values) -> list:
     return [v.value if isinstance(v, Enum) else v for v in values]
 
 
-def _whole(value, key: str) -> int:
-    """A config value that counts something, as an ``int`` (20.0 and numpy's 20 pass, 20.9 and True do not)."""
+def _whole(value, key: str, lo: int, hi: int | None = None) -> int:
+    """A config value that counts something, as an ``int`` in [lo, hi].
+
+    20.0 and numpy's 20 pass, 20.9 and True do not.
+    """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"config '{key}' must be a whole number, got {value!r}")
-    return int(value)
+    return _count(f"config '{key}'", value, lo, hi)
 
 
 def _real(value, key: str) -> float:
@@ -332,17 +324,17 @@ def _members(enum: type[Enum], what: str):
 # ``_parse_fields`` sets. The source keys set ``population_source``.
 _SOURCE_KEYS = ("population", "synth")
 _CONFIG_KEYS = {
-    "sample_sizes": lambda value, key: tuple(_whole(v, key) for v in _listed(value, key)),
-    "B": _whole,
-    "repetitions": _whole,
+    "sample_sizes": lambda value, key: tuple(_whole(v, key, 2) for v in _listed(value, key)),
+    "B": partial(_whole, lo=2),
+    "repetitions": partial(_whole, lo=1),
     "methods": _members(Method, "method"),
     "ci_types": _members(CiType, "ci type"),
     "estimators": _members(EstimatorKind, "estimator"),
     "level": _real,
-    "master_seed": _whole,
+    "master_seed": partial(_whole, lo=0, hi=_UINT64_MAX),
     "ci_pairing": _text,
 }
-_SYNTH_KEYS = {"size": _whole, "mncs": _real, "pp": _real, "shape": _real}
+_SYNTH_KEYS = {"size": partial(_whole, lo=1), "mncs": _real, "pp": _real, "shape": _real}
 
 
 def _parse_fields(obj, table: dict, prefix: str = "") -> None:
@@ -632,8 +624,7 @@ def coverage_study(
     replications are distributed over ``workers`` processes (an ``int``
     >= 1) but aggregated in a fixed order.
     """
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
+    workers = _count("workers", workers, 1)
     pop = resolve_population(config, population)
     _check_sizes(config, pop)
     true_values = {k.value: estimate(k, pop) for k in config.estimators}

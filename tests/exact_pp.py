@@ -1,0 +1,69 @@
+"""Exact PP(top 10%) coverage of the standard bootstrap's percentile interval.
+
+Every PP unit value is 0 or 100, so a sample is summed up by t, its number
+of flagged records, and a replicate by c*, the flagged units it draws:
+t ~ Hypergeometric(N, T, n) and, for the standard engine,
+c* ~ Binomial(n, t/n). The truth 100 T / N lies strictly between two
+lattice points 100 c / n unless it is one (N / gcd(N, T) divides n), and
+then the percentile interval, the k1-th and k2-th order statistics of B
+replicates (k1 = ceil(0.025 B), k2 = ceil(0.975 B) at level 0.95),
+contains it iff k1 <= M < k2, where M ~ Binomial(B, F_t(c_a)) counts the
+replicates at or below the truth: c_a = floor(T n / N) and F_t is the
+Binomial(n, t/n) CDF. The coverage is the sum of that probability over t,
+at the study's own B.
+
+numpy and ``math`` only: binomial coefficients come from a log-factorial
+table built as a cumulative sum of logs. Nothing here reads a random
+stream, so the oracle holds whatever the engines' draws are.
+"""
+
+import math
+
+import numpy as np
+
+
+def log_factorials(k: int) -> np.ndarray:
+    """log(i!) for i = 0 .. k."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1)))))
+
+
+def binomial_pmf(n: int, p: float, lf: np.ndarray) -> np.ndarray:
+    """P(X = k) for k = 0 .. n, X ~ Binomial(n, p)."""
+    k = np.arange(n + 1)
+    if p in (0.0, 1.0):
+        return (k == round(n * p)).astype(np.float64)
+    return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def hypergeometric_pmf(N: int, T: int, n: int, lf: np.ndarray) -> np.ndarray:
+    """P(X = t) for t = 0 .. n, X ~ Hypergeometric(N, T, n): flagged records in an SRSWOR sample."""
+    t = np.arange(n + 1)
+    ok = (t <= T) & (n - t <= N - T)
+    t, u = np.where(ok, t, 0), np.where(ok, n - t, 0)
+    log_p = lf[T] - lf[t] - lf[T - t] + lf[N - T] - lf[u] - lf[N - T - u] - (lf[N] - lf[n] - lf[N - n])
+    return np.where(ok, np.exp(log_p), 0.0)
+
+
+def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
+    """Exact coverage of the standard engine's PP percentile interval at B replicates."""
+    if (T * n) % N == 0:
+        raise ValueError("the truth is a lattice point at this n; the two tails count different events")
+    lf = log_factorials(max(N, B))
+    # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
+    k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
+    c_a = T * n // N
+    coverage = 0.0
+    for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
+        if weight == 0.0:
+            continue
+        below = float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum())
+        coverage += weight * float(binomial_pmf(B, min(below, 1.0), lf)[k1:k2].sum())
+    return coverage
+
+
+def binomial_band(R: int, p: float, alpha: float) -> tuple[int, int]:
+    """The exact two-sided 1 - alpha band of Binomial(R, p): each tail outside it holds at most alpha / 2."""
+    cdf = np.cumsum(binomial_pmf(R, p, log_factorials(R)))
+    lo = int(np.searchsorted(cdf, alpha / 2, side="right"))
+    hi = int(np.searchsorted(cdf, 1.0 - alpha / 2, side="left"))
+    return lo, hi

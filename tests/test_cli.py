@@ -245,11 +245,11 @@ class TestCliDispatch:
         "bad,message",
         [
             ({"synth": {"mncs": 1.3, "pp": 12.0}}, "missing synth keys: ['size']"),
-            ({"B": None}, "'B' must be a whole number"),
+            ({"B": None}, "config 'B' must be a whole number >= 2, got None"),
             ({"methods": [1]}, "unknown method: 1"),
-            ({"sample_sizes": [10.7]}, "'sample_sizes' must be a whole number"),
-            ({"B": 20.9}, "'B' must be a whole number"),
-            ({"repetitions": 2.5}, "'repetitions' must be a whole number"),
+            ({"sample_sizes": [10.7]}, "config 'sample_sizes' must be a whole number >= 2, got 10.7"),
+            ({"B": 20.9}, "config 'B' must be a whole number >= 2, got 20.9"),
+            ({"repetitions": 2.5}, "config 'repetitions' must be a whole number >= 1, got 2.5"),
         ],
         ids=["synth-without-size", "null-B", "method-not-a-token", "fractional-size", "fractional-B",
              "fractional-repetitions"],
@@ -398,7 +398,7 @@ class TestEstimateSharesTheStudyPath:
         code = cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs",
                              "--n", "20", "--ci", ci, "--B", "1"])
         assert code == 1
-        assert capsys.readouterr().err == "error: B must be >= 2\n"
+        assert capsys.readouterr().err == "error: config 'B' must be a whole number >= 2, got 1\n"
 
 
 def constructor_interval(ci, reps, sample, kind, theta, v_hat, level=0.95):
@@ -598,7 +598,8 @@ def test_out_of_range_seed_exits_1_before_loading(tmp_path, capsys, seed):
     argv = ["simulate", "--population", str(tmp_path / "none.csv"), "--sizes", "20", "--B", "50",
             "--reps", "3", "--seed", seed, "--threads", "2", "--out", str(out)]
     assert cli_dispatch(argv) == 1
-    assert capsys.readouterr().err == f"error: master_seed must be an unsigned 64-bit integer, got {seed}\n"
+    message = f"error: config 'master_seed' must be a whole number in [0, 2**64 - 1], got {seed}\n"
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -612,7 +613,7 @@ def test_estimate_bca_needs_three_records(tmp_path, capsys):
 def test_estimate_one_record_is_a_study_error(tmp_path, capsys):
     pop_path = two_flag_population(tmp_path)
     assert cli_dispatch(["estimate", "--population", pop_path, "--estimator", "mncs", "--n", "1"]) == 1
-    assert capsys.readouterr().err == "error: sample sizes must be >= 2, got [1]\n"
+    assert capsys.readouterr().err == "error: config 'sample_sizes' must be a whole number >= 2, got 1\n"
 
 
 def test_oversized_n_is_one_error_for_estimate_and_simulate(tmp_path, capsys, monkeypatch):

@@ -278,6 +278,20 @@ class TestCiBootstrapT:
             ci_bootstrap_t(reps_of(np.arange(10.0), np.ones(10)), 5.0, 0.0, 0.95)
 
 
+@pytest.mark.parametrize("theta_hat", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("method", ["normal", "bca", "boot-t"])
+def test_theta_hat_must_be_finite(method, theta_hat):
+    # each used to fail later with a misleading message
+    reps = reps_of(np.arange(100.0), np.ones(100))
+    calls = {
+        "normal": lambda: ci_normal(theta_hat, 0.1),
+        "bca": lambda: ci_bca(reps, theta_hat, 0.0),
+        "boot-t": lambda: ci_bootstrap_t(reps, theta_hat, 0.1),
+    }
+    with pytest.raises(ValueError, match=f"^theta_hat must be a finite number, got {theta_hat!r}$"):
+        calls[method]()
+
+
 class TestLocationEquivariance:
     def test_all_constructors_shift(self):
         gen = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -99,9 +100,10 @@ class TestFpc:
             n, N = 137, 6224
             assert corrected_variance(v, n, N) == fpc(n, N).bias_adjusted * v
 
-    def test_corrected_variance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            corrected_variance(-1.0, 10, 100)
+    @pytest.mark.parametrize("v_star", [-1.0, math.nan, math.inf, True], ids=repr)
+    def test_corrected_variance_rejects_non_variances(self, v_star):
+        with pytest.raises(ValueError, match=f"^v_star must be a finite number >= 0, got {v_star!r}$"):
+            corrected_variance(v_star, 10, 100)
 
 
 class TestBootstrapVariance:
@@ -127,6 +129,14 @@ class TestBootstrapVariance:
             BootstrapReplicates(3, np.array([1.0, 2.0]), None, Method.STANDARD)
         with pytest.raises(ValueError):
             BootstrapReplicates(2, np.array([1.0, 2.0]), np.array([0.1, -0.1]), Method.STANDARD)
+
+    @pytest.mark.parametrize("name", ["estimates", "t_variances"])
+    def test_replicates_are_1d(self, name):
+        # a 2-d array of B values used to build, then fail or flatten downstream
+        arrays = {"estimates": np.arange(6.0), "t_variances": np.ones(6), name: np.ones((2, 3))}
+        message = re.escape(f"{name} must be a 1-d array of 6 values, got shape (2, 3)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BootstrapReplicates(6, arrays["estimates"], arrays["t_variances"], Method.STANDARD)
 
 
 class TestStandardBootstrap:
@@ -252,7 +262,11 @@ class TestMirrorMatchPlan:
     @pytest.mark.parametrize("n,N", [(3, 10.5), (3, 10.0), (2.5, 10), (True, 10), (3, np.float64(10))])
     def test_non_integer_sizes_rejected(self, n, N):
         # (3, 10.5) used to plan in floats, with k_low = 2.0
-        with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+        if isinstance(N, float):
+            message = f"N must be a whole number in [0, 2**64 - 1], got {N!r}"
+        else:
+            message = f"n must be a whole number in [2, 10], got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mirror_match_plan(n, N)
 
     def test_numpy_integer_sizes_accepted(self):
@@ -623,16 +637,24 @@ class TestEngineChecks:
     SMALL_SAMPLE = {
         "standard": "standard bootstrap requires a sample of size >= 2",
         "ppb": "ppb bootstrap requires a sample of size >= 2",
-        "mirror": "mirror_match_plan requires n >= 2",
+        "mirror": r"n must be a whole number in \[2, 40\], got 1",
     }
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_invalid_calls_rejected(self, engine):
         run = ENGINES[engine]
-        with pytest.raises(ValueError, match="^B must be >= 1$"):
+        with pytest.raises(ValueError, match="^B must be a whole number >= 1, got 0$"):
             run(lognormal_sample(10, 40), 40, 0, EstimatorKind.MNCS, make_rng(0, 0), False)
         with pytest.raises(ValueError, match=f"^{self.SMALL_SAMPLE[engine]}$"):
             run(lognormal_sample(1, 40), 40, 10, EstimatorKind.MNCS, make_rng(0, 0), False)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_no_kinds_rejected_before_drawing(self, engine):
+        # used to consume the stream and return ()
+        rng = make_rng(15, 0)
+        with pytest.raises(ValueError, match=r"^kind must name at least one estimator, got \(\)$"):
+            ENGINES[engine](lognormal_sample(30, 100), 100, 10, (), rng, False)
+        assert rng.generator.random() == make_rng(15, 0).generator.random()
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_rejected_calls_leave_the_stream(self, engine):
@@ -658,7 +680,8 @@ class TestEngineChecks:
     def test_population_size_must_be_an_integer(self, engine, N):
         # N equals the sample's population size, but is not an integer
         rng = make_rng(15, 0)
-        with pytest.raises(ValueError, match="^N must be an unsigned 64-bit integer"):
+        message = re.escape(f"N must be a whole number in [0, 2**64 - 1], got {N!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
         assert rng.generator.random() == make_rng(15, 0).generator.random()
 

@@ -1,12 +1,28 @@
 import itertools
 import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fpboot import Population, Sample, make_rng, srswor
+from fpboot import (
+    BootstrapReplicates,
+    EstimatorKind,
+    Method,
+    Population,
+    Sample,
+    StudyConfig,
+    coverage_study,
+    fpc,
+    make_rng,
+    mirror_match_bootstrap,
+    mirror_match_plan,
+    ppb_bootstrap,
+    srswor,
+    standard_bootstrap,
+)
 
 
 def small_pop(n=10):
@@ -127,12 +143,12 @@ class TestDomainTypes:
         "ncs,top10,message",
         [
             ([], [], "at least one record"),
-            ([-1.0], [False], "finite and >= 0"),
-            ([np.nan], [False], "finite and >= 0"),
-            ([1.0, np.nan, -3.0], [0, 0, 1], "finite and >= 0"),
-            ([1.0, np.inf], [0, 1], "finite and >= 0"),
-            (["1.5", "2"], [1, 0], "must be numbers"),
-            ([True, False], [1, 0], "must be numbers"),
+            ([-1.0], [False], "^each ncs value must be a finite number >= 0, got -1.0$"),
+            ([np.nan], [False], "^each ncs value must be a finite number >= 0, got nan$"),
+            ([1.0, np.nan, -3.0], [0, 0, 1], "^each ncs value must be a finite number >= 0, got nan$"),
+            ([1.0, np.inf], [0, 1], "^each ncs value must be a finite number >= 0, got inf$"),
+            (["1.5", "2"], [1, 0], "^each ncs value must be a finite number >= 0, got '1.5'$"),
+            ([True, False], [1, 0], "^each ncs value must be a finite number >= 0, got True$"),
             ([1.0, 2.0], [False], "equal length"),
             ([[1.0, 2.0]], [[0, 1]], "1-d"),
         ],
@@ -209,3 +225,41 @@ class TestDomainTypes:
         pop = Population([1.0, 2.0], flags)
         flags[1] = True
         assert pop.top10.tolist() == [True, False]
+
+
+_POP = small_pop()
+_SAMPLE = Sample(np.arange(5), np.linspace(1.0, 2.0, 5), [0, 0, 1, 0, 1], 10)
+_SEEDS = "in [0, 2**64 - 1]"
+# each public count argument: its call on a value and a stream, its name and its range
+COUNT_CALLS = {
+    "srswor.n": (lambda v, rng: srswor(_POP, v, rng), "n", "in [1, 10]"),
+    "standard_bootstrap.B": (lambda v, rng: standard_bootstrap(_SAMPLE, v, EstimatorKind.MNCS, rng), "B", ">= 1"),
+    "ppb_bootstrap.B": (lambda v, rng: ppb_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 1"),
+    "mirror_match_bootstrap.B": (
+        lambda v, rng: mirror_match_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 1",
+    ),
+    "BootstrapReplicates.B": (lambda v, rng: BootstrapReplicates(v, [1.0], None, Method.STANDARD), "B", ">= 1"),
+    "coverage_study.workers": (
+        lambda v, rng: coverage_study(StudyConfig("absent.csv", (5,), B=10, repetitions=2), workers=v),
+        "workers", ">= 1",
+    ),
+    "make_rng.master_seed": (lambda v, rng: make_rng(v, 0), "master_seed", _SEEDS),
+    "make_rng.stream_id": (lambda v, rng: make_rng(0, v), "stream_id", _SEEDS),
+    "fpc.n": (lambda v, rng: fpc(v, 100), "n", "in [1, 100]"),
+    "fpc.N": (lambda v, rng: fpc(10, v), "N", "in [2, 2**64 - 1]"),
+    "mirror_match_plan.n": (lambda v, rng: mirror_match_plan(v, 100), "n", "in [2, 100]"),
+    "mirror_match_plan.N": (lambda v, rng: mirror_match_plan(10, v), "N", _SEEDS),
+    "Sample.population_size": (lambda v, rng: Sample([0, 1], [1.0, 1.0], [0, 0], v), "population_size", _SEEDS),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", list(COUNT_CALLS))
+def test_counts_are_value_errors_that_name_the_argument(call, value):
+    # not numpy's TypeError from inside a draw: one rule, before the stream moves
+    run, name, span = COUNT_CALLS[call]
+    rng = make_rng(15, 0)
+    message = re.escape(f"{name} must be a whole number {span}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(value, rng)
+    assert rng.generator.random() == make_rng(15, 0).generator.random()

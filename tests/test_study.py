@@ -114,7 +114,7 @@ class TestSynthPopulation:
         assert np.array_equal(a.ncs, b.ncs) and np.array_equal(a.top10, b.top10)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError, match="^population size must be >= 1"):
+        with pytest.raises(ValueError, match=r"^config 'synth.size' must be a whole number >= 1, got 0$"):
             SynthSpec(size=0, mncs=1.0, pp=10.0)
         with pytest.raises(ValueError, match="^mncs must be > 0"):
             SynthSpec(size=10, mncs=-1.0, pp=10.0)
@@ -162,7 +162,8 @@ class TestConfigDict:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_range_checked_up_front(self, seed):
-        message = f"^master_seed must be an unsigned 64-bit integer, got {seed}$"
+        message = re.escape(f"config 'master_seed' must be a whole number in [0, 2**64 - 1], got {seed}")
+        message = f"^{message}$"
         with pytest.raises(ValueError, match=message):
             StudyConfig("pop.csv", (20,), master_seed=seed)
         with pytest.raises(ValueError, match=message):
@@ -226,7 +227,8 @@ class TestPythonValues:
             raw["synth"] = {**spec, "size": value}
         else:
             raw[key] = value
-        message = re.escape(f"config '{key}' must be a whole number, got {value!r}")
+        span = {"master_seed": "in [0, 2**64 - 1]", "B": ">= 2", "synth.size": ">= 1"}[key]
+        message = re.escape(f"config '{key}' must be a whole number {span}, got {value!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             config_from_dict(raw)
         with pytest.raises(ValueError, match=f"^{message}$"):
