@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .estimators import EstimatorKind, _row_variances, unit_values
-from .resampling import BootstrapReplicates
+from .resampling import BootstrapReplicates, _check_replicates
 from .sampling import Sample, _finite, _level
 
 
@@ -97,11 +97,6 @@ def _tails(level: float) -> tuple[float, float]:
     return (1.0 - level) / 2.0, 0.5 + level / 2.0
 
 
-def _check_replicates(B: int, what: str):
-    if B < 2:
-        raise ValueError(f"{what} requires at least two replicates")
-
-
 # Row kernels. Each takes a batch of R replications of one estimator, one
 # row each (``est`` is R x B, ``theta``, ``v_hat`` and ``accel`` hold one
 # value per row), and returns the (lower, upper) bounds per row. The ci_*
@@ -110,7 +105,7 @@ def _check_replicates(B: int, what: str):
 
 
 def _normal(theta: np.ndarray, v_hat: np.ndarray, level: float):
-    half = _norm_ppf(0.5 + level / 2.0) * np.sqrt(v_hat)
+    half = _norm_ppf(0.5 + level / 2.0) * np.sqrt(_finite("variance", v_hat))
     return theta - half, theta + half
 
 
@@ -157,12 +152,17 @@ def _bca(srt: np.ndarray, est: np.ndarray, theta: np.ndarray, accel: np.ndarray,
     return (_quantiles(srt, q1), _quantiles(srt, q2)), z0s
 
 
-def _bootstrap_t(est: np.ndarray, tvar: np.ndarray, theta: np.ndarray, v_hat: np.ndarray, level: float):
+def _bootstrap_t(est: np.ndarray, tvar: np.ndarray | None, theta: np.ndarray, v_hat: np.ndarray, level: float):
     """Studentized bounds per row, and each row's count of zero-variance replicates.
 
-    Replicates with zero variance are dropped; a row that drops more than
-    1% of them gets NaN bounds.
+    ``tvar`` holds each replicate's variance estimate, in ``est``'s shape
+    or as one row. Replicates with zero variance are dropped; a row that
+    drops more than 1% of them gets NaN bounds, and a row with v_hat = 0
+    gets the point interval at theta_hat (the census limit).
     """
+    if tvar is None:
+        raise ValueError("bootstrap-t requires replicates with their variance estimates")
+    tvar, v_hat = np.reshape(tvar, est.shape), _finite("v_hat", v_hat)
     B = est.shape[1]
     keep = tvar > 0.0
     kept = keep.sum(axis=1)
@@ -180,6 +180,8 @@ def _bootstrap_t(est: np.ndarray, tvar: np.ndarray, theta: np.ndarray, v_hat: np
     dropped = B - kept
     too_many = dropped > 0.01 * B
     lower[too_many] = upper[too_many] = math.nan
+    census = v_hat == 0.0
+    lower[census] = upper[census] = theta[census]
     return (lower, upper), dropped
 
 
@@ -212,13 +214,9 @@ def _interval_batch(
     ``theta[r]`` its sample estimate; ``t_variances`` (R x B) is read for
     bootstrap-t and ``values``, the samples' unit values (R x n), for BCa's
     jackknife acceleration. ``v_hat`` is each row's sample variance. Returns
-    ``v_hat`` and ``bounds[ci, r, (lower, upper)]``, with NaN where no
-    interval forms:
-
-    * BCa on a one-sided row falls back to the percentile interval;
-    * bootstrap-t gives the point interval at theta_hat when v_hat is 0
-      (the census limit), and no interval when more than 1% of the row's
-      replicates have zero variance.
+    ``v_hat`` and ``bounds[ci, r, (lower, upper)]``, with NaN where
+    bootstrap-t forms no interval (``_bootstrap_t`` holds its rules); BCa
+    on a one-sided row falls back to the percentile interval.
 
     Percentile and BCa share one sort of the rows.
     """
@@ -231,7 +229,6 @@ def _interval_batch(
     srt = np.sort(est, axis=1) if {CiType.PERCENTILE, CiType.BCA} & set(cis) else None
     for i, ci in enumerate(cis):
         if ci is CiType.NORMAL:
-            _finite("variance", v_hat)
             lower, upper = _normal(theta, v_hat, level)
         elif ci is CiType.PERCENTILE:
             lower, upper = _percentile(srt, level)
@@ -240,12 +237,7 @@ def _interval_batch(
                 raise ValueError("BCa requires the samples' unit values for the jackknife acceleration")
             (lower, upper), _ = _bca(srt, est, theta, _accelerations(values), level)
         elif ci is CiType.BOOTSTRAP_T:
-            if t_variances is None:
-                raise ValueError("bootstrap-t requires replicates with their variance estimates")
-            _finite("v_hat", v_hat)
             (lower, upper), _ = _bootstrap_t(est, t_variances, theta, v_hat, level)
-            census = v_hat == 0.0
-            lower[census] = upper[census] = theta[census]
         else:
             raise ValueError(f"unknown CI type: {ci!r}")
         bounds[i, :, 0], bounds[i, :, 1] = lower, upper
@@ -256,7 +248,7 @@ def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> Confide
     """Asymptotic interval: theta_hat +/- z_{1-alpha/2} * sqrt(variance)."""
     _level(level)
     theta = _finite("theta_hat", theta_hat, nonnegative=False)
-    lower, upper = _normal(theta[None], _finite("variance", variance)[None], level)
+    lower, upper = _normal(theta[None], np.asarray(variance)[None], level)
     return ConfidenceInterval(CiType.NORMAL, level, float(lower[0]), float(upper[0]))
 
 
@@ -312,17 +304,14 @@ def ci_bootstrap_t(
     Uses quantiles of t*_b = (theta*_b - theta_hat) / sqrt(V*_b) in place
     of normal quantiles: (theta_hat - t*_{1-a/2} sqrt(v_hat),
     theta_hat - t*_{a/2} sqrt(v_hat)). Replicates with zero variance are
-    dropped; more than 1% of them is an error.
+    dropped, and more than 1% of them raises DegenerateDistributionError;
+    at v_hat = 0 the interval is the point theta_hat, as in the study.
     """
     _level(level)
-    if reps.t_variances is None:
-        raise ValueError("bootstrap-t requires replicates with their variance estimates")
     _check_replicates(reps.B, "ci_bootstrap_t")
     theta = _finite("theta_hat", theta_hat, nonnegative=False)
-    if not np.isfinite(v_hat) or v_hat <= 0:
-        raise ValueError(f"v_hat must be finite and > 0, got {v_hat!r}")
     (lower, upper), dropped = _bootstrap_t(
-        reps.estimates[None], reps.t_variances[None], theta[None], np.array([v_hat], float), level
+        reps.estimates[None], reps.t_variances, theta[None], np.asarray(v_hat)[None], level
     )
     if math.isnan(lower[0]):
         raise DegenerateDistributionError(f"{dropped[0]} of {reps.B} replicates have zero variance estimates")

@@ -17,8 +17,8 @@ sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
 turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
 with 1 - f = 1 for the standard engine. The reduction also holds the
 checks every engine shares (n >= 2, B a whole number >= 1, at least one
-kind; ppb and mirror-match first check that N is the sample's population
-size) and the census shortcut: where 1 - f is 0 (ppb or mirror-match at
+kind; ppb and mirror-match first check N with ``_population_size``) and
+the census shortcut: where 1 - f is 0 (ppb or mirror-match at
 n = N) it returns the sample mean as every replicate, with zero
 t-variances, before the first draw. A PP(top 10%) replicate comes from
 one integer, the number of flagged units drawn: 100.0 * count / size,
@@ -125,10 +125,14 @@ class BootstrapReplicates:
         object.__setattr__(self, "B", B)
 
 
+def _check_replicates(B: int, what: str):
+    if B < 2:
+        raise ValueError(f"{what} requires at least two replicates")
+
+
 def bootstrap_variance(reps: BootstrapReplicates) -> float:
     """Sample variance (denominator B - 1) of the bootstrap estimates."""
-    if reps.B < 2:
-        raise ValueError("bootstrap_variance requires at least two replicates")
+    _check_replicates(reps.B, "bootstrap_variance")
     return sample_variance(reps.estimates)
 
 
@@ -283,6 +287,14 @@ def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int
     return _replicates(kind, method, B, runs)
 
 
+def _population_size(sample: Sample, N) -> int:
+    """``N`` as an ``int``: a whole number in [2, 2**64 - 1], and the sample's population size."""
+    N = _count("N", N, 2, _UINT64_MAX)
+    if N != sample.population_size:
+        raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
+    return N
+
+
 def _pseudo_population(gen: np.random.Generator, n: int, N: int) -> np.ndarray:
     """Copies of each sample unit in one size-N pseudo-population.
 
@@ -397,10 +409,7 @@ def ppb_bootstrap(
     1 - f correction. A tuple of kinds gives a tuple of replicates, all
     reduced from the same count blocks.
     """
-    n = sample.n
-    N = _count("N", N, hi=_UINT64_MAX)
-    if N != sample.population_size:
-        raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
+    n, N = sample.n, _population_size(sample, N)
     gen = rng.generator
     copies = None
 
@@ -454,7 +463,7 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     replicate holds at least one subsample. The plan is worked out in
     integers, so k is fixed whenever the target is a whole number.
     """
-    N = _count("N", N, hi=_UINT64_MAX)
+    N = _count("N", N, 2, _UINT64_MAX)
     n = _count("n", n, 2, N)
     n_prime = max(1, (2 * n * n + N) // (2 * N))
     # n' * (N - n) is 0 only at the census n = N, where n' = n and k is 1
@@ -518,9 +527,7 @@ def mirror_match_bootstrap(
     A tuple of kinds gives a tuple of replicates, all reduced from the same
     count blocks.
     """
-    n = sample.n
-    if N != sample.population_size:
-        raise ValueError(f"population size {N} is not the sample's population size {sample.population_size}")
+    n, N = sample.n, _population_size(sample, N)
     plan = mirror_match_plan(n, N)
     gen = rng.generator
 

@@ -1,16 +1,19 @@
-"""Exact PP(top 10%) coverage of the standard bootstrap's percentile interval.
+"""Exact PP(top 10%) coverage of the standard and ppb engines' percentile intervals.
 
 Every PP unit value is 0 or 100, so a sample is summed up by t, its number
 of flagged records, and a replicate by c*, the flagged units it draws:
 t ~ Hypergeometric(N, T, n) and, for the standard engine,
-c* ~ Binomial(n, t/n). The truth 100 T / N lies strictly between two
-lattice points 100 c / n unless it is one (N / gcd(N, T) divides n), and
-then the percentile interval, the k1-th and k2-th order statistics of B
-replicates (k1 = ceil(0.025 B), k2 = ceil(0.975 B) at level 0.95),
-contains it iff k1 <= M < k2, where M ~ Binomial(B, F_t(c_a)) counts the
-replicates at or below the truth: c_a = floor(T n / N) and F_t is the
-Binomial(n, t/n) CDF. The coverage is the sum of that probability over t,
-at the study's own B.
+c* ~ Binomial(n, t/n). ppb completes one pseudo-population per
+replication, with K = k t + h flagged records, (k, r) = divmod(N, n) and
+h ~ Hypergeometric(n, t, r) the flagged units among the r extra copies;
+then c* ~ Hypergeometric(N, K, n). The truth 100 T / N lies strictly
+between two lattice points 100 c / n unless it is one (N / gcd(N, T)
+divides n), and then the percentile interval, the k1-th and k2-th order
+statistics of B replicates (k1 = ceil(0.025 B), k2 = ceil(0.975 B) at
+level 0.95), contains it iff k1 <= M < k2, where M ~ Binomial(B, F(c_a))
+counts the replicates at or below the truth: c_a = floor(T n / N) and F
+is the CDF of c* given t (and, for ppb, h). The coverage is the sum of
+that probability over t (and h), at the study's own B.
 
 numpy and ``math`` only: binomial coefficients come from a log-factorial
 table built as a cumulative sum of logs. Nothing here reads a random
@@ -44,8 +47,8 @@ def hypergeometric_pmf(N: int, T: int, n: int, lf: np.ndarray) -> np.ndarray:
     return np.where(ok, np.exp(log_p), 0.0)
 
 
-def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
-    """Exact coverage of the standard engine's PP percentile interval at B replicates."""
+def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, below) -> float:
+    """The sum over t of P(t) times, over ``below(t, c_a, lf)``'s (weight, F(c_a)) pairs, P(k1 <= M < k2)."""
     if (T * n) % N == 0:
         raise ValueError("the truth is a lattice point at this n; the two tails count different events")
     lf = log_factorials(max(N, B))
@@ -56,9 +59,29 @@ def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
         if weight == 0.0:
             continue
-        below = float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum())
-        coverage += weight * float(binomial_pmf(B, min(below, 1.0), lf)[k1:k2].sum())
+        for w, cdf in below(t, c_a, lf):
+            coverage += weight * w * float(binomial_pmf(B, min(cdf, 1.0), lf)[k1:k2].sum())
     return coverage
+
+
+def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
+    """Exact coverage of the standard engine's PP percentile interval at B replicates."""
+
+    def below(t, c_a, lf):
+        return [(1.0, float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum()))]
+
+    return _percentile_coverage(N, T, n, B, level, below)
+
+
+def ppb_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
+    """Exact coverage of the ppb engine's PP percentile interval at B replicates."""
+    k, r = divmod(N, n)
+
+    def below(t, c_a, lf):
+        completions = enumerate(hypergeometric_pmf(n, t, r, lf).tolist())
+        return [(w, float(hypergeometric_pmf(N, k * t + h, n, lf)[: c_a + 1].sum())) for h, w in completions if w]
+
+    return _percentile_coverage(N, T, n, B, level, below)
 
 
 def binomial_band(R: int, p: float, alpha: float) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -258,7 +259,7 @@ class TestCiBootstrapT:
         assert abs((ci.upper - 2.0) - (2.0 - ci.lower)) <= spacing + 1e-12
 
     def test_missing_variances_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bootstrap-t requires replicates with their variance estimates$"):
             ci_bootstrap_t(reps_of(np.arange(10.0)), 5.0, 1.0, 0.95)
 
     def test_excessive_degenerate_replicates(self):
@@ -273,9 +274,20 @@ class TestCiBootstrapT:
         ci = ci_bootstrap_t(reps_of(np.arange(1000.0), tv), 500.0, 1.0, 0.95)
         assert ci.lower <= ci.upper
 
-    def test_nonpositive_v_hat_rejected(self):
-        with pytest.raises(ValueError):
-            ci_bootstrap_t(reps_of(np.arange(10.0), np.ones(10)), 5.0, 0.0, 0.95)
+    def test_zero_v_hat_gives_the_point_interval(self):
+        # the study's census limit, whatever the replicates' variances:
+        # here every one is 0, which off v_hat = 0 is no interval
+        ci = ci_bootstrap_t(reps_of(np.arange(10.0), np.zeros(10)), 5.0, 0.0, 0.95)
+        assert (ci.method, ci.lower, ci.upper) == (CiType.BOOTSTRAP_T, 5.0, 5.0)
+        assert ci_bootstrap_t(reps_of(np.arange(10.0), np.ones(10)), 5.0, 0, 0.95).length == 0.0
+        with pytest.raises(DegenerateDistributionError, match="^10 of 10 replicates have zero variance estimates$"):
+            ci_bootstrap_t(reps_of(np.arange(10.0), np.zeros(10)), 5.0, 1e-300, 0.95)
+
+    @pytest.mark.parametrize("v_hat", [-1.0, -1e-300, True, False, math.nan, math.inf, "1.0"], ids=repr)
+    def test_invalid_v_hat_rejected(self, v_hat):
+        message = re.escape(f"v_hat must be a finite number >= 0, got {v_hat!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ci_bootstrap_t(reps_of(np.arange(10.0), np.ones(10)), 5.0, v_hat, 0.95)
 
 
 @pytest.mark.parametrize("theta_hat", [math.nan, math.inf, -math.inf], ids=repr)

@@ -263,7 +263,7 @@ class TestMirrorMatchPlan:
     def test_non_integer_sizes_rejected(self, n, N):
         # (3, 10.5) used to plan in floats, with k_low = 2.0
         if isinstance(N, float):
-            message = f"N must be a whole number in [0, 2**64 - 1], got {N!r}"
+            message = f"N must be a whole number in [2, 2**64 - 1], got {N!r}"
         else:
             message = f"n must be a whole number in [2, 10], got {n!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -271,6 +271,13 @@ class TestMirrorMatchPlan:
 
     def test_numpy_integer_sizes_accepted(self):
         assert mirror_match_plan(np.int64(100), np.int64(6224)) == mirror_match_plan(100, 6224)
+
+    @pytest.mark.parametrize("n,N", [(1, 1), (2, 1), (1, 0), (3, -5), (3, 2**64)])
+    def test_population_size_is_checked_before_n(self, n, N):
+        # no n fits a population of fewer than two records: N is at fault
+        message = re.escape(f"N must be a whole number in [2, 2**64 - 1], got {N!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mirror_match_plan(n, N)
 
     @pytest.mark.parametrize(
         "n,N,n_prime,k",
@@ -421,7 +428,7 @@ class TestCountKernels:
         # variance, for each kind reduced from the same block: standard
         # index blocks into the flagged-first units, ppb count rows, and
         # mirror-match count rows of two sizes
-        for method in Method:
+        for method in (Method.STANDARD, Method.PPB, Method.MIRROR_MATCH):
             self.check_reduction(method)
 
     def check_reduction(self, method):
@@ -680,7 +687,18 @@ class TestEngineChecks:
     def test_population_size_must_be_an_integer(self, engine, N):
         # N equals the sample's population size, but is not an integer
         rng = make_rng(15, 0)
-        message = re.escape(f"N must be a whole number in [0, 2**64 - 1], got {N!r}")
+        message = re.escape(f"N must be a whole number in [2, 2**64 - 1], got {N!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
+        assert rng.generator.random() == make_rng(15, 0).generator.random()
+
+    @pytest.mark.parametrize("engine", ["ppb", "mirror"])
+    @pytest.mark.parametrize("N", [1, 0, -100, 2**64])
+    def test_population_size_range_comes_before_the_match(self, engine, N):
+        # one N rule for both engines: the range first, then the sample's
+        # population size, both before any draw
+        rng = make_rng(15, 0)
+        message = re.escape(f"N must be a whole number in [2, 2**64 - 1], got {N!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
         assert rng.generator.random() == make_rng(15, 0).generator.random()

@@ -248,7 +248,11 @@ COUNT_CALLS = {
     "fpc.n": (lambda v, rng: fpc(v, 100), "n", "in [1, 100]"),
     "fpc.N": (lambda v, rng: fpc(10, v), "N", "in [2, 2**64 - 1]"),
     "mirror_match_plan.n": (lambda v, rng: mirror_match_plan(v, 100), "n", "in [2, 100]"),
-    "mirror_match_plan.N": (lambda v, rng: mirror_match_plan(10, v), "N", _SEEDS),
+    "mirror_match_plan.N": (lambda v, rng: mirror_match_plan(10, v), "N", "in [2, 2**64 - 1]"),
+    "ppb_bootstrap.N": (lambda v, rng: ppb_bootstrap(_SAMPLE, v, 10, EstimatorKind.MNCS, rng), "N", "in [2, 2**64 - 1]"),
+    "mirror_match_bootstrap.N": (
+        lambda v, rng: mirror_match_bootstrap(_SAMPLE, v, 10, EstimatorKind.MNCS, rng), "N", "in [2, 2**64 - 1]",
+    ),
     "Sample.population_size": (lambda v, rng: Sample([0, 1], [1.0, 1.0], [0, 0], v), "population_size", _SEEDS),
 }
 

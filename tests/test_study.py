@@ -32,6 +32,7 @@ from fpboot import (
     bootstrap,
     bootstrap_variance,
     ci_bca,
+    ci_bootstrap_t,
     ci_percentile,
     coverage_study,
     effective_ci_types,
@@ -51,8 +52,11 @@ from fpboot import (
 from fpboot.intervals import _interval_batch
 from fpboot.sampling import write_population
 from fpboot.study import SYNTH_STREAM_ID, cell_stream_base, config_dict, config_from_dict, emit_sweep
+from public_chain import public_interval
 
 ALL_CIS = (CiType.NORMAL, CiType.PERCENTILE, CiType.BCA, CiType.BOOTSTRAP_T)
+# the three engines, named: a method added without an engine cannot join them
+METHODS = (Method.STANDARD, Method.PPB, Method.MIRROR_MATCH)
 
 
 def synth(size=400, mncs_=1.275, pp=13.7, shape=1.0, seed=7):
@@ -68,6 +72,7 @@ def one_row(cis, reps, sample, kind, level=0.95):
         t_variances=t_variances, values=unit_values(kind, sample)[None],
     )
     return float(v_hat[0]), bounds[:, 0]
+
 
 
 def pool_pids():
@@ -173,7 +178,7 @@ class TestConfigDict:
     def test_list_built_config_writes_the_same_report(self, tmp_path):
         # lists are stored as tuples, so the engines take several estimators
         # and the echo tokenizes every enum
-        keys = dict(sample_sizes=[30], methods=list(Method), ci_types=list(CiType), estimators=list(EstimatorKind))
+        keys = dict(sample_sizes=[30], methods=list(METHODS), ci_types=list(CiType), estimators=list(EstimatorKind))
         common = dict(population_source=SynthSpec(size=200, mncs=1.275, pp=13.7),
                       B=50, repetitions=3, master_seed=5, ci_pairing="all")
         listed = StudyConfig(**common, **keys)
@@ -388,7 +393,7 @@ class TestCoverageStudy:
         # a replication's sample and resamples do not depend on which
         # estimators are requested, so a one-estimator study reproduces
         # that estimator's cells of the two-estimator study
-        fields = dict(methods=tuple(Method), ci_types=ALL_CIS, ci_pairing="all")
+        fields = dict(methods=METHODS, ci_types=ALL_CIS, ci_pairing="all")
         both = coverage_study(self.config(estimators=tuple(EstimatorKind), **fields), workers=2)
         one = coverage_study(self.config(estimators=(kind,), **fields))
         assert one.cells == tuple(c for c in both.cells if c.estimator is kind)
@@ -415,13 +420,13 @@ class TestCoverageStudy:
         kinds = tuple(EstimatorKind)
         sizes, B, R, seed = (20, 200), 50, 12, 3
         config = StudyConfig(
-            population_source=spec, sample_sizes=sizes, B=B, repetitions=R, methods=tuple(Method),
+            population_source=spec, sample_sizes=sizes, B=B, repetitions=R, methods=METHODS,
             ci_types=ALL_CIS, estimators=kinds, master_seed=seed, ci_pairing="all",
         )
         pop = synth_population(spec, make_rng(seed, SYNTH_STREAM_ID))
         expected = []
         for n in sizes:
-            for method in Method:
+            for method in METHODS:
                 variances = {kind: [] for kind in kinds}
                 formed = {(kind, ci): [] for kind in kinds for ci in ALL_CIS}
                 for r in range(1, R + 1):
@@ -429,9 +434,9 @@ class TestCoverageStudy:
                     sample = srswor(pop, n, rng)
                     runs = bootstrap(method, sample, B, kinds, rng, with_t_variances=True)
                     for kind, reps in zip(kinds, runs):
-                        v_hat, bounds = one_row(ALL_CIS, reps, sample, kind)
-                        variances[kind].append(v_hat)
-                        for ci, (lower, upper) in zip(ALL_CIS, bounds.tolist()):
+                        variances[kind].append(bootstrap_variance(reps))
+                        for ci in ALL_CIS:
+                            lower, upper = public_interval(ci, reps, sample, kind)
                             if not math.isnan(lower):
                                 formed[kind, ci].append((lower, upper))
                 for kind in kinds:
@@ -711,7 +716,7 @@ class TestCoverageStudy:
         # n = 2 runs every engine; only BCA's jackknife acceleration needs n >= 3
         no_bca = (CiType.NORMAL, CiType.PERCENTILE, CiType.BOOTSTRAP_T)
         report = coverage_study(
-            self.config(sample_sizes=(2,), methods=tuple(Method), ci_types=no_bca, ci_pairing="all")
+            self.config(sample_sizes=(2,), methods=METHODS, ci_types=no_bca, ci_pairing="all")
         )
         assert len(report.cells) == 3 * 3
         # under the paper pairing the FPC engines never build BCA
@@ -790,6 +795,8 @@ class TestSharedPath:
         v_hat, bounds = one_row((CiType.BOOTSTRAP_T,), reps, sample, EstimatorKind.MNCS)
         assert v_hat == 0.0 and not reps.t_variances.any()
         assert bounds.tolist() == [[theta, theta]]
+        ci = ci_bootstrap_t(reps, theta, bootstrap_variance(reps))
+        assert (ci.lower, ci.upper) == (theta, theta)
         # one flagged unit in 20: about a third of the resamples miss it and have zero variance
         flags = np.zeros(20, dtype=bool)
         flags[0] = True
@@ -805,8 +812,9 @@ def loop_replications(config, pop, n, method, lo, hi, events):
 
     The study runs each batch of replications through one interval pass;
     this loop runs a one-row pass per replication and estimator instead,
-    and checks its v_hat against ``bootstrap_variance``. ``events`` counts
-    the cases where the interval rule departs from the plain constructors.
+    checks its v_hat against ``bootstrap_variance`` and each of its bounds,
+    bit for bit, against ``public_interval``. ``events`` counts BCa's
+    fallbacks and the bootstrap-t outcomes.
     """
     kinds = config.estimators
     cis = effective_ci_types(method, config.ci_types, config.ci_pairing)
@@ -818,19 +826,13 @@ def loop_replications(config, pop, n, method, lo, hi, events):
         sample = srswor(pop, n, rng)
         runs = bootstrap(method, sample, config.B, kinds, rng, with_t_variances=True)
         for e, (kind, reps) in enumerate(zip(kinds, runs)):
-            theta_hat = thetas[e, t] = estimate(kind, sample)
+            thetas[e, t] = estimate(kind, sample)
             v_hat, bounds[e, :, t] = one_row(cis, reps, sample, kind, config.level)
             assert v_hat == bootstrap_variance(reps)
             v_hats[e, t] = v_hat
             for i, ci in enumerate(cis):
-                if ci is CiType.BCA:
-                    try:
-                        ci_bca(reps, theta_hat, jackknife_acceleration(sample, kind), config.level)
-                    except DegenerateDistributionError:
-                        events["bca fallback"] += 1
-                elif ci is CiType.BOOTSTRAP_T:
-                    formed = not np.isnan(bounds[e, i, t, 0])
-                    events["boot-t census point" if v_hat == 0.0 else "boot-t" if formed else "boot-t rejected"] += 1
+                public = public_interval(ci, reps, sample, kind, config.level, events)
+                assert_same_floats(np.array(public), bounds[e, i, t])
     return thetas, v_hats, bounds
 
 
@@ -853,7 +855,7 @@ class TestIntervalBatch:
     def config(B, R):
         return StudyConfig(
             population_source=SynthSpec(size=60, mncs=1.275, pp=13.7),
-            sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R, methods=tuple(Method), ci_types=ALL_CIS,
+            sample_sizes=TestIntervalBatch.SIZES, B=B, repetitions=R, methods=METHODS, ci_types=ALL_CIS,
             estimators=tuple(EstimatorKind), master_seed=9, ci_pairing="all",
         )
 
@@ -863,7 +865,7 @@ class TestIntervalBatch:
         pop = study.resolve_population(config)
         events = Counter()
         for n in TestIntervalBatch.SIZES:
-            for method in Method:
+            for method in METHODS:
                 for lo, hi in tasks:
                     thetas, v_hats, bounds = study._run_replications((config, pop, n, method, lo, hi))
                     ref_thetas, ref_v, ref_bounds = loop_replications(config, pop, n, method, lo, hi, events)
@@ -938,7 +940,7 @@ def golden_config(n):
         sample_sizes=(n,),
         B=50,
         repetitions=5,
-        methods=tuple(Method),
+        methods=METHODS,
         ci_types=ALL_CIS,
         estimators=tuple(EstimatorKind),
         master_seed=1,
@@ -974,7 +976,8 @@ def test_study_leaves_numpy_ma_unloaded():
         "import sys\n"
         "from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study\n"
         "coverage_study(StudyConfig(population_source=SynthSpec(size=300, mncs=1.275, pp=13.7),\n"
-        "    sample_sizes=(70, 300), B=50, repetitions=3, methods=tuple(Method), ci_types=tuple(CiType),\n"
+        "    sample_sizes=(70, 300), B=50, repetitions=3, methods=(Method.STANDARD, Method.PPB, Method.MIRROR_MATCH),\n"
+        "    ci_types=tuple(CiType),\n"
         "    estimators=tuple(EstimatorKind), master_seed=1, ci_pairing='all'))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
@@ -998,7 +1001,7 @@ def test_only_a_study_that_fans_out_loads_the_pool(tmp_path):
         "path, out = sys.argv[1], sys.argv[2]\n"
         "pop = fpboot.load_population(path)\n"
         "config = fpboot.StudyConfig(population_source=path, sample_sizes=(30, 300), B=50, repetitions=3,\n"
-        "    methods=tuple(fpboot.Method), master_seed=1)\n"
+        "    methods=(fpboot.Method.STANDARD, fpboot.Method.PPB, fpboot.Method.MIRROR_MATCH), master_seed=1)\n"
         "fpboot.emit_report(fpboot.coverage_study(config, pop, workers=1), 'json', out + '.1')\n"
         "assert cli_dispatch(['estimate', '--population', path, '--estimator', 'mncs', '--n', '30', '--B', '50']) == 0\n"
         "serial = sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
