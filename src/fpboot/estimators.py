@@ -12,6 +12,8 @@ import enum
 
 import numpy as np
 
+from .sampling import _finite
+
 
 class EstimatorKind(enum.Enum):
     """Which indicator to compute over a set of records."""
@@ -44,15 +46,15 @@ def estimate(kind: EstimatorKind, records) -> float:
 
 
 def sample_variance(values) -> float:
-    """Unbiased sample variance, denominator n - 1.
+    """Unbiased sample variance, denominator n - 1, of a 1-d array of at least two finite numbers.
 
     Exactly 0.0 for a bitwise-constant input, so degenerate census cases
     propagate true zeros instead of rounding dust.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("sample_variance requires at least two values")
-    return float(_row_variances(arr.reshape(1, -1))[0])
+    arr = _finite("each value", values, nonnegative=False)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(f"sample_variance requires a 1-d array of at least two values, got shape {arr.shape}")
+    return float(_row_variances(arr[None])[0])
 
 
 def _row_variances(rows: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .estimators import EstimatorKind, _row_variances, unit_values
-from .resampling import BootstrapReplicates, _check_replicates
-from .sampling import Sample, _finite, _level
+from .resampling import BootstrapReplicates
+from .sampling import Sample, _finite, _level, _number
 
 
 class CiType(enum.Enum):
@@ -220,12 +220,10 @@ def _interval_batch(
 
     Percentile and BCa share one sort of the rows.
     """
-    rows, B = est.shape
-    _check_replicates(B, "bootstrap_variance")
     _level(level)
     theta = np.asarray(theta, dtype=np.float64)
     v_hat = _row_variances(est)
-    bounds = np.empty((len(cis), rows, 2))
+    bounds = np.empty((len(cis), len(est), 2))
     srt = np.sort(est, axis=1) if {CiType.PERCENTILE, CiType.BCA} & set(cis) else None
     for i, ci in enumerate(cis):
         if ci is CiType.NORMAL:
@@ -247,15 +245,14 @@ def _interval_batch(
 def ci_normal(theta_hat: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
     """Asymptotic interval: theta_hat +/- z_{1-alpha/2} * sqrt(variance)."""
     _level(level)
-    theta = _finite("theta_hat", theta_hat, nonnegative=False)
-    lower, upper = _normal(theta[None], np.asarray(variance)[None], level)
-    return ConfidenceInterval(CiType.NORMAL, level, float(lower[0]), float(upper[0]))
+    theta = _number("theta_hat", theta_hat, nonnegative=False)
+    lower, upper = _normal(theta, _number("variance", variance), level)
+    return ConfidenceInterval(CiType.NORMAL, level, float(lower), float(upper))
 
 
 def ci_percentile(reps: BootstrapReplicates, level: float = 0.95) -> ConfidenceInterval:
     """Percentile interval: the alpha/2 and 1 - alpha/2 bootstrap quantiles."""
     _level(level)
-    _check_replicates(reps.B, "ci_percentile")
     lower, upper = _percentile(np.sort(reps.estimates[None], axis=1), level)
     return ConfidenceInterval(CiType.PERCENTILE, level, float(lower[0]), float(upper[0]))
 
@@ -284,10 +281,10 @@ def ci_bca(
     DegenerateDistributionError.
     """
     _level(level)
-    _check_replicates(reps.B, "ci_bca")
-    theta = _finite("theta_hat", theta_hat, nonnegative=False)
+    theta = np.array([_number("theta_hat", theta_hat, nonnegative=False)])
+    accel = np.array([_number("accel", accel, nonnegative=False)])
     est = reps.estimates[None]
-    (lower, upper), z0s = _bca(np.sort(est, axis=1), est, theta[None], np.asarray(accel)[None], level)
+    (lower, upper), z0s = _bca(np.sort(est, axis=1), est, theta, accel, level)
     if math.isnan(z0s[0]):
         raise DegenerateDistributionError("all bootstrap estimates on one side of the point estimate")
     return ConfidenceInterval(CiType.BCA, level, float(lower[0]), float(upper[0]))
@@ -308,11 +305,9 @@ def ci_bootstrap_t(
     at v_hat = 0 the interval is the point theta_hat, as in the study.
     """
     _level(level)
-    _check_replicates(reps.B, "ci_bootstrap_t")
-    theta = _finite("theta_hat", theta_hat, nonnegative=False)
-    (lower, upper), dropped = _bootstrap_t(
-        reps.estimates[None], reps.t_variances, theta[None], np.asarray(v_hat)[None], level
-    )
+    theta = np.array([_number("theta_hat", theta_hat, nonnegative=False)])
+    v_hat = np.array([_number("v_hat", v_hat)])
+    (lower, upper), dropped = _bootstrap_t(reps.estimates[None], reps.t_variances, theta, v_hat, level)
     if math.isnan(lower[0]):
         raise DegenerateDistributionError(f"{dropped[0]} of {reps.B} replicates have zero variance estimates")
     return ConfidenceInterval(CiType.BOOTSTRAP_T, level, float(lower[0]), float(upper[0]))

@@ -16,7 +16,7 @@ only draws its resamples, as indices (standard) or as counts of each
 sample unit (pseudo-population, mirror-match); one reduction, ``_reduce``,
 turns them into estimates and t-variances, (1 - f) * (n - 1) / n**2 * s2
 with 1 - f = 1 for the standard engine. The reduction also holds the
-checks every engine shares (n >= 2, B a whole number >= 1, at least one
+checks every engine shares (n >= 2, B a whole number >= 2, at least one
 kind; ppb and mirror-match first check N with ``_population_size``) and
 the census shortcut: where 1 - f is 0 (ppb or mirror-match at
 n = N) it returns the sample mean as every replicate, with zero
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, estimate, sample_variance, unit_values
-from .sampling import _UINT64_MAX, RngStream, Sample, _count, _finite
+from .sampling import _UINT64_MAX, RngStream, Sample, _count, _finite, _number
 
 # Engines draw in blocks of at most this many cells (replicates x n).
 # Fixed: the stream consumption pattern is part of the reproducibility
@@ -70,7 +70,7 @@ _BLOCK_CELLS = 2**16
 
 
 class Method(enum.Enum):
-    """Which resampling scheme produced a set of bootstrap replicates."""
+    """A resampling scheme: standard, pseudo-population or mirror-match."""
 
     STANDARD = "standard"
     PPB = "ppb"
@@ -100,39 +100,33 @@ def fpc(n: int, N: int) -> FpcFactors:
 
 def corrected_variance(v_star: float, n: int, N: int) -> float:
     """Bias-adjusted bootstrap variance: ((N - n) / (N - 1)) * v_star."""
-    v_star = float(_finite("v_star", v_star))
-    return fpc(n, N).bias_adjusted * v_star
+    return fpc(n, N).bias_adjusted * _number("v_star", v_star)
 
 
 @dataclass(frozen=True)
 class BootstrapReplicates:
-    """B bootstrap estimates, optionally with a variance estimate for each replicate."""
+    """B >= 2 bootstrap estimates, optionally with a variance estimate for each replicate."""
 
-    B: int
     estimates: np.ndarray
-    t_variances: np.ndarray | None
-    method: Method
+    t_variances: np.ndarray | None = None
 
     def __post_init__(self):
-        B = _count("B", self.B, 1)
-        arrays = {"estimates": _finite("each estimate", self.estimates, nonnegative=False)}
-        if self.t_variances is not None:
-            arrays["t_variances"] = _finite("each t_variance", self.t_variances)
-        for name, arr in arrays.items():
-            if arr.shape != (B,):
-                raise ValueError(f"{name} must be a 1-d array of {B} values, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "B", B)
+        estimates = _finite("each estimate", self.estimates, nonnegative=False)
+        if estimates.ndim != 1 or estimates.size < 2:
+            raise ValueError(f"estimates must be a 1-d array of at least two values, got shape {estimates.shape}")
+        tvar = None if self.t_variances is None else _finite("each t_variance", self.t_variances)
+        if tvar is not None and tvar.shape != estimates.shape:
+            raise ValueError(f"t_variances must be a 1-d array of {estimates.size} values, got shape {tvar.shape}")
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "t_variances", tvar)
 
-
-def _check_replicates(B: int, what: str):
-    if B < 2:
-        raise ValueError(f"{what} requires at least two replicates")
+    @property
+    def B(self) -> int:
+        return self.estimates.size
 
 
 def bootstrap_variance(reps: BootstrapReplicates) -> float:
     """Sample variance (denominator B - 1) of the bootstrap estimates."""
-    _check_replicates(reps.B, "bootstrap_variance")
     return sample_variance(reps.estimates)
 
 
@@ -172,9 +166,9 @@ def _kinds(kind) -> tuple[EstimatorKind, ...]:
     return kind if isinstance(kind, tuple) else (kind,)
 
 
-def _replicates(kind, method: Method, B: int, runs):
+def _replicates(kind, runs):
     """One BootstrapReplicates per (estimates, t_variances) run, shaped like ``kind``."""
-    reps = tuple(BootstrapReplicates(B=B, estimates=e, t_variances=t, method=method) for e, t in runs)
+    reps = tuple(BootstrapReplicates(e, t) for e, t in runs)
     return reps if isinstance(kind, tuple) else reps[0]
 
 
@@ -227,13 +221,13 @@ def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int
     n = sample.n
     if n < 2:
         raise ValueError(f"{method.value} bootstrap requires a sample of size >= 2")
-    B = _count("B", B, 1)
+    B = _count("B", B, 2)
     kinds = _kinds(kind)
     if not kinds:
         raise ValueError("kind must name at least one estimator, got ()")
     if not one_minus_f[0]:
         runs = [(np.full(B, estimate(k, sample)), np.zeros(B) if with_t_variances else None) for k in kinds]
-        return _replicates(kind, method, B, runs)
+        return _replicates(kind, runs)
     gathered = method is Method.STANDARD
     # flagged units first, in an order that depends on the sample alone
     order = np.argsort(~sample.top10, kind="stable") if gathered else slice(None)
@@ -284,7 +278,7 @@ def _reduce(kind, method: Method, sample: Sample, B: int, draw, sizes: tuple[int
         # Above 2**16 a standard block is a fresh draw: freed before the next,
         # since two blocks freed together can make the allocator trim the heap.
         del block
-    return _replicates(kind, method, B, runs)
+    return _replicates(kind, runs)
 
 
 def _population_size(sample: Sample, N) -> int:

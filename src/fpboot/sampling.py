@@ -65,9 +65,18 @@ def _finite(name: str, values, nonnegative: bool = True) -> np.ndarray:
         return arr.astype(np.float64, copy=False)
     flat = arr.reshape(-1)
     bad = flat[~np.isfinite(flat) | (nonnegative & (flat < 0))] if numeric else flat
-    got = bad[:1].tolist() or [arr.dtype]
-    rule = "a finite number >= 0" if nonnegative else "a finite number"
-    raise ValueError(f"{name} must be {rule}, got {got[0]!r}")
+    raise _not_finite(name, (bad[:1].tolist() or [arr.dtype])[0], nonnegative)
+
+
+def _number(name: str, value, nonnegative: bool = True) -> float:
+    """``value`` as a ``float``: one number (0-d, not a sequence) by ``_finite``'s rule."""
+    if np.ndim(value):
+        raise _not_finite(name, value, nonnegative)
+    return float(_finite(name, value, nonnegative))
+
+
+def _not_finite(name: str, got, nonnegative: bool) -> ValueError:
+    return ValueError(f"{name} must be {'a finite number >= 0' if nonnegative else 'a finite number'}, got {got!r}")
 
 
 def make_rng(master_seed: int, stream_id: int) -> RngStream:
@@ -184,7 +193,10 @@ class Sample:
     def __init__(self, indices, ncs, top10, population_size: int):
         population_size = _count("population_size", population_size, hi=_UINT64_MAX)
         self.ncs, self.top10 = _records(ncs, top10, "sample")
-        indices = np.array(indices, dtype=np.int64)
+        # bools, floats, strings and values past int64 are not positions
+        if (indices := np.asarray(indices)).dtype.kind not in "iu":
+            raise ValueError(f"sample indices must be integers, got dtype {indices.dtype}")
+        indices = indices.astype(np.int64)
         n = indices.size
         if indices.ndim != 1 or n != self.ncs.size:
             raise ValueError("indices, ncs and top10 must be 1-d arrays of equal length")

@@ -205,8 +205,6 @@ class StudyConfig:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {_tokens(values)}")
         _level(self.level)
-        if self.ci_pairing not in ("paper", "all"):
-            raise ValueError(f"unknown ci_pairing: {self.ci_pairing!r}")
         bca = any(CiType.BCA in effective_ci_types(m, self.ci_types, self.ci_pairing) for m in self.methods)
         if bca and any(n < 3 for n in self.sample_sizes):
             raise ValueError("BCA intervals need sample sizes >= 3 (jackknife acceleration)")
@@ -424,12 +422,11 @@ def emit_sweep(rows, path):
 
 def effective_ci_types(method: Method, requested, pairing: str = "paper") -> tuple[CiType, ...]:
     """CI types actually built for a method under the given pairing rule."""
-    requested = tuple(requested)
-    if pairing == "all":
-        return requested
-    if method is Method.STANDARD:
-        return tuple(c for c in requested if c is not CiType.BOOTSTRAP_T)
-    return tuple(c for c in requested if c is not CiType.BCA)
+    if pairing not in ("paper", "all"):
+        raise ValueError(f"unknown ci_pairing: {pairing!r}")
+    # the paper skips bootstrap-t for the standard bootstrap and BCa for the FPC engines
+    skip = None if pairing == "all" else CiType.BOOTSTRAP_T if method is Method.STANDARD else CiType.BCA
+    return tuple(c for c in requested if c is not skip)
 
 
 def cell_stream_base(n: int, method: Method) -> int:

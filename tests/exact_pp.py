@@ -1,4 +1,4 @@
-"""Exact PP(top 10%) coverage of the standard and ppb engines' percentile intervals.
+"""Exact PP(top 10%) coverage of the three engines' percentile intervals.
 
 Every PP unit value is 0 or 100, so a sample is summed up by t, its number
 of flagged records, and a replicate by c*, the flagged units it draws:
@@ -6,14 +6,20 @@ t ~ Hypergeometric(N, T, n) and, for the standard engine,
 c* ~ Binomial(n, t/n). ppb completes one pseudo-population per
 replication, with K = k t + h flagged records, (k, r) = divmod(N, n) and
 h ~ Hypergeometric(n, t, r) the flagged units among the r extra copies;
-then c* ~ Hypergeometric(N, K, n). The truth 100 T / N lies strictly
-between two lattice points 100 c / n unless it is one (N / gcd(N, T)
-divides n), and then the percentile interval, the k1-th and k2-th order
-statistics of B replicates (k1 = ceil(0.025 B), k2 = ceil(0.975 B) at
-level 0.95), contains it iff k1 <= M < k2, where M ~ Binomial(B, F(c_a))
-counts the replicates at or below the truth: c_a = floor(T n / N) and F
-is the CDF of c* given t (and, for ppb, h). The coverage is the sum of
-that probability over t (and h), at the study's own B.
+then c* ~ Hypergeometric(N, K, n). A mirror-match replicate joins k
+subsamples of size n', so c* is the sum S_k of k independent
+Hypergeometric(n, t, n') draws, with k = k_high with probability p_high
+and k_low otherwise, and its size is m = k n'.
+
+A replicate of size m lies at or below the truth 100 T / N iff
+c* <= floor(T m / N), and strictly below it unless the truth is a lattice
+point 100 c / m (N / gcd(N, T) divides m). Off the lattice the percentile
+interval, the k1-th and k2-th order statistics of B replicates
+(k1 = ceil(0.025 B), k2 = ceil(0.975 B) at level 0.95), contains the truth
+iff k1 <= M < k2, where M ~ Binomial(B, F) counts the replicates at or
+below it and F is that event's probability given t (and, for ppb, h). The
+coverage is the sum of that probability over t (and h), at the study's own
+B.
 
 numpy and ``math`` only: binomial coefficients come from a log-factorial
 table built as a cumulative sum of logs. Nothing here reads a random
@@ -47,41 +53,64 @@ def hypergeometric_pmf(N: int, T: int, n: int, lf: np.ndarray) -> np.ndarray:
     return np.where(ok, np.exp(log_p), 0.0)
 
 
-def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, below) -> float:
-    """The sum over t of P(t) times, over ``below(t, c_a, lf)``'s (weight, F(c_a)) pairs, P(k1 <= M < k2)."""
-    if (T * n) % N == 0:
-        raise ValueError("the truth is a lattice point at this n; the two tails count different events")
+def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, sizes, below) -> float:
+    """The sum over t of P(t) times, over ``below(t, lf)``'s (weight, F) pairs, P(k1 <= M < k2).
+
+    ``sizes`` are the replicate sizes m the engine can draw.
+    """
+    if any(T * m % N == 0 for m in sizes):
+        raise ValueError("the truth is a lattice point at this replicate size; the two tails count different events")
     lf = log_factorials(max(N, B))
     # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
     k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
-    c_a = T * n // N
     coverage = 0.0
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
         if weight == 0.0:
             continue
-        for w, cdf in below(t, c_a, lf):
+        for w, cdf in below(t, lf):
             coverage += weight * w * float(binomial_pmf(B, min(cdf, 1.0), lf)[k1:k2].sum())
     return coverage
 
 
 def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
     """Exact coverage of the standard engine's PP percentile interval at B replicates."""
+    c_a = T * n // N
 
-    def below(t, c_a, lf):
+    def below(t, lf):
         return [(1.0, float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum()))]
 
-    return _percentile_coverage(N, T, n, B, level, below)
+    return _percentile_coverage(N, T, n, B, level, (n,), below)
 
 
 def ppb_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
     """Exact coverage of the ppb engine's PP percentile interval at B replicates."""
     k, r = divmod(N, n)
+    c_a = T * n // N
 
-    def below(t, c_a, lf):
+    def below(t, lf):
         completions = enumerate(hypergeometric_pmf(n, t, r, lf).tolist())
         return [(w, float(hypergeometric_pmf(N, k * t + h, n, lf)[: c_a + 1].sum())) for h, w in completions if w]
 
-    return _percentile_coverage(N, T, n, B, level, below)
+    return _percentile_coverage(N, T, n, B, level, (n,), below)
+
+
+def mirror_percentile_coverage(N: int, T: int, n: int, B: int, plan, level: float = 0.95) -> float:
+    """Exact coverage of the mirror-match engine's PP percentile interval at B replicates.
+
+    ``plan`` gives the engine's n_prime, k_low, k_high and p_high, as
+    ``fpboot.mirror_match_plan(n, N)`` does.
+    """
+    # each k the engine draws, with its probability
+    ks = [(k, p) for k, p in ((plan.k_low, 1.0 - plan.p_high), (plan.k_high, plan.p_high)) if p > 0.0]
+
+    def below(t, lf):
+        # sums[k] is the pmf of S_k: one subsample's pmf convolved k times
+        one, sums = hypergeometric_pmf(n, t, plan.n_prime, lf), [np.ones(1)]
+        for _ in range(plan.k_high):
+            sums.append(np.convolve(sums[-1], one))
+        return [(1.0, sum(p * float(sums[k][: T * k * plan.n_prime // N + 1].sum()) for k, p in ks))]
+
+    return _percentile_coverage(N, T, n, B, level, [k * plan.n_prime for k, _ in ks], below)
 
 
 def binomial_band(R: int, p: float, alpha: float) -> tuple[int, int]:

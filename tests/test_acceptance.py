@@ -275,13 +275,13 @@ def test_criterion_7_interval_unit_oracles():
     ci = ci_normal(1.22, 0.04, 0.95)
     if abs(ci.lower - 0.828) > 1e-3 or abs(ci.upper - 1.612) > 1e-3:
         failures.append(f"ci_normal {ci.lower}, {ci.upper}")
-    reps = BootstrapReplicates(1000, np.arange(1.0, 1001.0), None, Method.STANDARD)
+    reps = BootstrapReplicates(np.arange(1.0, 1001.0))
     pct = ci_percentile(reps, 0.95)
     if (pct.lower, pct.upper) != (25.0, 975.0):
         failures.append(f"ci_percentile {pct.lower}, {pct.upper}")
     # z0 = 0 (exactly half the replicates below) and a = 0 reduce BCa to percentile
     half = np.concatenate([np.arange(1.0, 501.0), np.arange(601.0, 1101.0)])
-    reps_half = BootstrapReplicates(1000, half, None, Method.STANDARD)
+    reps_half = BootstrapReplicates(half)
     bca = ci_bca(reps_half, 550.0, accel=0.0, level=0.95)
     pct_half = ci_percentile(reps_half, 0.95)
     if (bca.lower, bca.upper) != (pct_half.lower, pct_half.upper):

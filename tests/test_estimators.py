@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -82,6 +85,18 @@ class TestSampleVariance:
     def test_too_short(self):
         with pytest.raises(ValueError):
             sample_variance([1.0])
+
+    @pytest.mark.parametrize("values, got", [(["1", "2"], "'1'"), ([1.0, math.nan], "nan"), ([1.0, math.inf], "inf")])
+    def test_values_are_finite_numbers(self, values, got):
+        # strings used to give 0.5, and nan or inf a nan
+        with pytest.raises(ValueError, match=f"^each value must be a finite number, got {got}$"):
+            sample_variance(values)
+
+    def test_values_are_1d(self):
+        # a 2 x 2 list used to give the variance of its flattened values
+        message = re.escape("sample_variance requires a 1-d array of at least two values, got shape (2, 2)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_variance([[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestUnitValues:

@@ -1,10 +1,12 @@
-"""PP(top 10%) percentile cells of the standard and ppb engines against their exact coverage (``exact_pp``)."""
+"""PP(top 10%) percentile cells of the three engines against their exact coverage (``exact_pp``)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from exact_pp import binomial_band, ppb_percentile_coverage, standard_percentile_coverage
-from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study
+from exact_pp import binomial_band, mirror_percentile_coverage, ppb_percentile_coverage, standard_percentile_coverage
+from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study, mirror_match_plan
 from fpboot.study import resolve_population
 
 # the acceptance population; its truth 100 * 852 / 6224 is a lattice point only where 1556 divides n
@@ -14,7 +16,7 @@ R, B = 2000, 1000
 ALPHA = 1e-6
 
 
-def check_percentile_cells(method, exact, expected):
+def check_percentile_cells(method, exact, expected, workers=1):
     """A study's PP percentile cells at n = 30 and 100 (N mod n > 0) inside their exact binomial bands."""
     config = StudyConfig(
         SPEC, (30, 100), B=B, repetitions=R, methods=(method,), ci_types=(CiType.PERCENTILE,),
@@ -23,7 +25,7 @@ def check_percentile_cells(method, exact, expected):
     pop = resolve_population(config)
     N, T = pop.size, int(np.count_nonzero(pop.top10))
     assert (N, T) == (6224, 852)
-    report = coverage_study(config, population=pop, workers=1)
+    report = coverage_study(config, population=pop, workers=workers)
     assert [c.n for c in report.cells] == list(expected)
     for cell in report.cells:
         p = exact(N, T, cell.n, B)
@@ -43,6 +45,28 @@ def test_ppb_percentile_cells_hold_their_exact_coverage():
     check_percentile_cells(Method.PPB, ppb_percentile_coverage, {30: 0.9242, 100: 0.9423})
 
 
+def test_mirror_percentile_cells_hold_their_exact_coverage():
+    # a replicate joins k subsamples of size n', k = k_high with probability p_high
+    for n, plan in {30: (1, 29, 30, 0.1446), 100: (2, 49, 50, 0.8033)}.items():
+        got = mirror_match_plan(n, SPEC.size)
+        assert (got.n_prime, got.k_low, got.k_high, round(got.p_high, 4)) == plan
+
+    def exact(N, T, n, B):
+        return mirror_percentile_coverage(N, T, n, B, mirror_match_plan(n, N))
+
+    # the report does not depend on the worker count; two workers halve the wall time
+    check_percentile_cells(Method.MIRROR_MATCH, exact, {30: 0.9146, 100: 0.9429}, workers=2)
+
+
 def test_lattice_truth_is_refused():
     with pytest.raises(ValueError, match="lattice point"):
         standard_percentile_coverage(6224, 852, 3112, B)
+
+
+def test_mirror_lattice_is_each_replicate_size():
+    # the truth 100 * 213 / 1556 is a lattice point of size-1556 replicates,
+    # whatever n is, and of none of sizes 3 and 4 even at n = 1556
+    with pytest.raises(ValueError, match="lattice point"):
+        mirror_percentile_coverage(6224, 852, 100, B, SimpleNamespace(n_prime=2, k_low=389, k_high=778, p_high=0.5))
+    plan = SimpleNamespace(n_prime=1, k_low=3, k_high=4, p_high=0.5)
+    assert 0.0 < mirror_percentile_coverage(6224, 852, 1556, B, plan) < 1.0

@@ -13,12 +13,12 @@ from fpboot import (
     ConfidenceInterval,
     DegenerateDistributionError,
     EstimatorKind,
-    Method,
     Sample,
     ci_bca,
     ci_bootstrap_t,
     ci_normal,
     ci_percentile,
+    corrected_variance,
     jackknife_acceleration,
 )
 from fpboot.intervals import _bias_corrections, _interval_batch, _norm_cdf, _norm_ppf, _quantiles
@@ -27,7 +27,7 @@ from fpboot.intervals import _bias_corrections, _interval_batch, _norm_cdf, _nor
 def reps_of(values, t_variances=None):
     arr = np.asarray(values, dtype=float)
     tv = None if t_variances is None else np.asarray(t_variances, dtype=float)
-    return BootstrapReplicates(arr.size, arr, tv, Method.STANDARD)
+    return BootstrapReplicates(arr, tv)
 
 
 def empirical_quantile(values, q):
@@ -302,6 +302,32 @@ def test_theta_hat_must_be_finite(method, theta_hat):
     }
     with pytest.raises(ValueError, match=f"^theta_hat must be a finite number, got {theta_hat!r}$"):
         calls[method]()
+
+
+_REPS = reps_of(np.arange(100.0), np.ones(100))
+# each public argument that takes one number: its call, its name and its rule
+NUMBER_CALLS = {
+    "ci_normal.theta_hat": (lambda v: ci_normal(v, 0.5), "theta_hat", "a finite number"),
+    "ci_normal.variance": (lambda v: ci_normal(50.0, v), "variance", "a finite number >= 0"),
+    "ci_bca.accel": (lambda v: ci_bca(_REPS, 50.0, v), "accel", "a finite number"),
+    "ci_bootstrap_t.v_hat": (lambda v: ci_bootstrap_t(_REPS, 50.0, v), "v_hat", "a finite number >= 0"),
+    "corrected_variance.v_star": (lambda v: corrected_variance(v, 10, 100), "v_star", "a finite number >= 0"),
+}
+
+
+@pytest.mark.parametrize("value", [[0.5, 1.0], [0.5], np.array([[0.5]])], ids=["pair", "one", "1x1"])
+@pytest.mark.parametrize("call", list(NUMBER_CALLS))
+def test_one_number_is_one_number(call, value):
+    # a sequence used to raise numpy's TypeError or IndexError
+    run, name, rule = NUMBER_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value!r}')}$"):
+        run(value)
+
+
+@pytest.mark.parametrize("call", list(NUMBER_CALLS))
+def test_numpy_scalars_are_numbers(call):
+    run = NUMBER_CALLS[call][0]
+    assert run(np.float64(0.5)) == run(np.array(0.5)) == run(0.5)
 
 
 class TestLocationEquivariance:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,35 +109,43 @@ class TestFpc:
 
 class TestBootstrapVariance:
     def test_textbook(self):
-        reps = BootstrapReplicates(3, np.array([1.0, 2.0, 3.0]), None, Method.STANDARD)
+        reps = BootstrapReplicates(np.array([1.0, 2.0, 3.0]))
         assert bootstrap_variance(reps) == 1.0
 
     def test_constant_is_exact_zero(self):
-        reps = BootstrapReplicates(5, np.full(5, 1.7), None, Method.PPB)
+        reps = BootstrapReplicates(np.full(5, 1.7))
         assert bootstrap_variance(reps) == 0.0
 
     def test_hand_computed(self):
-        reps = BootstrapReplicates(4, np.array([0.0, 0.0, 0.0, 4.0]), None, Method.STANDARD)
+        reps = BootstrapReplicates(np.array([0.0, 0.0, 0.0, 4.0]))
         assert bootstrap_variance(reps) == 4.0
 
-    def test_needs_two(self):
-        reps = BootstrapReplicates(1, np.array([1.0]), None, Method.STANDARD)
-        with pytest.raises(ValueError):
-            bootstrap_variance(reps)
+    def test_B_is_the_number_of_estimates(self):
+        assert [f.name for f in fields(BootstrapReplicates)] == ["estimates", "t_variances"]
+        reps = BootstrapReplicates(np.arange(5.0))
+        assert reps.B == 5 and reps.t_variances is None
+
+    @pytest.mark.parametrize("estimates", [[1.0], [], 2.0], ids=["one", "none", "scalar"])
+    def test_needs_two(self, estimates):
+        # one replicate used to build, then fail in each consumer
+        message = re.escape(f"estimates must be a 1-d array of at least two values, got shape {np.shape(estimates)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BootstrapReplicates(estimates)
 
     def test_replicates_validated(self):
-        with pytest.raises(ValueError):
-            BootstrapReplicates(3, np.array([1.0, 2.0]), None, Method.STANDARD)
-        with pytest.raises(ValueError):
-            BootstrapReplicates(2, np.array([1.0, 2.0]), np.array([0.1, -0.1]), Method.STANDARD)
+        with pytest.raises(ValueError, match=r"^t_variances must be a 1-d array of 2 values, got shape \(3,\)$"):
+            BootstrapReplicates(np.array([1.0, 2.0]), np.ones(3))
+        with pytest.raises(ValueError, match="^each t_variance must be a finite number >= 0, got -0.1$"):
+            BootstrapReplicates(np.array([1.0, 2.0]), np.array([0.1, -0.1]))
 
     @pytest.mark.parametrize("name", ["estimates", "t_variances"])
     def test_replicates_are_1d(self, name):
         # a 2-d array of B values used to build, then fail or flatten downstream
         arrays = {"estimates": np.arange(6.0), "t_variances": np.ones(6), name: np.ones((2, 3))}
-        message = re.escape(f"{name} must be a 1-d array of 6 values, got shape (2, 3)")
+        rule = "of at least two values" if name == "estimates" else "of 6 values"
+        message = re.escape(f"{name} must be a 1-d array {rule}, got shape (2, 3)")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            BootstrapReplicates(6, arrays["estimates"], arrays["t_variances"], Method.STANDARD)
+            BootstrapReplicates(arrays["estimates"], arrays["t_variances"])
 
 
 class TestStandardBootstrap:
@@ -456,7 +465,6 @@ class TestCountKernels:
         reps = _reduce(kinds, method, s, B, lambda rows: (block, m), sizes, fraction, True)
         assert len(reps) == 2
         for kind, r in zip(kinds, reps):
-            assert r.method is method
             v = unit_values(kind, s)
             for b, units in enumerate(resamples):
                 assert r.estimates[b] == pytest.approx(v[units].mean(), rel=1e-12, abs=1e-12)
@@ -492,7 +500,6 @@ class TestSharedRun:
             single_rng = make_rng(13, 5)
             single = run(s, N, 700, kind, single_rng, with_t)
             assert isinstance(single, BootstrapReplicates)
-            assert reps.method is single.method
             assert np.array_equal(reps.estimates, single.estimates)
             if with_t:
                 assert np.array_equal(reps.t_variances, single.t_variances)
@@ -639,7 +646,7 @@ class TestConditionalMoments:
 
 
 class TestEngineChecks:
-    # The reduction checks n >= 2 and B >= 1 for every engine, naming it,
+    # The reduction checks n >= 2 and B >= 2 for every engine, naming it,
     # and answers a census (ppb or mirror-match at n = N) without a draw.
     SMALL_SAMPLE = {
         "standard": "standard bootstrap requires a sample of size >= 2",
@@ -650,8 +657,9 @@ class TestEngineChecks:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_invalid_calls_rejected(self, engine):
         run = ENGINES[engine]
-        with pytest.raises(ValueError, match="^B must be a whole number >= 1, got 0$"):
-            run(lognormal_sample(10, 40), 40, 0, EstimatorKind.MNCS, make_rng(0, 0), False)
+        for B in (0, 1):
+            with pytest.raises(ValueError, match=f"^B must be a whole number >= 2, got {B}$"):
+                run(lognormal_sample(10, 40), 40, B, EstimatorKind.MNCS, make_rng(0, 0), False)
         with pytest.raises(ValueError, match=f"^{self.SMALL_SAMPLE[engine]}$"):
             run(lognormal_sample(1, 40), 40, 10, EstimatorKind.MNCS, make_rng(0, 0), False)
 
@@ -667,7 +675,7 @@ class TestEngineChecks:
     def test_rejected_calls_leave_the_stream(self, engine):
         # N mod n = 10 at n = 30, N = 100: ppb's completion is a draw
         run = ENGINES[engine]
-        for n, B in ((30, 0), (1, 10)):
+        for n, B in ((30, 0), (30, 1), (1, 10)):
             rng = make_rng(15, 0)
             with pytest.raises(ValueError):
                 run(lognormal_sample(n, 100), 100, B, EstimatorKind.MNCS, rng, False)
@@ -918,7 +926,7 @@ class TestBlockBuffers:
     # each thread keeps across blocks and calls; every engine's replicates
     # and stream use must equal the reference block code's, whatever ran
     # before.
-    @pytest.mark.parametrize("B", [1, 2, 511, 512, 513, 1000])
+    @pytest.mark.parametrize("B", [2, 511, 512, 513, 1000])
     @pytest.mark.parametrize("n", [2, 3, 100, 1000, 4000])
     @pytest.mark.parametrize("engine", sorted(REFERENCES))
     def test_bit_identical_to_reference(self, engine, n, B):

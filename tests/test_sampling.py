@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from fpboot import (
-    BootstrapReplicates,
     EstimatorKind,
-    Method,
     Population,
     Sample,
     StudyConfig,
@@ -195,6 +193,20 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="indices, ncs and top10 must be 1-d arrays of equal length"):
             Sample(indices, [1.0, 2.0, 3.0], [0, 0, 1], 10)
 
+    @pytest.mark.parametrize(
+        "indices", [[0.5, 1.7], [True, False], ["1", "0"], [2**70, 0]], ids=["float", "bool", "str", "2**70"]
+    )
+    def test_sample_indices_are_integers(self, indices):
+        # floats were truncated ([0.5, 1.7] -> [0, 1]), bools and numeric
+        # strings converted, and 2**70 raised OverflowError
+        message = re.escape(f"sample indices must be integers, got dtype {np.array(indices).dtype}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sample(indices, [1.0, 2.0], [0, 0], 10)
+
+    def test_sample_takes_any_integer_dtype(self):
+        sample = Sample(np.array([3, 1], dtype=np.uint8), [1.0, 2.0], [0, 0], 10)
+        assert sample.indices.dtype == np.int64 and sample.indices.tolist() == [3, 1]
+
     def test_sample_rejects_oversize(self):
         with pytest.raises(ValueError):
             Sample([0, 1, 2], [1.0, 1.0, 1.0], [0, 0, 0], 2)
@@ -233,12 +245,11 @@ _SEEDS = "in [0, 2**64 - 1]"
 # each public count argument: its call on a value and a stream, its name and its range
 COUNT_CALLS = {
     "srswor.n": (lambda v, rng: srswor(_POP, v, rng), "n", "in [1, 10]"),
-    "standard_bootstrap.B": (lambda v, rng: standard_bootstrap(_SAMPLE, v, EstimatorKind.MNCS, rng), "B", ">= 1"),
-    "ppb_bootstrap.B": (lambda v, rng: ppb_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 1"),
+    "standard_bootstrap.B": (lambda v, rng: standard_bootstrap(_SAMPLE, v, EstimatorKind.MNCS, rng), "B", ">= 2"),
+    "ppb_bootstrap.B": (lambda v, rng: ppb_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 2"),
     "mirror_match_bootstrap.B": (
-        lambda v, rng: mirror_match_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 1",
+        lambda v, rng: mirror_match_bootstrap(_SAMPLE, 10, v, EstimatorKind.MNCS, rng), "B", ">= 2",
     ),
-    "BootstrapReplicates.B": (lambda v, rng: BootstrapReplicates(v, [1.0], None, Method.STANDARD), "B", ">= 1"),
     "coverage_study.workers": (
         lambda v, rng: coverage_study(StudyConfig("absent.csv", (5,), B=10, repetitions=2), workers=v),
         "workers", ">= 1",

@@ -285,6 +285,13 @@ class TestCiPairing:
     def test_all_pairing(self):
         assert effective_ci_types(Method.PPB, ALL_CIS, "all") == ALL_CIS
 
+    def test_unknown_pairing_rejected(self):
+        # "ALL" used to get the paper pairing: (NORMAL,) here
+        with pytest.raises(ValueError, match="^unknown ci_pairing: 'ALL'$"):
+            effective_ci_types(Method.PPB, (CiType.BCA, CiType.NORMAL), "ALL")
+        with pytest.raises(ValueError, match="^unknown ci_pairing: 'ALL'$"):
+            StudyConfig(SynthSpec(100, 1.275, 13.7), (10,), ci_pairing="ALL")
+
     def test_stream_base_is_stable(self):
         base = cell_stream_base(100, Method.PPB)
         assert base == cell_stream_base(100, Method.PPB) == 1380853542104858624
@@ -763,9 +770,17 @@ class TestSharedPath:
             rng_a, rng_b = make_rng(4, 2), make_rng(4, 2)
             via = bootstrap(method, srswor(pop, 40, rng_a), 100, kind, rng_a, with_t_variances=True)
             ref = engine(srswor(pop, 40, rng_b), rng_b)
-            assert via.method is method
             assert np.array_equal(via.estimates, ref.estimates)
             assert np.array_equal(via.t_variances, ref.t_variances)
+
+    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+    def test_bootstrap_rejects_one_replicate(self, method):
+        # B >= 2 is one rule, held by the config, the engines and the replicate set
+        sample = srswor(synth(size=200), 40, make_rng(4, 1))
+        rng = make_rng(4, 2)
+        with pytest.raises(ValueError, match="^B must be a whole number >= 2, got 1$"):
+            bootstrap(method, sample, 1, EstimatorKind.MNCS, rng)
+        assert rng.generator.random() == make_rng(4, 2).generator.random()
 
     def test_bca_falls_back_to_percentile(self):
         # every replicate equals the estimate: the bias correction is undefined
@@ -779,7 +794,7 @@ class TestSharedPath:
         _, bounds = one_row((CiType.BCA,), reps, sample, EstimatorKind.MNCS, level=0.9)
         assert bounds.tolist() == [[theta, theta]]
         # a one-sided row that is not constant: every replicate above the estimate
-        reps = BootstrapReplicates(60, np.arange(1.0, 61.0), None, Method.STANDARD)
+        reps = BootstrapReplicates(np.arange(1.0, 61.0))
         _, bounds = _interval_batch((CiType.BCA,), 0.9, reps.estimates[None], [0.5], values=np.arange(5.0)[None])
         percentile = ci_percentile(reps, 0.9)
         assert bounds.tolist() == [[[percentile.lower, percentile.upper]]]
