@@ -9,7 +9,8 @@ finite population:
   (floor(N/n) whole copies plus a without-replacement remainder), then
   redraw the original design (SRSWOR of size n) from it;
 * mirror-match: concatenate k small without-replacement subsamples whose
-  own sampling fraction mirrors the original design.
+  own sampling fraction mirrors the original design; its plan holds the
+  subsample size n_prime and k's schedule (k_low, k_high, p_high).
 
 Every statistic is a mean of unit values (``unit_values``). An engine
 only draws its resamples, as indices (standard) or as counts of each
@@ -84,12 +85,6 @@ class FpcFactors:
     one_minus_f: float
     bias_adjusted: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.one_minus_f < 1.0:
-            raise ValueError(f"one_minus_f out of range: {self.one_minus_f}")
-        if not 0.0 <= self.bias_adjusted <= 1.0:
-            raise ValueError(f"bias_adjusted out of range: {self.bias_adjusted}")
-
 
 def fpc(n: int, N: int) -> FpcFactors:
     """Correction factors 1 - n/N and (N - n)/(N - 1)."""
@@ -103,9 +98,12 @@ def corrected_variance(v_star: float, n: int, N: int) -> float:
     return fpc(n, N).bias_adjusted * _number("v_star", v_star)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapReplicates:
-    """B >= 2 bootstrap estimates, optionally with a variance estimate for each replicate."""
+    """B >= 2 bootstrap estimates, optionally with a variance estimate for each replicate.
+
+    ``==`` is identity; compare the arrays with ``np.array_equal``.
+    """
 
     estimates: np.ndarray
     t_variances: np.ndarray | None = None
@@ -423,24 +421,14 @@ class MirrorMatchPlan:
     """Subsample size and repeat-count schedule for the mirror-match bootstrap.
 
     Each bootstrap sample concatenates k subsamples of size n_prime drawn
-    without replacement from the original sample; k is randomized between
-    k_low and k_high so that E[1/k] = 1/k_target.
+    without replacement from the original sample; k is k_high with
+    probability p_high and k_low otherwise.
     """
 
     n_prime: int
-    f_prime: float
-    k_target: float
     k_low: int
     k_high: int
     p_high: float
-
-    def __post_init__(self):
-        if self.n_prime < 1:
-            raise ValueError("n_prime must be >= 1")
-        if not self.k_low <= self.k_high:
-            raise ValueError("k_low must not exceed k_high")
-        if not 0.0 <= self.p_high <= 1.0:
-            raise ValueError(f"p_high out of range: {self.p_high}")
 
 
 def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
@@ -449,13 +437,14 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     The subsample size n' = round(f * n) = round(n**2 / N), halves rounded
     up, mirrors the original sampling fraction; the repeat count targets
     k = n * (1 - f') / (n' * (1 - f)) = (n - n') * N / (n' * (N - n)),
-    which makes the bootstrap variance of a mean reproduce (1 - f) * s2 / n
-    exactly when f' = f and approximately otherwise. k is randomized
-    between floor and ceil of the target so that E[1/k] = 1/k_target: the
-    variance of a replicate mean given k is (1 - f') * s2 / (k * n'), so
-    E[1/k], not E[k], must match. The target is at least 1, since a
-    replicate holds at least one subsample. The plan is worked out in
-    integers, so k is fixed whenever the target is a whole number.
+    with f' = n'/n, which makes the bootstrap variance of a mean reproduce
+    (1 - f) * s2 / n exactly when f' = f and approximately otherwise. k is
+    k_high = ceil of the target with probability p_high and k_low = floor
+    otherwise, so that E[1/k] = 1/target: the variance of a replicate mean
+    given k is (1 - f') * s2 / (k * n'), so E[1/k], not E[k], must match.
+    The target is at least 1, since a replicate holds at least one
+    subsample. The plan is worked out in integers, so k is fixed whenever
+    the target is a whole number.
     """
     N = _count("N", N, 2, _UINT64_MAX)
     n = _count("n", n, 2, N)
@@ -463,18 +452,10 @@ def mirror_match_plan(n: int, N: int) -> MirrorMatchPlan:
     # n' * (N - n) is 0 only at the census n = N, where n' = n and k is 1
     num, den = (n - n_prime) * N, max(1, n_prime * (N - n))
     # Rounding n' can make f' > f and the target fall below 1; k is 1 then.
-    k_target = max(1.0, num / den)
     k_low, k_high = max(1, num // den), max(1, -(-num // den))
-    # E[1/k] = 1/k_target with k_high = k_low + 1, in one rounding
+    # E[1/k] = 1/target = den / num with k_high = k_low + 1, in one rounding
     p_high = 0.0 if k_high == k_low else k_high * (num - k_low * den) / num
-    return MirrorMatchPlan(
-        n_prime=n_prime,
-        f_prime=n_prime / n,
-        k_target=k_target,
-        k_low=k_low,
-        k_high=k_high,
-        p_high=p_high,
-    )
+    return MirrorMatchPlan(n_prime, k_low, k_high, p_high)
 
 
 def _mirror_counts(gen: np.random.Generator, rows: int, n: int, plan: MirrorMatchPlan):
@@ -516,8 +497,9 @@ def mirror_match_bootstrap(
     """Sitter-style direct bootstrap for SRSWOR.
 
     Each replicate draws k independent SRSWOR subsamples of size n' from
-    the sample (k randomized per replicate between the plan's bounds),
-    concatenates them, and evaluates the statistic on the concatenation.
+    the sample (the plan's n_prime; k is k_high with probability p_high
+    and k_low otherwise), concatenates them, and evaluates the statistic
+    on the concatenation.
     A tuple of kinds gives a tuple of replicates, all reduced from the same
     count blocks.
     """

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import PopulationParseError
 
 _UINT64_MAX = 2**64 - 1
+_INT64_MAX = 2**63 - 1
 _POPULATION_HEADER = "ncs,top10"
 _FLAG_TOKENS = {"0": False, "false": False, "1": True, "true": True}
 
@@ -196,6 +197,9 @@ class Sample:
         # bools, floats, strings and values past int64 are not positions
         if (indices := np.asarray(indices)).dtype.kind not in "iu":
             raise ValueError(f"sample indices must be integers, got dtype {indices.dtype}")
+        # checked before the int64 cast, which would wrap 2**63 to -2**63
+        if indices.dtype.kind == "u" and (past := indices[indices > _INT64_MAX]).size:
+            raise ValueError(f"sample indices must fit in int64 (at most 2**63 - 1), got {past[0]}")
         indices = indices.astype(np.int64)
         n = indices.size
         if indices.ndim != 1 or n != self.ncs.size:

@@ -61,15 +61,24 @@ def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, sizes, be
     if any(T * m % N == 0 for m in sizes):
         raise ValueError("the truth is a lattice point at this replicate size; the two tails count different events")
     lf = log_factorials(max(N, B))
-    # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
-    k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
     coverage = 0.0
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
         if weight == 0.0:
             continue
         for w, cdf in below(t, lf):
-            coverage += weight * w * float(binomial_pmf(B, min(cdf, 1.0), lf)[k1:k2].sum())
+            coverage += weight * w * percentile_contains(B, level, cdf, lf)
     return coverage
+
+
+def percentile_contains(B: int, level: float, F: float, lf: np.ndarray) -> float:
+    """P(k1 <= M < k2) for M ~ Binomial(B, F), the chance that B replicates' percentile interval contains the truth.
+
+    F is one replicate's probability of lying below the truth, and ``lf``
+    is ``log_factorials`` up to at least B.
+    """
+    # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
+    k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
+    return float(binomial_pmf(B, min(F, 1.0), lf)[k1:k2].sum())
 
 
 def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:

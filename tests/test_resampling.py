@@ -19,6 +19,7 @@ from fpboot import (
     BootstrapReplicates,
     EstimatorKind,
     Method,
+    MirrorMatchPlan,
     Sample,
     SynthSpec,
     bootstrap_variance,
@@ -124,6 +125,13 @@ class TestBootstrapVariance:
         assert [f.name for f in fields(BootstrapReplicates)] == ["estimates", "t_variances"]
         reps = BootstrapReplicates(np.arange(5.0))
         assert reps.B == 5 and reps.t_variances is None
+
+    def test_equality_is_identity(self):
+        # == used to compare the arrays as a truth value and raise
+        a, b = BootstrapReplicates(np.arange(3.0)), BootstrapReplicates(np.arange(3.0))
+        assert a == a
+        assert a != b and not a == b
+        assert np.array_equal(a.estimates, b.estimates)
 
     @pytest.mark.parametrize("estimates", [[1.0], [], 2.0], ids=["one", "none", "scalar"])
     def test_needs_two(self, estimates):
@@ -243,12 +251,22 @@ class TestPpbBootstrap:
         assert np.array_equal(a.t_variances, b.t_variances)
 
 
+def mirror_target(n, N, n_prime):
+    """f' = n'/n and the k target max(1, (n - n') N / (n' (N - n))), in exact rationals; 1 at the census."""
+    den = n_prime * (N - n)
+    return Fraction(n_prime, n), max(Fraction(1), Fraction((n - n_prime) * N, den)) if den else Fraction(1)
+
+
 class TestMirrorMatchPlan:
+    def test_plan_is_its_four_numbers(self):
+        assert [f.name for f in fields(MirrorMatchPlan)] == ["n_prime", "k_low", "k_high", "p_high"]
+
     def test_half_fraction(self):
         plan = mirror_match_plan(100, 200)
+        f_prime, k_target = mirror_target(100, 200, plan.n_prime)
         assert plan.n_prime == 50
-        assert plan.f_prime == 0.5
-        assert plan.k_target == 2.0
+        assert f_prime == Fraction(1, 2)
+        assert k_target == 2
         assert plan.k_low == plan.k_high == 2
         assert plan.p_high == 0.0
 
@@ -256,13 +274,14 @@ class TestMirrorMatchPlan:
         # n' = round(f * n) = 2; k = 100 * 0.98 / (2 * (1 - 100/6224))
         plan = mirror_match_plan(100, 6224)
         assert plan.n_prime == 2
-        assert plan.k_target == pytest.approx(49.800, abs=1e-3)
+        assert float(mirror_target(100, 6224, plan.n_prime)[1]) == pytest.approx(49.800, abs=1e-3)
+        assert (plan.k_low, plan.k_high) == (49, 50)
 
     def test_census(self):
         plan = mirror_match_plan(64, 64)
         assert plan.n_prime == 64
         assert plan.k_low == plan.k_high == 1
-        assert plan.k_target == 1.0
+        assert mirror_target(64, 64, plan.n_prime)[1] == 1
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
@@ -299,7 +318,7 @@ class TestMirrorMatchPlan:
         plan = mirror_match_plan(n, N)
         assert plan.n_prime == n_prime
         assert plan.k_low == plan.k_high == k
-        assert plan.k_target == float(k)
+        assert mirror_target(n, N, plan.n_prime)[1] == k
         assert plan.p_high == 0.0
 
     def test_n_prime_rounds_half_up(self):
@@ -324,9 +343,9 @@ class TestMirrorMatchPlan:
                 assert plan.k_low == max(1, math.floor(target)), (n, N)
                 assert plan.k_high == max(1, math.ceil(target)), (n, N)
                 assert (plan.k_low == plan.k_high) == (num % den == 0 or num < den), (n, N)
-                assert plan.k_target == max(1.0, float(target)), (n, N)
+                assert mirror_target(n, N, plan.n_prime)[1] == max(1, target), (n, N)
                 if plan.k_high > plan.k_low:
-                    # E[1/k] = 1/k_target exactly, rounded once
+                    # E[1/k] = 1/target exactly, rounded once
                     lo, hi = Fraction(1, plan.k_low), Fraction(1, plan.k_high)
                     assert plan.p_high == float((lo - 1 / target) / (lo - hi)), (n, N)
                 else:
@@ -346,11 +365,12 @@ class TestMirrorMatchPlan:
     def test_plan_invariants(self, n, extra):
         N = n + extra
         plan = mirror_match_plan(n, N)
+        k_target = mirror_target(n, N, plan.n_prime)[1]
         assert 1 <= plan.n_prime <= n
-        assert plan.k_low <= plan.k_target <= plan.k_high
+        assert plan.k_low <= k_target <= plan.k_high
         assert 0.0 <= plan.p_high <= 1.0
         inverse_mean = plan.p_high / plan.k_high + (1 - plan.p_high) / plan.k_low
-        assert inverse_mean == pytest.approx(1 / plan.k_target, rel=1e-9)
+        assert inverse_mean == pytest.approx(1 / float(k_target), rel=1e-9)
 
 
 class TestMirrorMatchBootstrap:

@@ -206,6 +206,16 @@ class TestDomainTypes:
     def test_sample_takes_any_integer_dtype(self):
         sample = Sample(np.array([3, 1], dtype=np.uint8), [1.0, 2.0], [0, 0], 10)
         assert sample.indices.dtype == np.int64 and sample.indices.tolist() == [3, 1]
+        # uint64 up to the int64 maximum
+        sample = Sample(np.array([2**63 - 1, 0], np.uint64), [1.0, 2.0], [0, 0], 2**64 - 1)
+        assert sample.indices.tolist() == [2**63 - 1, 0]
+
+    @pytest.mark.parametrize("index", [2**63, 2**64 - 1], ids=["2**63", "2**64-1"])
+    def test_sample_indices_past_int64_rejected(self, index):
+        # the int64 cast wrapped 2**63 to -2**63, reported as out of range
+        message = re.escape(f"sample indices must fit in int64 (at most 2**63 - 1), got {index}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sample(np.array([index], np.uint64), [1.0], [0], 2**64 - 1)
 
     def test_sample_rejects_oversize(self):
         with pytest.raises(ValueError):

@@ -926,6 +926,22 @@ class TestIntervalBatch:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_a_task_is_the_rows_of_any_longer_task(method):
+    # each replication has its own stream and the interval pass works row by
+    # row, so a study of R replications is the first R rows of a longer one
+    config = StudyConfig(
+        population_source=SynthSpec(size=60, mncs=1.275, pp=13.7), sample_sizes=(20,), B=50, repetitions=40,
+        methods=(method,), ci_types=ALL_CIS, estimators=tuple(EstimatorKind), master_seed=3, ci_pairing="all",
+    )
+    pop = study.resolve_population(config)
+    whole = study._run_replications((config, pop, 20, method, 1, 41))
+    tail = study._run_replications((config, pop, 20, method, 21, 41))
+    for rows, part in zip(whole, tail):
+        # thetas and v_hats are [estimator, rep], bounds [estimator, ci, rep, (lower, upper)]
+        assert_same_floats(rows[..., 20:, :] if rows.ndim == 4 else rows[:, 20:], part)
+
+
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
 # JSON writes every float with repr, so a replicate value that moves by an
 # ulp shows. At n = 60 the population is exactly 5 copies of the sample and
