@@ -30,9 +30,8 @@ from .study import (
     SynthSpec,
     SYNTH_STREAM_ID,
     _CONFIG_KEYS,
-    _check_sizes,
     _g12,
-    _run_replications,
+    _replications,
     config_from_dict,
     coverage_study,
     emit_report,
@@ -97,7 +96,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    """Replication 1 of the one-cell study that ``simulate`` runs with the same seed.
+    """Replication 1, row 0 of the replication table, of the one-cell study ``simulate`` runs with the same seed.
 
     Without ``--n`` the sample is the census draw n = N, the whole file.
     """
@@ -107,9 +106,8 @@ def _cmd_estimate(args) -> int:
         args.population, (n,), B=args.B, repetitions=1, methods=(args.method,), ci_types=(args.ci,),
         estimators=(args.estimator,), level=args.level, master_seed=args.seed, ci_pairing="all",
     )
-    (method,), (ci_kind,), (kind,) = config.methods, config.ci_types, config.estimators
-    _check_sizes(config, pop)
-    thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
+    (ci_kind,), (kind,) = config.ci_types, config.estimators
+    ((*_, thetas, v_hats, bounds),) = _replications(config, pop)
     lower, upper = bounds[0, 0, 0].tolist()
     if math.isnan(lower):
         raise ValueError("bootstrap-t interval undefined: more than 1% of replicates have zero variance")

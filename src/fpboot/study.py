@@ -33,13 +33,16 @@ BCa. A task returns
 ``v_hats[estimator, rep]``, the bootstrap variances, and
 ``bounds[estimator, ci, rep, (lower, upper)]``, the interval endpoints,
 with NaN meaning "no interval" (a real interval never has a NaN endpoint).
-A group's task results are joined in replication order and reduced to
-cells in one vectorised step; one row definition (``_cell_row``) feeds the
-JSON report, the CSV report and the length sweep.
+``_replications`` is the one path from a config to its replications: it
+checks every n <= N, runs the tasks and joins each (n, method) group's
+results into the replication table, whose row r - 1 is replication r
+whatever the worker count and task spans. ``coverage_study`` reduces each
+group to cells in one vectorised step, and one row definition
+(``_cell_row``) feeds the JSON report, the CSV report and the length sweep;
+the CLI's ``estimate`` command prints row 0 of a one-cell study's table.
 
 ``bootstrap`` (engine dispatch) and ``_interval_batch`` (the interval
-pass) are the single path for both steps. The CLI's ``estimate`` command
-runs one task, replication 1 of a one-cell study. Where a ``ci_*``
+pass) are the single path for both steps. Where a ``ci_*``
 constructor raises ``DegenerateDistributionError``, the pass falls back
 instead (see ``_interval_batch``). The study calls the engines,
 ``make_rng``, ``srswor`` and ``estimate`` as names of this module, so
@@ -558,6 +561,30 @@ def _execute(tasks, workers: int) -> list:
     return list(results)
 
 
+def _replications(config: StudyConfig, pop: Population, workers: int = 1) -> list:
+    """The replication table: each (n, method) group's ``(n, method, cis, thetas, v_hats, bounds)``, in config
+    order; see the module docstring."""
+    for n in config.sample_sizes:
+        if n > pop.size:
+            raise ValueError(f"sample size {n} exceeds population size {pop.size}")
+    groups = [
+        (n, method, cis)
+        for n in config.sample_sizes
+        for method in config.methods
+        if (cis := effective_ci_types(method, config.ci_types, config.ci_pairing))
+    ]
+    R = config.repetitions
+    chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
+    chunk = min(chunk, max(1, _BATCH_CELLS // config.B))
+    spans = [(lo, min(lo + chunk, R + 1)) for lo in range(1, R + 1, chunk)]
+    results = _execute([(config, pop, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans], workers)
+    table = []
+    for g, group in enumerate(groups):
+        thetas, v_hats, bounds = zip(*results[g * len(spans) : (g + 1) * len(spans)])
+        table.append((*group, np.concatenate(thetas, 1), np.concatenate(v_hats, 1), np.concatenate(bounds, 2)))
+    return table
+
+
 def _cells(n, method, cis, kinds, truths, v_hats, bounds) -> list[CellReport]:
     """Reduce one group's replications, in replication order, to its cells.
 
@@ -591,13 +618,6 @@ def resolve_population(config: StudyConfig, population: Population | None = None
     return load_population(source)
 
 
-def _check_sizes(config: StudyConfig, pop: Population) -> None:
-    """Every sample size fits the population; checked before any task runs."""
-    for n in config.sample_sizes:
-        if n > pop.size:
-            raise ValueError(f"sample size {n} exceeds population size {pop.size}")
-
-
 def _population_info(config: StudyConfig, pop: Population) -> dict:
     digest = hashlib.sha256()
     digest.update(pop.ncs.tobytes())
@@ -623,30 +643,12 @@ def coverage_study(
     """
     workers = _count("workers", workers, 1)
     pop = resolve_population(config, population)
-    _check_sizes(config, pop)
+    table = _replications(config, pop, workers)
     true_values = {k.value: estimate(k, pop) for k in config.estimators}
-
-    kinds = config.estimators
-    groups = [
-        (n, method, cis)
-        for n in config.sample_sizes
-        for method in config.methods
-        if (cis := effective_ci_types(method, config.ci_types, config.ci_pairing))
-    ]
-
-    R = config.repetitions
-    chunk = R if workers <= 1 else max(1, math.ceil(R / (workers * 2)))
-    chunk = min(chunk, max(1, _BATCH_CELLS // config.B))
-    spans = [(lo, min(lo + chunk, R + 1)) for lo in range(1, R + 1, chunk)]
-    tasks = [(config, pop, n, method, lo, hi) for n, method, _ in groups for lo, hi in spans]
-    results = _execute(tasks, workers)
-
-    truths = np.array([true_values[k.value] for k in kinds])
-    cells: list[CellReport] = []
-    for g, (n, method, cis) in enumerate(groups):
-        _, v_parts, b_parts = zip(*results[g * len(spans) : (g + 1) * len(spans)])
-        v_hats, bounds = np.concatenate(v_parts, axis=1), np.concatenate(b_parts, axis=2)
-        cells.extend(_cells(n, method, cis, kinds, truths, v_hats, bounds))
+    truths = np.array(list(true_values.values()))
+    cells = []
+    for n, method, cis, _, v_hats, bounds in table:
+        cells.extend(_cells(n, method, cis, config.estimators, truths, v_hats, bounds))
     return StudyReport(
         config=config,
         population_info=_population_info(config, pop),

@@ -37,8 +37,13 @@ def log_factorials(k: int) -> np.ndarray:
 
 
 def binomial_pmf(n: int, p: float, lf: np.ndarray) -> np.ndarray:
-    """P(X = k) for k = 0 .. n, X ~ Binomial(n, p)."""
+    """P(X = k) for k = 0 .. n, X ~ Binomial(n, p), with p clipped to [0, 1].
+
+    The clip absorbs float dust: an exact sum of a law's terms can read
+    1 + 2e-12 where the true probability is 1.
+    """
     k = np.arange(n + 1)
+    p = min(max(p, 0.0), 1.0)
     if p in (0.0, 1.0):
         return (k == round(n * p)).astype(np.float64)
     return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p))
@@ -78,7 +83,7 @@ def percentile_contains(B: int, level: float, F: float, lf: np.ndarray) -> float
     """
     # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
     k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
-    return float(binomial_pmf(B, min(F, 1.0), lf)[k1:k2].sum())
+    return float(binomial_pmf(B, F, lf)[k1:k2].sum())
 
 
 def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:

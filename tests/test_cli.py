@@ -602,7 +602,7 @@ def test_oversized_n_is_one_error_for_estimate_and_simulate(tmp_path, capsys, mo
     def no_task(*args):
         raise AssertionError("a task ran before the sample sizes were checked")
 
-    monkeypatch.setattr("fpboot.cli._run_replications", no_task)
+    monkeypatch.setattr("fpboot.study._run_replications", no_task)
     monkeypatch.setattr("fpboot.study._execute", no_task)
     pop_path = str(tmp_path / "pop.csv")
     cli_dispatch(["synth", "--n", "300", "--out", pop_path])

@@ -21,15 +21,23 @@ SPEC = SynthSpec(12, 1.275, 13.7, 0.7)
 R, B = 4000, 1000
 # a study lands outside its band with probability at most 1e-6 per cell
 ALPHA = 1e-6
-# exact coverage at f = 5/12 and 9/12, where N mod n is 2 and 3; ppb at
-# n = 9 is the large-f cell where its pseudo-population's completion bites
+# exact coverage at f = 3/12, 5/12, 9/12 and 11/12, where N mod n is 0, 2,
+# 3 and 1; ppb at n = 9 and 11 are the large-f cells where its
+# pseudo-population's completion bites. The standard engine's coverage at
+# n = 11 is 1 to twelve places (its sum reads 1 + 2e-12): its band is [R, R].
 EXACT = {
+    (3, Method.STANDARD): 0.8140,
+    (3, Method.PPB): 0.6282,
+    (3, Method.MIRROR_MATCH): 0.8182,
     (5, Method.STANDARD): 0.8971,
     (5, Method.PPB): 0.8112,
     (5, Method.MIRROR_MATCH): 0.8512,
     (9, Method.STANDARD): 0.9797,
     (9, Method.PPB): 0.8195,
     (9, Method.MIRROR_MATCH): 0.9022,
+    (11, Method.STANDARD): 1.0,
+    (11, Method.PPB): 0.7045,
+    (11, Method.MIRROR_MATCH): 0.8333,
 }
 
 
@@ -42,8 +50,11 @@ def exact(values, n, method):
 
 
 def test_mncs_percentile_cells_hold_their_exact_coverage():
+    for n, plan in {3: (1, 2, 3, 0.75), 11: (10, 1, 2, 1 / 3)}.items():
+        got = mirror_match_plan(n, SPEC.size)
+        assert (got.n_prime, got.k_low, got.k_high, got.p_high) == pytest.approx(plan, rel=1e-12)
     config = StudyConfig(
-        SPEC, (5, 9), B=B, repetitions=R, methods=(Method.STANDARD, Method.PPB, Method.MIRROR_MATCH),
+        SPEC, (3, 5, 9, 11), B=B, repetitions=R, methods=(Method.STANDARD, Method.PPB, Method.MIRROR_MATCH),
         ci_types=(CiType.PERCENTILE,), estimators=(EstimatorKind.MNCS,), master_seed=5,
     )
     pop = resolve_population(config)

@@ -942,6 +942,37 @@ def test_a_task_is_the_rows_of_any_longer_task(method):
         assert_same_floats(rows[..., 20:, :] if rows.ndim == 4 else rows[:, 20:], part)
 
 
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_the_table_is_one_task_whatever_the_split(method, monkeypatch):
+    # the replication table, thetas included (reports see only reductions),
+    # is bit for bit one task over [1, R + 1) at one and two workers and
+    # with tasks capped at 3 replications
+    B, R = 7, 14
+    config = StudyConfig(
+        population_source=SynthSpec(size=60, mncs=1.275, pp=13.7), sample_sizes=(4, 20), B=B, repetitions=R,
+        methods=(method,), ci_types=ALL_CIS, estimators=tuple(EstimatorKind), master_seed=9, ci_pairing="all",
+    )
+    pop = study.resolve_population(config)
+    run_tasks = study._execute
+    spans = []
+
+    def execute(tasks, workers):
+        spans.append(max(hi - lo for *_, lo, hi in tasks))
+        return run_tasks(tasks, workers)
+
+    monkeypatch.setattr(study, "_execute", execute)
+    tables = [study._replications(config, pop, workers) for workers in (1, 2)]
+    monkeypatch.setattr(study, "_BATCH_CELLS", 3 * B)
+    tables += [study._replications(config, pop, workers) for workers in (1, 2)]
+    assert spans == [14, 4, 3, 3]
+    for table in tables:
+        assert [row[:3] for row in table] == [(n, method, ALL_CIS) for n in (4, 20)]
+        for (n, *_, thetas, v_hats, bounds) in table:
+            task = study._run_replications((config, pop, n, method, 1, R + 1))
+            for got, want in zip((thetas, v_hats, bounds), task):
+                assert_same_floats(got, want)
+
+
 # SHA-256 of the JSON report of the config below at master seed 1, per n.
 # JSON writes every float with repr, so a replicate value that moves by an
 # ulp shows. At n = 60 the population is exactly 5 copies of the sample and
