@@ -21,7 +21,18 @@ below it and F is that event's probability given t (and, for ppb, h). The
 coverage is the sum of that probability over t (and h), at the study's own
 B.
 
-numpy and ``math`` only: binomial coefficients come from a log-factorial
+The standard engine's BCa interval takes its ranks from z0 and the
+jackknife acceleration a. Given t, a is fixed and z0 = Phi^-1(M0 / B),
+with M0 = #{c* < t} ~ Binomial(B, P(c* < t)); ties with the estimate do
+not count. The interval contains the truth iff k1 <= L < k2 for the ranks
+(k1, k2) that M0 and a give, where L = #{c* <= c_a} counts the
+replicates below the truth. The two events are nested, so given M0 = m,
+L ~ Binomial(m, .) when c_a < t and L - m ~ Binomial(B - m, .) otherwise.
+At M0 = 0 or B the study falls back to the percentile ranks.
+
+numpy and ``math``, and for BCa the study's own normal quantile, CDF,
+tails and acceleration from ``fpboot.intervals``, so that the oracle's
+ranks are the study's: binomial coefficients come from a log-factorial
 table built as a cumulative sum of logs. Nothing here reads a random
 stream, so the oracle holds whatever the engines' draws are.
 """
@@ -29,6 +40,8 @@ stream, so the oracle holds whatever the engines' draws are.
 import math
 
 import numpy as np
+
+from fpboot.intervals import _accelerations, _norm_cdf, _norm_ppf, _tails
 
 
 def log_factorials(k: int) -> np.ndarray:
@@ -58,13 +71,18 @@ def hypergeometric_pmf(N: int, T: int, n: int, lf: np.ndarray) -> np.ndarray:
     return np.where(ok, np.exp(log_p), 0.0)
 
 
+def off_lattice(N: int, T: int, sizes) -> None:
+    """Refuse a truth 100 T / N that is a lattice point 100 c / m of a replicate size m in ``sizes``."""
+    if any(T * m % N == 0 for m in sizes):
+        raise ValueError("the truth is a lattice point at this replicate size; the two tails count different events")
+
+
 def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, sizes, below) -> float:
     """The sum over t of P(t) times, over ``below(t, lf)``'s (weight, F) pairs, P(k1 <= M < k2).
 
     ``sizes`` are the replicate sizes m the engine can draw.
     """
-    if any(T * m % N == 0 for m in sizes):
-        raise ValueError("the truth is a lattice point at this replicate size; the two tails count different events")
+    off_lattice(N, T, sizes)
     lf = log_factorials(max(N, B))
     coverage = 0.0
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
@@ -81,9 +99,13 @@ def percentile_contains(B: int, level: float, F: float, lf: np.ndarray) -> float
     F is one replicate's probability of lying below the truth, and ``lf``
     is ``log_factorials`` up to at least B.
     """
-    # the intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored
-    k1, k2 = math.ceil((1.0 - level) / 2.0 * B - 1e-9), math.ceil((0.5 + level / 2.0) * B - 1e-9)
+    k1, k2 = (rank(q, B) for q in _tails(level))
     return float(binomial_pmf(B, F, lf)[k1:k2].sum())
+
+
+def rank(q: float, B: int) -> int:
+    """The intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored, clamped to [1, B]."""
+    return min(max(math.ceil(q * B - 1e-9), 1), B)
 
 
 def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
@@ -94,6 +116,57 @@ def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 
         return [(1.0, float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum()))]
 
     return _percentile_coverage(N, T, n, B, level, (n,), below)
+
+
+def bca_ranks(B: int, level: float, m: int, a: float) -> tuple[int, int]:
+    """The study's BCa ranks (k1, k2) when m of B replicates lie strictly below the estimate.
+
+    The rank clamp to [1, B] covers the study's clamp of each adjusted
+    tail probability to [1e-12, 1 - 1e-12].
+    """
+    q_lo, q_hi = _tails(level)
+    if 0 < m < B:
+        z0 = _norm_ppf(m / B)
+
+        def adjusted(z: float) -> float:
+            t = z0 + z
+            den = 1.0 - a * t
+            return _norm_cdf(z0 + t / (den if den > 0.0 else 1e-12))
+
+        q_lo, q_hi = sorted((adjusted(_norm_ppf(q_lo)), adjusted(_norm_ppf(1.0 - q_lo))))
+    return rank(q_lo, B), rank(q_hi, B)
+
+
+def standard_bca_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
+    """Exact coverage of the standard engine's PP BCa interval at B replicates."""
+    off_lattice(N, T, (n,))
+    c_a = T * n // N
+    lf = log_factorials(max(N, B))
+    coverage = 0.0
+    for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
+        if weight == 0.0:
+            continue
+        pmf = binomial_pmf(n, t / n, lf)
+        # the sample's 0/100 values in one order: the acceleration's sums
+        # depend on the order only in their last bits
+        a = float(_accelerations(np.where(np.arange(n) < t, 100.0, 0.0)[None])[0])
+        below_t = float(pmf[:t].sum())
+        if c_a < t:
+            # L of the M0 replicates below t lie below the truth as well
+            share = float(pmf[: c_a + 1].sum()) / below_t if below_t else 0.0
+        else:
+            # all M0, and L - M0 of the others, lie below the truth
+            share = float(pmf[t : c_a + 1].sum()) / float(pmf[t:].sum())
+        for m, w in enumerate(binomial_pmf(B, below_t, lf).tolist()):
+            if w == 0.0:
+                continue
+            k1, k2 = bca_ranks(B, level, m, a)
+            if c_a < t:
+                inner = binomial_pmf(m, share, lf)[k1:k2]
+            else:
+                inner = binomial_pmf(B - m, share, lf)[max(k1 - m, 0) : max(k2 - m, 0)]
+            coverage += weight * w * float(inner.sum())
+    return coverage
 
 
 def ppb_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:

@@ -156,33 +156,11 @@ class TestBootstrapVariance:
             BootstrapReplicates(arrays["estimates"], arrays["t_variances"])
 
 
-class TestStandardBootstrap:
-    def test_degenerate_sample(self):
-        s = constant_sample(5, 100)
-        reps = standard_bootstrap(s, 50, EstimatorKind.MNCS, make_rng(1, 0))
-        assert np.all(reps.estimates == 2.5)
-
-    def test_replicate_count(self):
-        s = lognormal_sample(20, 200)
-        reps = standard_bootstrap(s, 37, EstimatorKind.MNCS, make_rng(1, 1))
-        assert reps.B == 37 and reps.estimates.size == 37
-
-    def test_determinism(self):
-        s = lognormal_sample(30, 300)
-        a = standard_bootstrap(s, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        b = standard_bootstrap(s, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.t_variances, b.t_variances)
-
-    def test_variance_closed_form(self):
-        # conditional on the sample, Var*(mean) = s^2 (n-1) / n^2
-        s = lognormal_sample(100, 10_000, seed=3)
-        reps = standard_bootstrap(s, 10_000, EstimatorKind.MNCS, make_rng(8, 0))
-        expected = sample_variance(s.ncs) * 99 / 100**2
-        assert bootstrap_variance(reps) == pytest.approx(expected, rel=0.05)
-
-    def test_variance_against_brute_force(self):
-        # independent oracle: plain python resampler on the same sample
+class TestVarianceAgainstBruteForce:
+    # Each engine's bootstrap variance against an independent plain-Python
+    # resampler of the same design on the same sample: the reference
+    # implementations of the three designs.
+    def test_standard(self):
         s = lognormal_sample(60, 10_000, seed=5)
         values = s.ncs.tolist()
         prng = random.Random(987)
@@ -197,34 +175,9 @@ class TestStandardBootstrap:
         reps = standard_bootstrap(s, 20_000, EstimatorKind.MNCS, make_rng(8, 1))
         assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.08)
 
-    def test_small_sample_rejected(self):
-        with pytest.raises(ValueError):
-            standard_bootstrap(constant_sample(1, 10), 10, EstimatorKind.MNCS, make_rng(0, 0))
-
-
-class TestPpbBootstrap:
-    def test_census_zero_variance(self):
-        s = lognormal_sample(40, 40)
-        reps = ppb_bootstrap(s, 40, 300, EstimatorKind.MNCS, make_rng(3, 0), with_t_variances=True)
-        assert np.all(reps.estimates == reps.estimates[0])
-        assert bootstrap_variance(reps) == 0.0
-        assert np.all(reps.t_variances == 0.0)
-
-    def test_degenerate_sample(self):
-        s = constant_sample(8, 20)
-        reps = ppb_bootstrap(s, 20, 100, EstimatorKind.MNCS, make_rng(3, 1))
-        assert np.all(reps.estimates == reps.estimates[0])
-
-    def test_variance_contract(self):
-        # FPC contract: Var* ~= (1 - f) s^2 / n at f = 0.5
-        s = lognormal_sample(100, 200, seed=11)
-        reps = ppb_bootstrap(s, 200, 10_000, EstimatorKind.MNCS, make_rng(3, 2))
-        expected = 0.5 * sample_variance(s.ncs) / 100
-        assert bootstrap_variance(reps) == pytest.approx(expected, rel=0.10)
-
-    def test_variance_against_brute_force(self):
-        # independent oracle: python SRSWOR redraws from the engine's one
-        # pseudo-population, whose completion is the first draw of its stream
+    def test_ppb(self):
+        # SRSWOR redraws from the engine's one pseudo-population, whose
+        # completion is the first draw of its stream
         s = lognormal_sample(24, 60, seed=13)
         copies = _pseudo_population(make_rng(3, 3).generator, 24, 60)
         pseudo = np.repeat(s.ncs, copies).tolist()
@@ -238,17 +191,18 @@ class TestPpbBootstrap:
         reps = ppb_bootstrap(s, 60, 20_000, EstimatorKind.MNCS, make_rng(3, 3))
         assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.10)
 
-    def test_pp_estimator_scale(self):
-        s = lognormal_sample(50, 100, seed=7)
-        reps = ppb_bootstrap(s, 100, 200, EstimatorKind.PP_TOP10, make_rng(3, 5))
-        assert np.all(reps.estimates >= 0) and np.all(reps.estimates <= 100)
-
-    def test_determinism(self):
-        s = lognormal_sample(30, 100)
-        a = ppb_bootstrap(s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        b = ppb_bootstrap(s, 100, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.t_variances, b.t_variances)
+    def test_mirror_match(self):
+        s = lognormal_sample(30, 60, seed=19)
+        values = s.ncs.tolist()
+        prng = random.Random(7654)
+        means = []  # k = 2 subsamples of n' = 15, concatenated
+        for _ in range(20_000):
+            resample = prng.sample(values, 15) + prng.sample(values, 15)
+            means.append(sum(resample) / 30)
+        mu = sum(means) / len(means)
+        oracle = sum((m - mu) ** 2 for m in means) / (len(means) - 1)
+        reps = mirror_match_bootstrap(s, 60, 20_000, EstimatorKind.MNCS, make_rng(6, 3))
+        assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.10)
 
 
 def mirror_target(n, N, n_prime):
@@ -371,48 +325,6 @@ class TestMirrorMatchPlan:
         assert 0.0 <= plan.p_high <= 1.0
         inverse_mean = plan.p_high / plan.k_high + (1 - plan.p_high) / plan.k_low
         assert inverse_mean == pytest.approx(1 / float(k_target), rel=1e-9)
-
-
-class TestMirrorMatchBootstrap:
-    def test_census_zero_variance(self):
-        s = lognormal_sample(40, 40)
-        reps = mirror_match_bootstrap(s, 40, 300, EstimatorKind.MNCS, make_rng(6, 0), with_t_variances=True)
-        assert np.all(reps.estimates == reps.estimates[0])
-        assert bootstrap_variance(reps) == 0.0
-        assert np.all(reps.t_variances == 0.0)
-
-    def test_degenerate_sample(self):
-        # integer k (f = 0.5) so every replicate has the same shape
-        s = constant_sample(10, 20)
-        reps = mirror_match_bootstrap(s, 20, 100, EstimatorKind.MNCS, make_rng(6, 1))
-        assert np.all(reps.estimates == reps.estimates[0])
-
-    def test_variance_contract(self):
-        # f' = f and k * n' = n make the contract exact: (1 - f) s^2 / n
-        s = lognormal_sample(100, 200, seed=17)
-        reps = mirror_match_bootstrap(s, 200, 10_000, EstimatorKind.MNCS, make_rng(6, 2))
-        expected = 0.5 * sample_variance(s.ncs) / 100
-        assert bootstrap_variance(reps) == pytest.approx(expected, rel=0.10)
-
-    def test_variance_against_brute_force(self):
-        s = lognormal_sample(30, 60, seed=19)
-        values = s.ncs.tolist()
-        prng = random.Random(7654)
-        means = []  # k = 2 subsamples of n' = 15, concatenated
-        for _ in range(20_000):
-            resample = prng.sample(values, 15) + prng.sample(values, 15)
-            means.append(sum(resample) / 30)
-        mu = sum(means) / len(means)
-        oracle = sum((m - mu) ** 2 for m in means) / (len(means) - 1)
-        reps = mirror_match_bootstrap(s, 60, 20_000, EstimatorKind.MNCS, make_rng(6, 3))
-        assert bootstrap_variance(reps) == pytest.approx(oracle, rel=0.10)
-
-    def test_determinism(self):
-        s = lognormal_sample(30, 200)
-        a = mirror_match_bootstrap(s, 200, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        b = mirror_match_bootstrap(s, 200, 600, EstimatorKind.MNCS, make_rng(4, 9), with_t_variances=True)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.t_variances, b.t_variances)
 
 
 class TestCountKernels:
@@ -565,22 +477,27 @@ class TestExactReplicates:
 
 
 class TestVarianceGrid:
-    # FPC contract Var* ~= (1 - f) s^2 / n over a grid of f. N = n/f + 7
-    # leaves a pseudo-population remainder and a randomized mirror-match k.
+    # FPC contract Var* ~= (1 - f) s^2 / n over a grid of f, and the standard
+    # engine's (n - 1) s^2 / n^2 at every f. N = n/f + 7 leaves a
+    # pseudo-population remainder and a randomized mirror-match k.
     @pytest.mark.parametrize("f", [0.1, 0.25, 0.5])
-    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap])
+    @pytest.mark.parametrize("engine", [ppb_bootstrap, mirror_match_bootstrap, standard_bootstrap])
     def test_variance_ratio(self, engine, f):
         n, B = 200, 20_000
         N = round(n / f) + 7
         s = lognormal_sample(n, N, seed=29)
-        reps = engine(s, N, B, EstimatorKind.MNCS, make_rng(10, 0))
+        if engine is standard_bootstrap:
+            reps = engine(s, B, EstimatorKind.MNCS, make_rng(10, 0))
+            target = (n - 1) * sample_variance(s.ncs) / n**2
+        else:
+            reps = engine(s, N, B, EstimatorKind.MNCS, make_rng(10, 0))
+            target = (1 - n / N) * sample_variance(s.ncs) / n
         v = bootstrap_variance(reps)
         # relative Monte Carlo standard error of a B-replicate variance: the
         # spread of the squared deviations, at least sqrt(2 / (B - 1))
         dev2 = (reps.estimates - reps.estimates.mean()) ** 2
         se = max(np.std(dev2, ddof=1) / math.sqrt(B) / v, math.sqrt(2 / (B - 1)))
-        ratio = v / ((1 - n / N) * sample_variance(s.ncs) / n)
-        assert abs(ratio - 1) <= 5 * se
+        assert abs(v / target - 1) <= 5 * se
 
 
 class TestLargeFractionVariance:
@@ -731,26 +648,18 @@ class TestEngineChecks:
             ENGINES[engine](lognormal_sample(30, 100), N, 10, EstimatorKind.MNCS, rng, False)
         assert rng.generator.random() == make_rng(15, 0).generator.random()
 
-    @pytest.mark.parametrize("engine", ["ppb", "mirror"])
-    def test_census_draws_nothing(self, engine):
-        s = lognormal_sample(40, 40, seed=3)
+    @pytest.mark.parametrize(
+        "engine,n", [("ppb", 40), ("mirror", 40), ("ppb", 2), ("mirror", 2)], ids=["ppb", "mirror", "ppb-2", "mirror-2"]
+    )
+    def test_census_draws_nothing(self, engine, n):
+        # n = 2 is the smallest census: one pseudo-population copy, n' = n
+        s = lognormal_sample(n, n, seed=3)
         rng = make_rng(14, 0)
-        reps = ENGINES[engine](s, 40, 300, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10), rng, True)
+        reps = ENGINES[engine](s, n, 300, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10), rng, True)
         for kind, r in zip((EstimatorKind.MNCS, EstimatorKind.PP_TOP10), reps):
             assert np.all(r.estimates == estimate(kind, s))
             assert np.all(r.t_variances == 0.0)
         assert rng.generator.random() == make_rng(14, 0).generator.random()
-
-
-class TestVarianceOrdering:
-    def test_standard_exceeds_fpc_methods(self):
-        # f = 0.5; the uncorrected engine overestimates by about 1/(1-f)
-        s = lognormal_sample(100, 200, seed=23)
-        v_std = bootstrap_variance(standard_bootstrap(s, 10_000, EstimatorKind.MNCS, make_rng(9, 0)))
-        v_ppb = bootstrap_variance(ppb_bootstrap(s, 200, 10_000, EstimatorKind.MNCS, make_rng(9, 1)))
-        v_mm = bootstrap_variance(mirror_match_bootstrap(s, 200, 10_000, EstimatorKind.MNCS, make_rng(9, 2)))
-        assert v_std > v_ppb
-        assert v_std > v_mm
 
 
 # Reference block code with fresh temporaries per block: the same stream

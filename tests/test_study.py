@@ -300,58 +300,6 @@ class TestCiPairing:
         assert base != cell_stream_base(101, Method.PPB)
 
 
-class TestRunCell:
-    """One (n, method) group with one estimator, run as a one-size coverage study."""
-
-    @staticmethod
-    def cells(size=400, workers=1, **fields):
-        spec = SynthSpec(size=size, mncs=1.275, pp=13.7)
-        return coverage_study(StudyConfig(population_source=spec, **fields), workers=workers).cells
-
-    def test_single_repetition_coverage_is_binary(self):
-        cells = self.cells(
-            sample_sizes=(80,), B=200, repetitions=1, methods=(Method.STANDARD,),
-            ci_types=(CiType.NORMAL,), estimators=(EstimatorKind.MNCS,), master_seed=3,
-        )
-        assert len(cells) == 1
-        assert cells[0].coverage in (0.0, 1.0)
-        assert cells[0].r_effective == 1
-
-    def test_determinism(self):
-        kwargs = dict(
-            sample_sizes=(60,), B=150, repetitions=12, methods=(Method.PPB,), ci_types=ALL_CIS,
-            estimators=(EstimatorKind.PP_TOP10,), master_seed=5,
-        )
-        assert self.cells(**kwargs) == self.cells(**kwargs)
-
-    def test_census_cells(self):
-        for method in (Method.PPB, Method.MIRROR_MATCH):
-            cells = self.cells(
-                size=120, sample_sizes=(120,), B=100, repetitions=4, methods=(method,),
-                ci_types=ALL_CIS, estimators=(EstimatorKind.MNCS,), master_seed=1,
-            )
-            assert cells
-            for c in cells:
-                assert c.coverage == 1.0
-                assert c.avg_variance == 0.0
-                if c.ci_type in (CiType.NORMAL, CiType.PERCENTILE):
-                    assert c.avg_length == 0.0
-
-    def test_worker_count_does_not_change_results(self):
-        kwargs = dict(
-            sample_sizes=(50,), B=120, repetitions=10, methods=(Method.MIRROR_MATCH,),
-            ci_types=(CiType.NORMAL, CiType.PERCENTILE), estimators=(EstimatorKind.MNCS,), master_seed=8,
-        )
-        assert self.cells(workers=1, **kwargs) == self.cells(workers=2, **kwargs)
-
-    def test_oversized_sample_rejected(self):
-        with pytest.raises(ValueError):
-            self.cells(
-                size=30, sample_sizes=(31,), B=100, repetitions=1, methods=(Method.STANDARD,),
-                ci_types=(CiType.NORMAL,), estimators=(EstimatorKind.MNCS,),
-            )
-
-
 class TestCoverageStudy:
     @staticmethod
     def config(**overrides):
@@ -389,6 +337,31 @@ class TestCoverageStudy:
         keys = {(c.n, c.method, c.ci_type) for c in report.cells}
         assert len(keys) == 8
 
+    def test_single_repetition_coverage_is_binary(self):
+        (cell,) = coverage_study(
+            self.config(
+                population_source=SynthSpec(size=400, mncs=1.275, pp=13.7), sample_sizes=(80,), B=200,
+                repetitions=1, methods=(Method.STANDARD,), ci_types=(CiType.NORMAL,), master_seed=3,
+            )
+        ).cells
+        assert cell.coverage in (0.0, 1.0)
+        assert cell.r_effective == 1
+
+    @pytest.mark.parametrize("method", [Method.PPB, Method.MIRROR_MATCH])
+    def test_census_cells(self, method):
+        cells = coverage_study(
+            self.config(
+                population_source=SynthSpec(size=120, mncs=1.275, pp=13.7), sample_sizes=(120,), B=100,
+                repetitions=4, methods=(method,), ci_types=ALL_CIS, master_seed=1,
+            )
+        ).cells
+        assert cells
+        for c in cells:
+            assert c.coverage == 1.0
+            assert c.avg_variance == 0.0
+            if c.ci_type in (CiType.NORMAL, CiType.PERCENTILE):
+                assert c.avg_length == 0.0
+
     def test_true_values_come_from_population(self):
         report = coverage_study(self.config(estimators=(EstimatorKind.MNCS, EstimatorKind.PP_TOP10)))
         pop = synth(size=300, seed=17)  # same spec/seed as the config
@@ -404,12 +377,6 @@ class TestCoverageStudy:
         both = coverage_study(self.config(estimators=tuple(EstimatorKind), **fields), workers=2)
         one = coverage_study(self.config(estimators=(kind,), **fields))
         assert one.cells == tuple(c for c in both.cells if c.estimator is kind)
-
-    def test_report_determinism_and_worker_independence(self):
-        cfg = self.config()
-        a = coverage_study(cfg, workers=1)
-        b = coverage_study(cfg, workers=2)
-        assert a.to_dict() == b.to_dict()
 
     def test_file_source_is_loaded_by_the_study(self, tmp_path):
         path = tmp_path / "pop.csv"
