@@ -1,47 +1,53 @@
-"""Exact PP(top 10%) coverage of the three engines' percentile intervals.
+"""Exact PP(top 10%) coverage of the three engines' percentile and BCa intervals.
 
 Every PP unit value is 0 or 100, so a sample is summed up by t, its number
-of flagged records, and a replicate by c*, the flagged units it draws:
-t ~ Hypergeometric(N, T, n) and, for the standard engine,
-c* ~ Binomial(n, t/n). ppb completes one pseudo-population per
-replication, with K = k t + h flagged records, (k, r) = divmod(N, n) and
-h ~ Hypergeometric(n, t, r) the flagged units among the r extra copies;
-then c* ~ Hypergeometric(N, K, n). A mirror-match replicate joins k
-subsamples of size n', so c* is the sum S_k of k independent
-Hypergeometric(n, t, n') draws, with k = k_high with probability p_high
-and k_low otherwise, and its size is m = k n'.
+of flagged records, t ~ Hypergeometric(N, T, n), and a replicate by the
+lattice point 100 c / m: c flagged units drawn in a replicate of size m.
+Given t, an engine's law lists what a replication draws once, with its
+weight, and for each such draw the categories (c, m) with probabilities:
 
-A replicate of size m lies at or below the truth 100 T / N iff
-c* <= floor(T m / N), and strictly below it unless the truth is a lattice
-point 100 c / m (N / gcd(N, T) divides m). Off the lattice the percentile
-interval, the k1-th and k2-th order statistics of B replicates
-(k1 = ceil(0.025 B), k2 = ceil(0.975 B) at level 0.95), contains the truth
-iff k1 <= M < k2, where M ~ Binomial(B, F) counts the replicates at or
-below it and F is that event's probability given t (and, for ppb, h). The
-coverage is the sum of that probability over t (and h), at the study's own
-B.
+* standard: nothing drawn once; c ~ Binomial(n, t/n), m = n;
+* ppb: one completion, with h ~ Hypergeometric(n, t, r) flagged units
+  among its r extra copies ((k, r) = divmod(N, n)); then
+  c ~ Hypergeometric(N, k t + h, n), m = n;
+* mirror-match: nothing drawn once; c sums k independent
+  Hypergeometric(n, t, n') subsample counts and m = k n', with k = k_high
+  with probability p_high and k_low otherwise, drawn per replicate.
 
-The standard engine's BCa interval takes its ranks from z0 and the
-jackknife acceleration a. Given t, a is fixed and z0 = Phi^-1(M0 / B),
-with M0 = #{c* < t} ~ Binomial(B, P(c* < t)); ties with the estimate do
-not count. The interval contains the truth iff k1 <= L < k2 for the ranks
-(k1, k2) that M0 and a give, where L = #{c* <= c_a} counts the
-replicates below the truth. The two events are nested, so given M0 = m,
-L ~ Binomial(m, .) when c_a < t and L - m ~ Binomial(B - m, .) otherwise.
-At M0 = 0 or B the study falls back to the percentile ranks.
+One sum, ``coverage``, runs over t and the draws. Each draw gives, by
+integer comparison, F_truth = P(c N < T m) that a replicate lies below the
+truth 100 T / N, F_est = P(c n < t m) that it lies below the estimate
+100 t / n (ties do not count), and which of the two is lower. The truth
+must be off the lattice of every replicate size m (N / gcd(N, T) does not
+divide m), or the two tails count different events. The interval, the
+k1-th and k2-th order statistics of B replicates, contains the truth iff
+k1 <= L < k2, where L counts the replicates below the truth:
 
+* percentile: k1 = ceil(0.025 B), k2 = ceil(0.975 B) at level 0.95, and
+  L ~ Binomial(B, F_truth);
+* BCa: M0 ~ Binomial(B, F_est) and the jackknife acceleration, fixed by
+  t, give the ranks (z0 = Phi^-1(M0 / B); the percentile ranks at M0 = 0
+  or B). Below the truth and below the estimate are nested events for any
+  law, so given M0 = m0, L ~ Binomial(m0, .) when the truth is lower and
+  L - m0 ~ Binomial(B - m0, .) otherwise.
+
+Sample counts, draws and M0 counts less likely than 1e-18 are skipped.
 numpy and ``math``, and for BCa the study's own normal quantile, CDF,
 tails and acceleration from ``fpboot.intervals``, so that the oracle's
-ranks are the study's: binomial coefficients come from a log-factorial
-table built as a cumulative sum of logs. Nothing here reads a random
-stream, so the oracle holds whatever the engines' draws are.
+ranks are the study's. Nothing here reads a random stream, so the oracle
+holds whatever the engines' draws are.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
+from fpboot import CiType, Method, mirror_match_plan
 from fpboot.intervals import _accelerations, _norm_cdf, _norm_ppf, _tails
+
+# sample counts, draws and M0 counts less likely than this are skipped
+NEGLIGIBLE = 1e-18
 
 
 def log_factorials(k: int) -> np.ndarray:
@@ -71,26 +77,82 @@ def hypergeometric_pmf(N: int, T: int, n: int, lf: np.ndarray) -> np.ndarray:
     return np.where(ok, np.exp(log_p), 0.0)
 
 
-def off_lattice(N: int, T: int, sizes) -> None:
-    """Refuse a truth 100 T / N that is a lattice point 100 c / m of a replicate size m in ``sizes``."""
-    if any(T * m % N == 0 for m in sizes):
-        raise ValueError("the truth is a lattice point at this replicate size; the two tails count different events")
+# The laws. Given t, each returns the replication's draws as
+# (weight, c, m, p): replicate categories 100 c / m with probabilities p.
 
 
-def _percentile_coverage(N: int, T: int, n: int, B: int, level: float, sizes, below) -> float:
-    """The sum over t of P(t) times, over ``below(t, lf)``'s (weight, F) pairs, P(k1 <= M < k2).
+def standard_law(n: int, t: int, lf: np.ndarray) -> list:
+    """The standard engine's law given t: c ~ Binomial(n, t/n)."""
+    return [(1.0, np.arange(n + 1), n, binomial_pmf(n, t / n, lf))]
 
-    ``sizes`` are the replicate sizes m the engine can draw.
+
+def ppb_law(N: int, n: int, t: int, lf: np.ndarray) -> list:
+    """ppb's law given t: one completion's h flagged extra copies, then c ~ Hypergeometric(N, k t + h, n)."""
+    k, r = divmod(N, n)
+    completions = enumerate(hypergeometric_pmf(n, t, r, lf).tolist())
+    return [(w, np.arange(n + 1), n, hypergeometric_pmf(N, k * t + h, n, lf)) for h, w in completions if w]
+
+
+def mirror_law(plan, n: int, t: int, lf: np.ndarray) -> list:
+    """Mirror-match's law given t: c sums k subsample counts, m = k n', and k is drawn per replicate.
+
+    ``plan`` gives the engine's n_prime, k_low, k_high and p_high, as
+    ``fpboot.mirror_match_plan(n, N)`` does.
     """
-    off_lattice(N, T, sizes)
-    lf = log_factorials(max(N, B))
-    coverage = 0.0
+    # sums[k] is the pmf of the sum of k subsamples' counts: one subsample's pmf convolved k times
+    one, sums = hypergeometric_pmf(n, t, plan.n_prime, lf), [np.ones(1)]
+    for _ in range(plan.k_high):
+        sums.append(np.convolve(sums[-1], one))
+    ks = [(k, q) for k, q in ((plan.k_low, 1.0 - plan.p_high), (plan.k_high, plan.p_high)) if q > 0.0]
+    c = np.concatenate([np.arange(k * plan.n_prime + 1) for k, _ in ks])
+    m = np.concatenate([np.full(k * plan.n_prime + 1, k * plan.n_prime) for k, _ in ks])
+    return [(1.0, c, m, np.concatenate([q * sums[k] for k, q in ks]))]
+
+
+def sample_draws(method: Method, N: int, T: int, n: int, lf: np.ndarray, plan=None):
+    """Each flagged count t of the sample, with ``method``'s draws given t, weighted by P(t) as well.
+
+    Mirror-match's ``plan`` defaults to the engine's own. Refuses a truth
+    100 T / N that is a lattice point 100 c / m of a replicate size m.
+    """
+    if method is Method.STANDARD:
+        law = partial(standard_law, n)
+    elif method is Method.PPB:
+        law = partial(ppb_law, N, n)
+    else:
+        law = partial(mirror_law, plan or mirror_match_plan(n, N), n)
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
-        if weight == 0.0:
+        if weight < NEGLIGIBLE:
             continue
-        for w, cdf in below(t, lf):
-            coverage += weight * w * percentile_contains(B, level, cdf, lf)
-    return coverage
+        draws = [(weight * w, c, m, p) for w, c, m, p in law(t, lf) if weight * w >= NEGLIGIBLE]
+        if any(np.any(T * m % N == 0) for _, _, m, _ in draws):
+            raise ValueError("the truth is a lattice point of a replicate size; the two tails count different events")
+        yield t, draws
+
+
+def coverage(method: Method, ci: CiType, N: int, T: int, n: int, B: int, level: float = 0.95, plan=None) -> float:
+    """Exact coverage of ``method``'s PP interval of type ``ci`` (percentile or BCa) at B replicates."""
+    lf = log_factorials(max(N, B))
+    total = 0.0
+    for t, draws in sample_draws(method, N, T, n, lf, plan):
+        if ci is CiType.BCA:
+            # the sample's 0/100 values in one order: the acceleration's sums
+            # depend on the order only in their last bits
+            a = float(_accelerations(np.where(np.arange(n) < t, 100.0, 0.0)[None])[0])
+            ranks = [bca_ranks(B, level, m0, a) for m0 in range(B + 1)]
+            truth_lower = T * n < t * N
+        for weight, c, m, p in draws:
+            below_truth = c * N < T * m
+            if ci is CiType.BCA:
+                total += weight * bca_contains(B, ranks, p, below_truth, c * n < t * m, truth_lower, lf)
+            else:
+                total += weight * percentile_contains(B, level, float(p[below_truth].sum()), lf)
+    return total
+
+
+def mirror_percentile_coverage(N: int, T: int, n: int, B: int, plan, level: float = 0.95) -> float:
+    """Exact coverage of the mirror-match engine's PP percentile interval under ``plan``."""
+    return coverage(Method.MIRROR_MATCH, CiType.PERCENTILE, N, T, n, B, level, plan)
 
 
 def percentile_contains(B: int, level: float, F: float, lf: np.ndarray) -> float:
@@ -103,19 +165,32 @@ def percentile_contains(B: int, level: float, F: float, lf: np.ndarray) -> float
     return float(binomial_pmf(B, F, lf)[k1:k2].sum())
 
 
+def bca_contains(B: int, ranks, p: np.ndarray, below_truth, below_est, truth_lower: bool, lf: np.ndarray) -> float:
+    """P(k1 <= L < k2), the chance that B replicates' BCa interval contains the truth.
+
+    ``p`` holds one replicate's category probabilities and ``below_truth``
+    and ``below_est`` mark the categories below the truth and strictly
+    below the estimate. M0 replicates lie below the estimate and set the
+    ranks ``ranks[M0]``; those on the truth's side of it lie below the
+    truth with probability ``share`` each, and when the estimate is lower
+    all M0 do.
+    """
+    side = below_est if truth_lower else ~below_est
+    on_side = float(p[side].sum())
+    share = float(p[below_truth & side].sum()) / on_side if on_side else 0.0
+    total = 0.0
+    for m0, w in enumerate(binomial_pmf(B, float(p[below_est].sum()), lf).tolist()):
+        if w < NEGLIGIBLE:
+            continue
+        k1, k2 = ranks[m0]
+        base, size = (0, m0) if truth_lower else (m0, B - m0)
+        total += w * float(binomial_pmf(size, share, lf)[max(k1 - base, 0) : max(k2 - base, 0)].sum())
+    return total
+
+
 def rank(q: float, B: int) -> int:
     """The intervals' rank rule: the ceil(q * B)-th order statistic, float dust ignored, clamped to [1, B]."""
     return min(max(math.ceil(q * B - 1e-9), 1), B)
-
-
-def standard_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
-    """Exact coverage of the standard engine's PP percentile interval at B replicates."""
-    c_a = T * n // N
-
-    def below(t, lf):
-        return [(1.0, float(binomial_pmf(n, t / n, lf)[: c_a + 1].sum()))]
-
-    return _percentile_coverage(N, T, n, B, level, (n,), below)
 
 
 def bca_ranks(B: int, level: float, m: int, a: float) -> tuple[int, int]:
@@ -135,69 +210,6 @@ def bca_ranks(B: int, level: float, m: int, a: float) -> tuple[int, int]:
 
         q_lo, q_hi = sorted((adjusted(_norm_ppf(q_lo)), adjusted(_norm_ppf(1.0 - q_lo))))
     return rank(q_lo, B), rank(q_hi, B)
-
-
-def standard_bca_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
-    """Exact coverage of the standard engine's PP BCa interval at B replicates."""
-    off_lattice(N, T, (n,))
-    c_a = T * n // N
-    lf = log_factorials(max(N, B))
-    coverage = 0.0
-    for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
-        if weight == 0.0:
-            continue
-        pmf = binomial_pmf(n, t / n, lf)
-        # the sample's 0/100 values in one order: the acceleration's sums
-        # depend on the order only in their last bits
-        a = float(_accelerations(np.where(np.arange(n) < t, 100.0, 0.0)[None])[0])
-        below_t = float(pmf[:t].sum())
-        if c_a < t:
-            # L of the M0 replicates below t lie below the truth as well
-            share = float(pmf[: c_a + 1].sum()) / below_t if below_t else 0.0
-        else:
-            # all M0, and L - M0 of the others, lie below the truth
-            share = float(pmf[t : c_a + 1].sum()) / float(pmf[t:].sum())
-        for m, w in enumerate(binomial_pmf(B, below_t, lf).tolist()):
-            if w == 0.0:
-                continue
-            k1, k2 = bca_ranks(B, level, m, a)
-            if c_a < t:
-                inner = binomial_pmf(m, share, lf)[k1:k2]
-            else:
-                inner = binomial_pmf(B - m, share, lf)[max(k1 - m, 0) : max(k2 - m, 0)]
-            coverage += weight * w * float(inner.sum())
-    return coverage
-
-
-def ppb_percentile_coverage(N: int, T: int, n: int, B: int, level: float = 0.95) -> float:
-    """Exact coverage of the ppb engine's PP percentile interval at B replicates."""
-    k, r = divmod(N, n)
-    c_a = T * n // N
-
-    def below(t, lf):
-        completions = enumerate(hypergeometric_pmf(n, t, r, lf).tolist())
-        return [(w, float(hypergeometric_pmf(N, k * t + h, n, lf)[: c_a + 1].sum())) for h, w in completions if w]
-
-    return _percentile_coverage(N, T, n, B, level, (n,), below)
-
-
-def mirror_percentile_coverage(N: int, T: int, n: int, B: int, plan, level: float = 0.95) -> float:
-    """Exact coverage of the mirror-match engine's PP percentile interval at B replicates.
-
-    ``plan`` gives the engine's n_prime, k_low, k_high and p_high, as
-    ``fpboot.mirror_match_plan(n, N)`` does.
-    """
-    # each k the engine draws, with its probability
-    ks = [(k, p) for k, p in ((plan.k_low, 1.0 - plan.p_high), (plan.k_high, plan.p_high)) if p > 0.0]
-
-    def below(t, lf):
-        # sums[k] is the pmf of S_k: one subsample's pmf convolved k times
-        one, sums = hypergeometric_pmf(n, t, plan.n_prime, lf), [np.ones(1)]
-        for _ in range(plan.k_high):
-            sums.append(np.convolve(sums[-1], one))
-        return [(1.0, sum(p * float(sums[k][: T * k * plan.n_prime // N + 1].sum()) for k, p in ks))]
-
-    return _percentile_coverage(N, T, n, B, level, [k * plan.n_prime for k, _ in ks], below)
 
 
 def binomial_band(R: int, p: float, alpha: float) -> tuple[int, int]:

@@ -16,7 +16,6 @@ from fpboot.sampling import make_rng, srswor
 from fpboot.study import (
     StudyConfig,
     SynthSpec,
-    _run_replications,
     bootstrap,
     cell_stream_base,
     config_from_dict,
@@ -449,33 +448,6 @@ def test_estimate_matches_the_constructors(tmp_path, capsys, method, ci, estimat
         exits.append(code)
     # the standard engine on the one-flag census drops a third of its replicates
     assert exits[2] == (1 if (method, ci, estimator) == (Method.STANDARD, CiType.BOOTSTRAP_T, EstimatorKind.PP_TOP10) else 0)
-
-
-@pytest.mark.parametrize("estimator", list(EstimatorKind))
-@pytest.mark.parametrize("ci", list(CiType))
-@pytest.mark.parametrize("method", METHODS)
-def test_estimate_prints_replication_1_of_the_cell(tmp_path, capsys, method, ci, estimator):
-    # the one-cell study simulate runs with the same seed: its task's first
-    # replication, and a report cell whose one replication is that one
-    for name, n, seed, _ in ESTIMATE_CASES:
-        code, err, out, pop = estimate_lines(tmp_path, capsys, method, ci, estimator, name, n, seed)
-        n = n or pop.size
-        config = StudyConfig(
-            population_source=name, sample_sizes=(n,), B=300, repetitions=1, methods=(method,), ci_types=(ci,),
-            estimators=(estimator,), master_seed=seed, ci_pairing="all",
-        )
-        thetas, v_hats, bounds = _run_replications((config, pop, n, method, 1, 2))
-        lower, upper = bounds[0, 0, 0]
-        assert coverage_study(config, pop).cells[0].avg_variance == v_hats[0, 0]
-        if np.isnan(lower):
-            assert code == 1 and "bootstrap-t interval undefined" in err
-            continue
-        assert code == 0
-        assert out == [
-            f"{estimator.value} {thetas[0, 0]:.12g}",
-            f"variance {v_hats[0, 0]:.12g}",
-            f"ci {ci.value} {lower:.12g} {upper:.12g}",
-        ]
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -1,7 +1,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -1,7 +1,7 @@
 """The package's public names, pinned: adding or removing an export is a one-line diff here.
 
-Every module-level import in ``src/fpboot`` is used, too: an import left
-behind by a refactor fails ``test_module_imports_are_used``.
+Every module-level import in ``src/fpboot`` and ``tests`` is used, too: an
+import left behind by a refactor fails ``test_module_imports_are_used``.
 """
 
 import ast
@@ -17,6 +17,7 @@ import fpboot
 from test_benchmark_pins import study_calls
 
 SRC = Path(fpboot.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 PUBLIC_NAMES = [
     "BootstrapReplicates",
@@ -121,7 +122,7 @@ def unused_imports(path: Path) -> list:
     return sorted(imported - used - exported)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     # fpboot.study imports the names perfbench's tracing wraps, whether the study calls them or not
     allowed = set(study_calls()) if path.name == "study.py" else set()
