@@ -109,18 +109,20 @@ def mirror_law(plan, n: int, t: int, lf: np.ndarray) -> list:
     return [(1.0, c, m, np.concatenate([q * sums[k] for k, q in ks]))]
 
 
+def engine_law(method: Method, N: int, n: int, plan=None):
+    """``method``'s law at sizes (N, n), a function of (t, lf); mirror-match's ``plan`` defaults to the engine's own."""
+    if method is Method.MIRROR_MATCH:
+        return partial(mirror_law, plan or mirror_match_plan(n, N), n)
+    return partial(standard_law, n) if method is Method.STANDARD else partial(ppb_law, N, n)
+
+
 def sample_draws(method: Method, N: int, T: int, n: int, lf: np.ndarray, plan=None):
     """Each flagged count t of the sample, with ``method``'s draws given t, weighted by P(t) as well.
 
     Mirror-match's ``plan`` defaults to the engine's own. Refuses a truth
     100 T / N that is a lattice point 100 c / m of a replicate size m.
     """
-    if method is Method.STANDARD:
-        law = partial(standard_law, n)
-    elif method is Method.PPB:
-        law = partial(ppb_law, N, n)
-    else:
-        law = partial(mirror_law, plan or mirror_match_plan(n, N), n)
+    law = engine_law(method, N, n, plan)
     for t, weight in enumerate(hypergeometric_pmf(N, T, n, lf).tolist()):
         if weight < NEGLIGIBLE:
             continue

@@ -5,13 +5,15 @@ oracle against a direct sum over every set of B replicates.
 """
 
 import itertools
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from exact_pp import binomial_band, coverage, log_factorials, mirror_percentile_coverage, sample_draws
+from exact_pp import binomial_band, coverage, engine_law, log_factorials, mirror_percentile_coverage, sample_draws
 from fpboot import CiType, EstimatorKind, Method, StudyConfig, SynthSpec, coverage_study
+from fpboot.estimators import sample_variance
 from fpboot.intervals import _interval_batch
 from fpboot.study import resolve_population
 
@@ -103,6 +105,32 @@ def test_mirror_lattice_is_each_replicate_size():
         mirror_percentile_coverage(6224, 852, 100, B, SimpleNamespace(n_prime=2, k_low=389, k_high=778, p_high=0.5))
     plan = SimpleNamespace(n_prime=1, k_low=3, k_high=4, p_high=0.5)
     assert 0.0 < mirror_percentile_coverage(6224, 852, 1556, B, plan) < 1.0
+
+
+# Each law against its engine's closed-form moments given the sample, at
+# every t: the direct sums below read the same laws, so this and the study
+# table are what tie a law to its engine. Replicates average 100 t / n. They
+# vary by (n - 1) s2 / n^2 (standard) or (1 - f) s2 / n (mirror-match, whose
+# E[1/k] is matched). Each ppb draw is a pseudo-population of mean mu: its
+# replicates vary by (1 - f) N mu (100 - mu) / ((N - 1) n), and mu by the
+# r-of-n completion's r (1 - r/n) s2 / N^2. The pmfs sum to 1 within 2e-12.
+@pytest.mark.parametrize(
+    "method,N,n",
+    [(STANDARD, 20, 5), (STANDARD, 6224, 30), (PPB, 20, 6), (PPB, 15, 5), (PPB, 6224, 100),
+     (MIRROR, 20, 10), (MIRROR, 6224, 30), (MIRROR, 6224, 100)],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_law_has_its_engines_moments(method, N, n):
+    f, r, lf, close = n / N, N % n, log_factorials(N), partial(pytest.approx, rel=1e-9, abs=1e-9)
+    for t in range(n + 1):
+        s2 = sample_variance(np.where(np.arange(n) < t, 100.0, 0.0))
+        w, p, x = zip(*((w, p, 100.0 * c / m) for w, c, m, p in engine_law(method, N, n)(t, lf)))
+        w, mu = np.array(w), np.array([q @ v for q, v in zip(p, x)])
+        within = {STANDARD: (n - 1) * s2 / n**2, PPB: (1 - f) * N * mu * (100.0 - mu) / ((N - 1) * n), MIRROR: (1 - f) * s2 / n}
+        assert [q.sum() for q in p] + [w.sum()] == close([1.0] * (len(p) + 1))
+        assert np.array([q @ (v - u) ** 2 for q, v, u in zip(p, x, mu)]) == close(within[method])
+        mean, spread = w @ mu, r * (1 - r / n) * s2 / N**2 if method is PPB else 0.0
+        assert (mean, w @ (mu - mean) ** 2) == close((100.0 * t / n, spread))
 
 
 # Every replicate set: at small sizes the oracle's sum over B replicates
