@@ -158,6 +158,9 @@ def load_population(path) -> Population:
             if len(parts) != 2:
                 raise PopulationParseError(f"{path}:{lineno}: expected two comma-separated fields")
             try:
+                # float() also reads "1_0" as 10.0 and non-ASCII digits
+                if not parts[0].isascii() or "_" in parts[0]:
+                    raise ValueError
                 score = float(parts[0])
             except ValueError:
                 raise PopulationParseError(f"{path}:{lineno}: bad ncs value {parts[0]!r}") from None

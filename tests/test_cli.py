@@ -60,9 +60,11 @@ class TestLoadPopulation:
         with pytest.raises(PopulationParseError, match=":1:"):
             load_population(path)
 
-    def test_bad_row_names_line(self, tmp_path):
-        path = write(tmp_path / "pop.csv", "ncs,top10\n1.0,0\nxyz,0\n")
-        with pytest.raises(PopulationParseError, match=":3:"):
+    # float() reads "1_0" as 10.0 and Arabic-Indic "١٢" as 12.0
+    @pytest.mark.parametrize("score", ["xyz", "1_0", "\u0661\u0662"])
+    def test_bad_row_names_line(self, tmp_path, score):
+        path = write(tmp_path / "pop.csv", f"ncs,top10\n1.0,0\n{score},0\n")
+        with pytest.raises(PopulationParseError, match=":3: bad ncs value"):
             load_population(path)
 
     def test_bad_flag_names_line(self, tmp_path):

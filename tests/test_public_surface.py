@@ -127,3 +127,15 @@ def test_module_imports_are_used(path):
     # fpboot.study imports the names perfbench's tracing wraps, whether the study calls them or not
     allowed = set(study_calls()) if path.name == "study.py" else set()
     assert [name for name in unused_imports(path) if name not in allowed] == []
+
+
+def test_no_module_reads_the_bit_generator():
+    # every draw is a Generator method call, so make_rng is the one place
+    # that names the bit generator
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+    ]
+    assert reads == []

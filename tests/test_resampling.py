@@ -37,12 +37,9 @@ from fpboot import (
     unit_values,
 )
 from fpboot.resampling import (
-    _chunks,
     _mirror_counts,
-    _multiply_reject,
     _pseudo_population,
     _reduce,
-    _resample_indices,
     _workspace,
 )
 from fpboot.study import SYNTH_STREAM_ID
@@ -664,46 +661,11 @@ class TestEngineChecks:
 
 # Reference block code with fresh temporaries per block: the same stream
 # reads and arithmetic as the engines, so they must match it bit for bit.
-# While n <= 2**16 the standard engine draws each index from a 16-bit chunk
-# of the raw 64-bit generator words, lowest chunk first, by Lemire's
-# multiply-and-reject rule, and int64 indices from ``integers`` above. The
-# indices point into the sample's units ordered flagged first. A block's
-# unused chunks are dropped, so its replicates follow the block rule too.
-def python_loop_indices(gen, rows, n):
-    # The draw rule, one cell and one chunk at a time in Python integers:
-    # a chunk x gives the index (x * n) >> 16 and is accepted iff
-    # (x * n) mod 2**16 >= 2**16 mod n; the rejected cells are redrawn, in
-    # order, from the following words, a round at a time.
-    threshold = 2**16 % n
-    cells = [0] * (rows * n)
-    pending = list(range(rows * n))
-    while pending:
-        words = gen.bit_generator.random_raw(-(-len(pending) // 4)).tolist()
-        chunks = [(w >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
-        again = []
-        for cell, x in zip(pending, chunks):
-            if (x * n) & 0xFFFF >= threshold:
-                cells[cell] = (x * n) >> 16
-            else:
-                again.append(cell)
-        pending = again
-    return np.array(cells, dtype=np.int64).reshape(rows, n)
-
-
+# The standard engine's indices point into the sample's units ordered
+# flagged first.
 def reference_indices(gen, rows, n):
-    # the same rule on whole arrays, for the block references below
-    if n > 2**16:
-        return gen.integers(0, n, size=(rows, n))
-    cells = np.empty(rows * n, dtype=np.int64)
-    pending = np.arange(rows * n)
-    while pending.size:
-        words = gen.bit_generator.random_raw(-(-pending.size // 4))
-        chunks = ((words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & 0xFFFF).ravel()[: pending.size]
-        prod = chunks.astype(np.int64) * n
-        ok = prod % 2**16 >= 2**16 % n
-        cells[pending[ok]] = prod[ok] // 2**16
-        pending = pending[~ok]
-    return cells.reshape(rows, n)
+    # one ``integers`` call per block: uint16 while n <= 3000, int64 above
+    return gen.integers(0, n, size=(rows, n), dtype=np.uint16 if n <= 3000 else np.int64)
 
 
 def reference_centre(v):
@@ -951,101 +913,16 @@ class TestBlockBuffers:
             assert pool.submit(peak).result(timeout=120) <= 4 * 2**16 * 8
 
 
-def philox_words(gen):
-    # 64-bit words the Philox generator has handed out so far
-    state = gen.bit_generator.state
-    assert state["bit_generator"] == "Philox"
-    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
-    return 4 * counter + int(state["buffer_pos"])
-
-
-class TestIndexDraws:
-    # The standard engine's draw rule: 16-bit chunks of the raw generator
-    # words by Lemire's multiply-and-reject while n <= 2**16, four chunks
-    # per 64-bit word; int64 ``integers`` above.
-    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 6224, 2**16])
-    def test_every_index_accepted_equally_often(self, n):
-        # over all 2**16 chunk values every index in [0, n) is accepted
-        # exactly floor(2**16 / n) times, and 2**16 mod n values are rejected
-        x = np.arange(2**16, dtype=np.uint16)
-        prod = np.empty(x.size, dtype=np.int64)
-        rejected = _multiply_reject(x, n, prod)
-        accepted = np.ones(x.size, dtype=bool)
-        accepted[rejected] = False
-        assert rejected.size == 2**16 % n
-        assert np.array_equal(prod, x.astype(np.int64) * n)
-        counts = np.bincount(prod[accepted] >> 16, minlength=n)
-        assert counts.size == n
-        assert np.all(counts == 2**16 // n)
-
-    def test_chunks_are_read_lowest_first(self):
-        # chunk j of word w is (w >> 16*j) & 0xFFFF whatever the host's byte
-        # order; a partial word's unused chunks are dropped
-        words = make_rng(28, 0).generator.bit_generator.random_raw(5)
-        gen = make_rng(28, 0).generator
-        chunks = _chunks(gen, 18)
-        assert chunks.dtype == np.dtype("<u2")
-        expected = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
-        assert chunks.tolist() == expected[:18]
-        assert gen.bit_generator.random_raw() == make_rng(28, 0).generator.bit_generator.random_raw(6)[5]
-
-    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 6224, 2**16])
-    def test_engine_draw_matches_python_loop(self, n):
-        # three blocks from the engine, the pure-Python loop and the array
-        # reference on copies of one stream: the same indices, the same
-        # stream position after
-        rows = max(1, 2**16 // n)
-        gens = [make_rng(29, n).generator for _ in range(3)]
-        for _ in range(3):
-            engine = _resample_indices(gens[0], rows, n)
-            assert engine.dtype == np.int64 and engine.shape == (rows, n)
-            assert np.array_equal(engine, python_loop_indices(gens[1], rows, n))
-            assert np.array_equal(engine, reference_indices(gens[2], rows, n))
-        assert gens[0].random() == gens[1].random() == gens[2].random()
-
-    def test_rejected_cells_are_redrawn_in_order(self):
-        # at n = 3 * 2**14 a third of the chunk values are rejected, so most
-        # blocks need several redraw rounds
-        n = 3 * 2**14
-        gens = [make_rng(30, k).generator for k in (0, 0)]
-        for _ in range(4):
-            assert np.array_equal(_resample_indices(gens[0], 1, n), python_loop_indices(gens[1], 1, n))
-        assert gens[0].random() == gens[1].random()
-
-    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 2**16])
-    def test_16bit_draws_uniform(self, n):
-        # each unit's count over D draws is Binomial(D, 1/n): within 5 Monte
-        # Carlo standard deviations of D / n, with D / n >= 200
-        gen = make_rng(21, n).generator
-        rows = max(1, 2**16 // n)
-        calls = -(-max(400_000, 200 * n) // (rows * n))
-        # each block is the thread's buffer until the next draw: copy it
-        idx = np.concatenate([_resample_indices(gen, rows, n).ravel().copy() for _ in range(calls)])
-        assert idx.dtype == np.int64
-        D = idx.size
-        counts = np.bincount(idx, minlength=n)
-        assert counts.size == n
-        assert np.all(np.abs(counts - D / n) <= 5 * math.sqrt(D * (1 / n) * (1 - 1 / n)))
-
-    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
-    def test_engine_matches_reference_across_dtype_switch(self, n):
-        N = 3 * n
-        s = lognormal_sample(n, N, seed=67)
-        kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
-        rng, ref_rng = make_rng(22, n), make_rng(22, n)
-        reps = standard_bootstrap(s, 2, kinds, rng, with_t_variances=True)
-        assert_same_bits(reps, reference_standard(s, 2, kinds, ref_rng, True), True)
-        assert rng.generator.random() == ref_rng.generator.random()
-
-    def test_draw_uses_a_quarter_word_per_index(self):
-        # n = 100, B = 1000: 100,000 indices take 25,000 words plus a few
-        # Lemire rejections; int64 indices would take 100,000
-        n, B = 100, 1000
-        s = lognormal_sample(n, POP, seed=71)
-        rng = make_rng(23, 0)
-        before = philox_words(rng.generator)
-        standard_bootstrap(s, B, (EstimatorKind.MNCS, EstimatorKind.PP_TOP10), rng, with_t_variances=True)
-        assert philox_words(rng.generator) - before <= 0.26 * n * B
+@pytest.mark.parametrize("n", [3000, 3001])
+def test_engine_matches_reference_across_dtype_switch(n):
+    # the largest uint16 draw and the smallest int64 one
+    N = 3 * n
+    s = lognormal_sample(n, N, seed=67)
+    kinds = (EstimatorKind.MNCS, EstimatorKind.PP_TOP10)
+    rng, ref_rng = make_rng(22, n), make_rng(22, n)
+    reps = standard_bootstrap(s, 2, kinds, rng, with_t_variances=True)
+    assert_same_bits(reps, reference_standard(s, 2, kinds, ref_rng, True), True)
+    assert rng.generator.random() == ref_rng.generator.random()
 
 
 class TestPpCountPath:

@@ -948,18 +948,18 @@ def test_the_table_is_one_task_whatever_the_split(method, monkeypatch):
 # deliberately alters stream consumption, replicate values or interval
 # arithmetic updates these and says so in CHANGES.md.
 GOLDEN_SHA256 = {
-    60: "2375562ef86385ec19843a97cef814c8b6c59dfbc39ed6cc6341e3d863b25e89",
-    70: "66356d187bee2a89d6005df502f1a2faa99ce70a747f9bf713351ab6466bebb3",
+    60: "2ca1fc161c820380e40dc16bff8e7b20d1b7121cbc1779aaa59abdaad7f76482",
+    70: "351093b9bf025a2e5abf372d59ed4c7977554719f44c276f251f80131fd613fe",
 }
 # The same study's CSV report and its length sweep written by emit_sweep:
 # they pin the 12-digit CSV formatting of both writers.
 GOLDEN_CSV_SHA256 = {
-    60: "eb6fe662e57cba68c077591a7f570b83e36baa8f85a269f37380b1947deaf17a",
-    70: "24491f4cb8f1549b9e28315ed0d8ffdac1a0a11bd9650e352f288fbc9760f4c9",
+    60: "a988b434233cf0c9673b85ef22eb98bc813d6d635f3f02586acd65b25ebf25c0",
+    70: "0ed2102e30ec653649177c6d25509b5a6a785a11dab74d7a867cb72844a31db1",
 }
 GOLDEN_SWEEP_SHA256 = {
-    60: "f45ef10d7968efa0d64722172fde8be1d1ca39748421e1dd2b15516c838704f5",
-    70: "45e93b2f7a8dc268dc4f20b5fe2491b6151b8672bb218038424b4fb2da6d1d41",
+    60: "7f7a43cc923c12ba2b04f0211c96f1d6512b4d0eb29d3587ae8b2ff7381b8b85",
+    70: "f9b289ff8888fec86a3597c8777dcd1c88b0aab4c682d6ea0fa9961bcd652e56",
 }
 
 
